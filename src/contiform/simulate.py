@@ -12,6 +12,23 @@ Per tick, in order: (1) desired positions per mode, (2) RK4 position
 update for every agent, (3) failure kinematics override, (4) anomaly
 checks (HDM only; the flagged set is frozen while CEM is active),
 (5) supervisor transition, (6) one log row.
+
+HDM ticks run this order in look-ahead blocks.  The detector reads only
+the actual positions, and until it flags someone neither detection nor
+logging feeds back into the dynamics.  So a step() on an HDM tick with
+nothing flagged and nothing buffered integrates up to `lookahead_ticks`
+ticks ahead, steps (1)-(3) per tick as above, ending the block at the run
+end and before any tick on which a failure activates.  It then evaluates
+the whole block in one vectorized pass: the detector over all K x F
+follower rows, the commanded deformation's singular values, the leader lag
+and its leader_deviation events in tick order, the containment center and
+the log rows.  The block keeps the ticks up to and including the first one
+on which the detector flags anyone, and each step() call commits one
+buffered tick; the flagged tick runs the supervisor transition (5).  An
+HDM tick with agents already flagged is a block of one tick, and CEM ticks
+run one at a time.  The buffer is dropped, and its uncommitted log rows
+cleared, when the state it was built from changes between steps: a failure
+added or edited (inject_failure), or positions, mode or flagged set edited.
 """
 
 from __future__ import annotations
@@ -42,7 +59,9 @@ class TrajectoryLog:
     """Complete per-tick record of one run.
 
     Row k holds the state at time k * dt; row 0 is the initial state.
-    Arrays indexed [tick, agent] follow the scenario's agent order.
+    Arrays indexed [tick, agent] follow the scenario's agent order.  While
+    a run is in progress, the rows past the current tick may already hold
+    the buffered look-ahead block.
     """
 
     agent_ids: tuple
@@ -108,7 +127,7 @@ class _Epoch:
             [network.ref_positions[a] for a in network.leaders])
         # Prefactored leader-fit system (rows [ref | 1]); for n = 2 the
         # fourth row is the virtual normal point, exactly as in
-        # hdm.fit_homogeneous_transform, so sigma_of matches it to rounding.
+        # hdm.fit_homogeneous_transform.
         self.planar = network.n == 2
         ref_rows = self.leader_ref
         if self.planar:
@@ -119,26 +138,32 @@ class _Epoch:
         m[:, :3] = ref_rows
         self._fit_inv = np.linalg.inv(m)
 
-    def sigma_of(self, leader_cmd):
-        """Singular values of the commanded deformation, or None if the
-        commanded leader simplex is degenerate."""
+    def sigmas(self, leader_cmd):
+        """Singular values (K, 3), descending, of the deformations the
+        leader commands (K, L, 3) impose, and their margin_ok codes (K,).
+
+        A degenerate commanded leader simplex logs NaN and violates the
+        margin.
+        """
+        degenerate = np.zeros(len(leader_cmd), dtype=bool)
+        rhs = leader_cmd
         if self.planar:
-            e1 = leader_cmd[1] - leader_cmd[0]
-            e2 = leader_cmd[2] - leader_cmd[0]
-            raw = np.array([e2[1] * e1[2] - e2[2] * e1[1],
-                            e2[2] * e1[0] - e2[0] * e1[2],
-                            e2[0] * e1[1] - e2[1] * e1[0]])
-            nrm = math.sqrt(raw @ raw)
-            scale = math.sqrt((e1 @ e1) * (e2 @ e2))
-            if nrm <= 1e-9 * max(scale, 1e-300):
-                return None
-            rhs = np.empty((4, 3))
-            rhs[:3] = leader_cmd
-            rhs[3] = leader_cmd[0] + raw / nrm
-        else:
-            rhs = leader_cmd
+            e1 = leader_cmd[:, 1] - leader_cmd[:, 0]
+            e2 = leader_cmd[:, 2] - leader_cmd[:, 0]
+            raw = np.cross(e2, e1)
+            nrm = np.sqrt(np.einsum("ki,ki->k", raw, raw))
+            scale = np.sqrt(np.einsum("ki,ki->k", e1, e1)
+                            * np.einsum("ki,ki->k", e2, e2))
+            degenerate = nrm <= 1e-9 * np.maximum(scale, 1e-300)
+            normal = raw / np.where(degenerate, 1.0, nrm)[:, None]
+            rhs = np.concatenate(
+                [leader_cmd, (leader_cmd[:, 0] + normal)[:, None]], axis=1)
         sol = self._fit_inv @ rhs   # rows [Q^T; d]; sigma(Q^T) = sigma(Q)
-        return _sym3_sigma(sol[:3])
+        sigma = np.linalg.svd(sol[:, :3], compute_uv=False)
+        sigma[degenerate] = np.nan
+        ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
+                      MARGIN_VIOLATED)
+        return sigma, ok
 
     def meta(self):
         net = self.network
@@ -155,32 +180,21 @@ class _Epoch:
         }
 
 
-def _sym3_sigma(q):
-    """Singular values of a 3x3 matrix, sorted descending.
+@dataclass
+class _Ahead:
+    """Look-ahead block: HDM ticks integrated and logged, not yet committed.
 
-    Closed-form trigonometric eigenvalues of q q^T; an order of magnitude
-    faster than np.linalg.svd for the per-tick margin series.
+    Holds the state after each of its K ticks; only the last tick can have
+    anyone flagged (the block ends on the first such tick).
     """
-    m = q @ q.T
-    (a, d, e), (_, b, f), (_, _, c) = m.tolist()
-    p1 = d * d + e * e + f * f
-    tr = a + b + c
-    if p1 == 0.0:
-        eigs = sorted((a, b, c), reverse=True)
-    else:
-        qm = tr / 3.0
-        p2 = (a - qm) ** 2 + (b - qm) ** 2 + (c - qm) ** 2 + 2.0 * p1
-        p = math.sqrt(p2 / 6.0)
-        b00, b11, b22 = (a - qm) / p, (b - qm) / p, (c - qm) / p
-        b01, b02, b12 = d / p, e / p, f / p
-        half_det = (b00 * (b11 * b22 - b12 * b12)
-                    - b01 * (b01 * b22 - b12 * b02)
-                    + b02 * (b01 * b12 - b11 * b02)) / 2.0
-        phi = math.acos(min(1.0, max(-1.0, half_det))) / 3.0
-        e1 = qm + 2.0 * p * math.cos(phi)
-        e3 = qm + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-        eigs = (e1, tr - e1 - e3, e3)
-    return np.sqrt(np.maximum(np.array(eigs), 0.0))
+
+    start: int              # tick the block starts from
+    positions: np.ndarray   # (K, N, 3) positions after each tick
+    centers: np.ndarray     # (K, 3) containment centers
+    flags: frozenset        # flagged set on the last tick
+    events: list            # [(k, leader id, Event)] in tick order
+    failures: tuple         # failure specs it was built under
+    committed: int = 0
 
 
 def _rk4_track(r, rd1, rd2, rd3, g, dt):
@@ -194,6 +208,9 @@ def _rk4_track(r, rd1, rd2, rd3, g, dt):
 
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
+
+    # longest look-ahead block of quiet HDM ticks (see the module docstring)
+    lookahead_ticks = 64
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -216,11 +233,12 @@ class Simulation:
         self.events = []
         self.epochs = []
         self._deviating_leaders = set()
+        self._ahead = None
 
         self.failures = {}
         self.failure_anchor = {}   # agent id -> (t_active, anchor position)
         for spec in config.failures:
-            self._register_failure(spec, during_run=False)
+            self._register_failure(spec)
 
         # CEM machinery, populated at mode entry
         self.flow = None
@@ -235,18 +253,16 @@ class Simulation:
             raise ScenarioError(f"initial network build failed: {exc}") from exc
 
         self._alloc_log()
-        self._detect(initial=True)
-        self._stash_hdm_row()
-        self._write_row(0)
+        # the first row logs the detector's weights; nothing is flagged yet
+        det, _ = self._detect(self.positions[None])
+        self._log_epoch_row(det)
 
     # -- construction helpers -------------------------------------------
 
-    def _register_failure(self, spec: FailureSpec, during_run: bool):
+    def _register_failure(self, spec: FailureSpec):
         if spec.agent_id not in self.idx:
             raise ValueError(f"unknown agent {spec.agent_id} in failure spec")
-        end_time = self.total_ticks * self.dt if during_run \
-            else self.config.duration
-        if spec.time >= end_time and not during_run:
+        if spec.time >= self.config.duration:
             warnings.warn(
                 f"failure of agent {spec.agent_id} at t={spec.time} is beyond "
                 f"the run duration and has no effect", stacklevel=3)
@@ -334,47 +350,34 @@ class Simulation:
             epochs=[],
         )
 
-    # -- per-tick pieces -------------------------------------------------
+    def _clear_rows(self, rows):
+        """Reset log rows to the values _alloc_log fills them with."""
+        log = self.log
+        for arr in (log.actual, log.local_desired, log.global_desired,
+                    log.center):
+            arr[rows] = 0.0
+        for arr in (log.weights, log.bounds_lo, log.bounds_hi, log.sigma):
+            arr[rows] = np.nan
+        log.health[rows] = HEALTH_OK
+        log.mode[rows] = MODE_CODE[Mode.HDM]
+        log.margin_ok[rows] = MARGIN_NA
+
+    # -- tick pieces -----------------------------------------------------
 
     @property
     def clock(self):
         return self.tick * self.dt
 
-    def _leader_stages(self):
-        base = 2 * (self.tick - self._grid_base_tick)
-        return (self._leader_cmd[:, base, :],
-                self._leader_cmd[:, base + 1, :],
-                self._leader_cmd[:, base + 2, :])
-
-    def _stash_hdm_row(self):
-        """Prepare the logged desired positions for a non-integration row
-        (the initial row and the row written right after a rebuild)."""
+    def _hdm_targets(self, positions, leader_cmd):
+        """Local desired positions (S, N, 3) for S leader commands
+        (L, S, 3): followers at their weighted in-neighbor point, leaders
+        at the command, excluded agents where they are."""
         ep = self.epoch
-        rd = self.positions.copy()
-        ordered = self.positions[ep.order_idx]
-        rd[ep.follower_idx] = ep.network.W @ ordered
-        base = 2 * (self.tick - self._grid_base_tick)
-        cmd = self._leader_cmd[:, base, :]
-        rd[ep.leader_idx] = cmd
-        self._row_local = rd
-        self._row_leader_cmd = cmd
-
-    def _hdm_desired(self):
-        """(rd1, rd2, rd3) for the current HDM tick, plus logging values."""
-        ep = self.epoch
-        rd = self.positions.copy()   # excluded and flagged rows hold position
-        ordered = self.positions[ep.order_idx]
-        rd[ep.follower_idx] = ep.network.W @ ordered
-        c1, c2, c3 = self._leader_stages()
-        rd1 = rd.copy()
-        rd2 = rd.copy()
-        rd3 = rd
-        rd1[ep.leader_idx] = c1
-        rd2[ep.leader_idx] = c2
-        rd3[ep.leader_idx] = c3
-        self._row_local = rd3
-        self._row_leader_cmd = c3
-        return rd1, rd2, rd3
+        rd = np.empty((leader_cmd.shape[1],) + positions.shape)
+        rd[:] = positions
+        rd[:, ep.follower_idx] = ep.network.W @ positions[ep.order_idx]
+        rd[:, ep.leader_idx] = leader_cmd.swapaxes(0, 1)
+        return rd
 
     def _cem_desired(self):
         """Advance streamline targets one step; all stages track the result."""
@@ -396,46 +399,45 @@ class Simulation:
                             payload={"agent": int(agent)}))
         rd = self.positions.copy()
         rd[idx] = stepped
-        return rd, rd, rd
+        return rd
 
-    def _apply_failures(self, t_start, t_end):
+    def _apply_failures(self, positions, snapshot, t_start, t_end):
+        """Override failed agents' rows of the tick's new positions;
+        snapshot holds the positions the tick started from."""
         for agent_id, spec in self.failures.items():
             if t_start < spec.time - 1e-12:
                 continue
             i = self.idx[agent_id]
             if agent_id not in self.failure_anchor:
                 # anchor at the position held when the failure activates
-                self.failure_anchor[agent_id] = (t_start, self._snapshot[i].copy())
+                self.failure_anchor[agent_id] = (t_start, snapshot[i].copy())
                 self.events.append(Event(
                     time=t_start, kind="failure_active",
                     payload={"agent": int(agent_id), "kind": spec.kind}))
             t_active, anchor = self.failure_anchor[agent_id]
             if spec.kind == "freeze":
-                self.positions[i] = anchor
+                positions[i] = anchor
             else:
-                self.positions[i] = anchor + spec.velocity * (t_end - t_active)
+                positions[i] = anchor + spec.velocity * (t_end - t_active)
 
-    def _detect(self, initial=False):
-        """Run the per-follower bound checks; returns the flagged id set.
+    def _non_finite(self, finite):
+        """NumericError for the tick being stepped; finite is (N,) bool."""
+        bad = [self.ids[i] for i in np.flatnonzero(~finite)]
+        return NumericError(
+            f"non-finite position for agents {bad} at tick {self.tick}, "
+            f"t={self.clock + self.dt:.6f}")
 
-        Rows of the log are filled by _write_row from the stashed arrays.
-        During CEM the detector is suspended and the flagged set frozen.
-        """
+    def _detect(self, positions):
+        """Condition Psi for every follower on each of K ticks of positions
+        (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1) each, and
+        healthy (K, F)."""
         ep = self.epoch
-        if self.mode is Mode.CEM:
-            self._det_rows = None
-            return self.flagged
-        vertices = self.positions[ep.nbr_idx]
-        queries = self.positions[ep.follower_idx]
         w, lo, hi, healthy = anomaly.evaluate_followers_batch(
-            vertices, queries, ep.static_w, self.delta, self.n,
+            positions[:, ep.nbr_idx].reshape(-1, self.n + 1, 3),
+            positions[:, ep.follower_idx].reshape(-1, 3),
+            np.tile(ep.static_w, (len(positions), 1)), self.delta, self.n,
             xi=self.config.xi)
-        self._det_rows = (ep.follower_idx, w, lo, hi)
-        if initial:
-            return frozenset()
-        flagged = frozenset(
-            ep.network.followers[j] for j in np.flatnonzero(~healthy))
-        return flagged
+        return (w, lo, hi), healthy.reshape(len(positions), -1)
 
     def _refresh_healthy(self):
         mask = np.ones(self.n_agents, dtype=bool)
@@ -479,50 +481,104 @@ class Simulation:
             raise NumericError(
                 f"reference rebuild failed at t={clock:.6f}: {exc}") from exc
 
-    def _write_row(self, row):
+    def _supervise(self, clock):
+        """Supervisor transition at the end of a tick with agents flagged."""
+        state = ModeState(
+            mode=self.mode, entered_at=self.entered_at,
+            containment_center=self.center,
+            containment_half_size=self.config.containment_half_size,
+            norm_kind=self.config.containment_norm)
+        flagged_pos = {a: self.positions[self.idx[a]] for a in self.flagged}
+        next_state, events = transition(state, None, self.flagged,
+                                        flagged_pos, clock)
+        if next_state.mode is self.mode:
+            return
+        self.mode = next_state.mode
+        self.entered_at = next_state.entered_at
+        self.events.extend(events)
+        if self.mode is Mode.CEM:
+            self._enter_cem(clock)
+        else:
+            self._exit_cem(clock)
+
+    # -- log rows ----------------------------------------------------------
+
+    def _write_hdm_rows(self, row0, positions, local, centers, det,
+                        healthy):
+        """Log K consecutive HDM rows from row0 on.
+
+        positions and local are (K, N, 3), centers (K, 3); det holds the
+        detector's (weights, lo, hi) rows or None, healthy its (K, F)
+        verdicts or None (nothing flagged).  Returns the leader_deviation
+        events the rows raise, as (k, leader id, Event) in tick order, for
+        the caller to emit as each tick commits.
+        """
+        ep, log = self.epoch, self.log
+        count = len(positions)
+        rows = slice(row0, row0 + count)
+        base = 2 * (row0 - self._grid_base_tick)
+        cmd = self._leader_cmd[:, base:base + 2 * count:2].swapaxes(0, 1)
+        log.actual[rows] = positions
+        log.mode[rows] = MODE_CODE[Mode.HDM]
+        log.center[rows] = centers
+        excluded = [self.idx[a] for a in self.excluded]
+        log.health[rows, excluded] = HEALTH_EXCLUDED
+        if healthy is not None:
+            log.health[rows, ep.follower_idx] = np.where(
+                healthy, HEALTH_OK, HEALTH_FLAGGED)
+        if det is not None:
+            shape = (count, len(ep.follower_idx), self.n + 1)
+            for arr, rows_det in zip((log.weights, log.bounds_lo,
+                                      log.bounds_hi), det):
+                arr[rows, ep.follower_idx] = rows_det.reshape(shape)
+        log.local_desired[rows] = local
+        glob = log.global_desired[rows]
+        glob[:] = np.nan
+        glob[:, ep.leader_idx] = cmd
+        glob[:, ep.follower_idx] = ep.network.W_L @ cmd
+        log.sigma[rows], log.margin_ok[rows] = ep.sigmas(cmd)
+        diff = positions[:, ep.leader_idx] - cmd
+        lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+        events, seen = [], set(self._deviating_leaders)
+        for k, j in zip(*np.nonzero(lag > self.delta)):
+            lid = ep.network.leaders[j]
+            if lid not in seen:
+                seen.add(lid)
+                events.append((k, lid, Event(
+                    time=(row0 + k) * self.dt, kind="leader_deviation",
+                    payload={"agent": int(lid), "error": float(lag[k, j])})))
+        return events
+
+    def _emit(self, events):
+        for _, lid, event in events:
+            self._deviating_leaders.add(lid)
+            self.events.append(event)
+
+    def _log_epoch_row(self, det):
+        """Log the row on which a network epoch starts (the first row and
+        the row of a rebuild), which no HDM integration produced."""
+        base = 2 * (self.tick - self._grid_base_tick)
+        local = self._hdm_targets(self.positions,
+                                  self._leader_cmd[:, base:base + 1])
+        self._emit(self._write_hdm_rows(
+            self.tick, self.positions[None], local, self.center[None], det,
+            None))
+
+    def _write_cem_row(self, row):
         log = self.log
         log.actual[row] = self.positions
-        log.mode[row] = MODE_CODE[self.mode]
+        log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
         for a in self.excluded:
             log.health[row, self.idx[a]] = HEALTH_EXCLUDED
         for a in self.flagged:
             log.health[row, self.idx[a]] = HEALTH_FLAGGED
-        if self._det_rows is not None:
-            fol_idx, w, lo, hi = self._det_rows
-            log.weights[row, fol_idx] = w
-            log.bounds_lo[row, fol_idx] = lo
-            log.bounds_hi[row, fol_idx] = hi
-        ep = self.epoch
-        if self.mode is Mode.HDM:
-            leader_cmd = self._row_leader_cmd
-            glob = np.full((self.n_agents, 3), np.nan)
-            glob[ep.leader_idx] = leader_cmd
-            glob[ep.follower_idx] = ep.network.W_L @ leader_cmd
-            log.local_desired[row] = self._row_local
-            log.global_desired[row] = glob
-            sv = ep.sigma_of(leader_cmd)
-            if sv is None:
-                log.margin_ok[row] = MARGIN_VIOLATED
-            else:
-                log.sigma[row] = sv
-                log.margin_ok[row] = MARGIN_OK if sv[-1] >= ep.threshold \
-                    else MARGIN_VIOLATED
-            diff = self.positions[ep.leader_idx] - leader_cmd
-            lag = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            for j in np.flatnonzero(lag > self.delta):
-                lid = ep.network.leaders[j]
-                if lid not in self._deviating_leaders:
-                    self._deviating_leaders.add(lid)
-                    self.events.append(Event(
-                        time=row * self.dt, kind="leader_deviation",
-                        payload={"agent": int(lid), "error": float(lag[j])}))
-        else:
-            desired = np.full((self.n_agents, 3), np.nan)
-            desired[self.healthy_idx] = self.cem_targets[self.healthy_idx]
-            log.local_desired[row] = desired
-            log.global_desired[row] = desired
-            log.margin_ok[row] = MARGIN_NA
+        desired = np.full((self.n_agents, 3), np.nan)
+        desired[self.healthy_idx] = self.cem_targets[self.healthy_idx]
+        log.local_desired[row] = desired
+        log.global_desired[row] = desired
+        log.sigma[row] = np.nan
+        log.margin_ok[row] = MARGIN_NA
 
     # -- main loop --------------------------------------------------------
 
@@ -530,53 +586,122 @@ class Simulation:
         """Advance exactly one tick."""
         if self.tick >= self.total_ticks:
             raise RuntimeError("simulation already complete")
-        t_start = self.clock
-        t_end = t_start + self.dt
-        self._snapshot = self.positions
+        if not (self.mode is Mode.HDM and self._ahead_valid()):
+            self._drop_ahead()
+            if self.mode is Mode.CEM:
+                self._cem_step()
+                return
+            self._look_ahead()
+        self._commit()
 
-        if self.mode is Mode.HDM:
-            rd1, rd2, rd3 = self._hdm_desired()
-        else:
-            rd1, rd2, rd3 = self._cem_desired()
-        self.positions = _rk4_track(self.positions, rd1, rd2, rd3,
-                                    self.g, self.dt)
-        self._apply_failures(t_start, t_end)
-        if not np.all(np.isfinite(self.positions)):
-            bad = [self.ids[i] for i in
-                   np.flatnonzero(~np.isfinite(self.positions).all(axis=1))]
-            raise NumericError(
-                f"non-finite position for agents {bad} at tick {self.tick}, "
-                f"t={t_end:.6f}")
+    def _ahead_valid(self):
+        """Whether a buffered tick is left and the state it was built from
+        is unchanged."""
+        ahead = self._ahead
+        return (ahead is not None
+                and ahead.committed < len(ahead.positions)
+                and self.tick == ahead.start + ahead.committed
+                and not self.flagged
+                and len(self.failures) == len(ahead.failures)
+                and all(a is b for a, b in zip(self.failures.values(),
+                                               ahead.failures))
+                and self.positions.tobytes()
+                == ahead.positions[ahead.committed - 1].tobytes())
+
+    def _drop_ahead(self):
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            self._clear_rows(slice(ahead.start + ahead.committed + 1,
+                                   ahead.start + len(ahead.positions) + 1))
+
+    def _look_ahead(self):
+        """Integrate a block of HDM ticks from the current state, evaluate
+        and log it in one pass, and buffer it for _commit."""
+        ep = self.epoch
+        size = min(1 if self.flagged else self.lookahead_ticks,
+                   self.total_ticks - self.tick)
+        activation = min((spec.time - 1e-12 for a, spec in
+                          self.failures.items()
+                          if a not in self.failure_anchor), default=math.inf)
+        positions = np.empty((size, self.n_agents, 3))
+        local = np.empty_like(positions)
+        cmd = self._leader_cmd[:, 2 * (self.tick - self._grid_base_tick):]
+        r = self.positions
+        for k in range(size):
+            t_start = (self.tick + k) * self.dt
+            if k and t_start >= activation:
+                size = k   # the activation tick starts the next block
+                break
+            rd1, rd2, rd3 = self._hdm_targets(r, cmd[:, 2 * k:2 * k + 3])
+            r_next = _rk4_track(r, rd1, rd2, rd3, self.g, self.dt)
+            self._apply_failures(r_next, r, t_start, t_start + self.dt)
+            positions[k], local[k], r = r_next, rd3, r_next
+        finite = np.isfinite(positions[:size]).all(axis=2)
+        if not finite[0].all():
+            raise self._non_finite(finite[0])
+        bad_ticks = np.flatnonzero(~finite.all(axis=1))
+        if bad_ticks.size:   # starts the next block, which raises
+            size = int(bad_ticks[0])
+        positions, local = positions[:size], local[:size]
+        det, healthy = self._detect(positions)
+        flagged_ticks = np.flatnonzero(~healthy.all(axis=1))
+        if flagged_ticks.size:
+            size = int(flagged_ticks[0]) + 1
+            positions, local, healthy = \
+                positions[:size], local[:size], healthy[:size]
+            det = tuple(a[:size * len(ep.follower_idx)] for a in det)
+        centers = positions[:, self._healthy_idx].mean(axis=1)
+        events = self._write_hdm_rows(self.tick + 1, positions, local,
+                                      centers, det, healthy)
+        flags = frozenset(ep.network.followers[j]
+                          for j in np.flatnonzero(~healthy[-1]))
+        self._ahead = _Ahead(self.tick, positions, centers, flags, events,
+                             tuple(self.failures.values()))
+
+    def _commit(self):
+        """Commit the next buffered HDM tick."""
+        ahead = self._ahead
+        k = ahead.committed
+        ahead.committed += 1
+        t_end = self.clock + self.dt
+        self.positions = ahead.positions[k].copy()
         self.tick += 1
-
-        new_flags = self._detect()
-        if new_flags != self.flagged:
-            self.flagged = new_flags
+        flags = ahead.flags if ahead.committed == len(ahead.positions) \
+            else frozenset()
+        if flags != self.flagged:
+            self.flagged = flags
             self._refresh_healthy()
-        self._update_center()
+            self._update_center()
+            self.log.center[self.tick] = self.center
+        else:
+            self.center = ahead.centers[k]
         # HDM with nothing flagged is a fixed point of the automaton, so
-        # the transition call is skipped on quiescent ticks
-        if self.flagged or self.mode is Mode.CEM:
-            state = ModeState(
-                mode=self.mode, entered_at=self.entered_at,
-                containment_center=self.center,
-                containment_half_size=self.config.containment_half_size,
-                norm_kind=self.config.containment_norm)
-            flagged_pos = {a: self.positions[self.idx[a]]
-                           for a in self.flagged}
-            next_state, events = transition(state, None, self.flagged,
-                                            flagged_pos, t_end)
-            if next_state.mode is not self.mode:
-                self.mode = next_state.mode
-                self.entered_at = next_state.entered_at
-                self.events.extend(events)
-                if self.mode is Mode.CEM:
-                    self._enter_cem(t_end)
-                else:
-                    self._exit_cem(t_end)
-                    self._stash_hdm_row()
-                    self._det_rows = None
-        self._write_row(self.tick)
+        # the transition is skipped on quiet ticks
+        if self.flagged:
+            self._supervise(t_end)
+        if self.mode is Mode.CEM:   # entered on this tick
+            self._write_cem_row(self.tick)
+        elif ahead.events:
+            self._emit(e for e in ahead.events if e[0] == k)
+
+    def _cem_step(self):
+        """One CEM tick; the detector is suspended, the flagged set frozen."""
+        t_start = self.clock
+        rd = self._cem_desired()
+        positions = _rk4_track(self.positions, rd, rd, rd, self.g, self.dt)
+        self._apply_failures(positions, self.positions, t_start,
+                             t_start + self.dt)
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            raise self._non_finite(finite)
+        self.positions = positions
+        self.tick += 1
+        self._update_center()
+        self._supervise(t_start + self.dt)
+        if self.mode is Mode.CEM:
+            self._write_cem_row(self.tick)
+        else:   # back to HDM on a rebuilt network
+            self._log_epoch_row(None)
 
     def run(self):
         while self.tick < self.total_ticks:

@@ -1,0 +1,205 @@
+"""Look-ahead HDM blocks inside Simulation.step.
+
+Quiet HDM ticks are integrated and evaluated in blocks, then committed one
+per step() call.  The oracle throughout is the same simulation with
+lookahead_ticks = 1, which evaluates every tick on its own: the block
+length, an injected failure and an edit of the state between steps must
+not change a single logged bit against it.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contiform import anomaly
+from contiform.errors import NumericError
+from contiform.scenario import load_scenario
+from contiform.simulate import (HEALTH_FLAGGED, HEALTH_OK, Simulation,
+                                inject_failure)
+
+# Seven agents translating east at 1 m/s.  Freezes and drifts of its
+# followers are flagged within the run and reach CEM, some of them the
+# exclusion and the rebuild; a frozen leader raises leader_deviation.
+TEAM7 = """
+n: 2
+dt: 0.005
+duration: 3.0
+gain: 25.0
+containment: {{half_size: 14.0, center_policy: tracking}}
+cem: {{exclusion_radius: 1.0, v_phi: 10.0}}
+agents:
+  - {{id: 1, position: [0, 0]}}
+  - {{id: 2, position: [12, 0]}}
+  - {{id: 3, position: [0, 12]}}
+  - {{id: 4, position: [3, 3]}}
+  - {{id: 5, position: [7, 2]}}
+  - {{id: 6, position: [2, 7]}}
+  - {{id: 7, position: [5, 5]}}
+leader_trajectories:
+  1: [{{time: 0, position: [0, 0]}}, {{time: 10, position: [10, 0]}}]
+  2: [{{time: 0, position: [12, 0]}}, {{time: 10, position: [22, 0]}}]
+  3: [{{time: 0, position: [0, 12]}}, {{time: 10, position: [10, 12]}}]
+{extra}
+"""
+DT, TICKS = 0.005, 600
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
+                    database=None)
+
+
+def team7(extra="", gain=None):
+    doc = TEAM7.format(extra=extra)
+    if gain is not None:
+        doc = doc.replace("gain: 25.0", f"gain: {gain}")
+    return load_scenario(doc)
+
+
+def failure_doc(agent, time, kind, velocity):
+    spec = f"{{agent: {agent}, time: {time!r}, kind: {kind}"
+    if kind == "drift":
+        spec += f", velocity: [{velocity[0]!r}, {velocity[1]!r}]"
+    return f"failures:\n  - {spec}}}\n"
+
+
+def run(sim, before=None, at=0):
+    """Step sim to the end, calling before(sim) after `at` steps; returns
+    the log digest, or the error the run raised."""
+    try:
+        while sim.tick < sim.total_ticks:
+            if before is not None and sim.tick == at:
+                before(sim)
+            sim.step()
+    except Exception as exc:   # both runs must fail alike
+        return f"{type(exc).__name__}: {exc}"
+    return sim.log.digest()
+
+
+def sim_with(config, lookahead):
+    sim = Simulation(config)
+    sim.lookahead_ticks = lookahead
+    return sim
+
+
+# (agent, time, kind, velocity); velocities in cm/s so that the scenario
+# text holds them exactly
+failures = st.builds(
+    lambda agent, tick, kind, vx, vy: (agent, tick * DT + 0.001, kind,
+                                       (vx / 100, vy / 100)),
+    st.integers(1, 7), st.integers(0, TICKS - 2),
+    st.sampled_from(["freeze", "drift"]),
+    st.integers(-600, 600), st.integers(-600, 600))
+
+
+@PROPERTY
+@given(lookahead=st.integers(2, 80), failure=failures)
+def test_block_length_does_not_change_the_log(lookahead, failure):
+    config = team7(failure_doc(*failure))
+    assert run(sim_with(config, lookahead)) == run(sim_with(config, 1))
+
+
+@PROPERTY
+@given(failure=failures, steps=st.integers(0, TICKS - 2))
+def test_inject_failure_matches_declared_failure(failure, steps):
+    agent, time, kind, velocity = failure
+    time = max(time, steps * DT)   # not yet active when injected
+    declared = run(Simulation(team7(failure_doc(agent, time, kind,
+                                                velocity))))
+    injected = run(Simulation(team7()), at=steps, before=lambda sim:
+                   inject_failure(sim, agent, kind, time,
+                                  velocity if kind == "drift" else None))
+    assert injected == declared
+
+
+@PROPERTY
+@given(steps=st.integers(1, TICKS - 2), agent=st.integers(0, 6),
+       shift_mm=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+       in_place=st.booleans())
+def test_position_edit_takes_effect_on_next_step(steps, agent, shift_mm,
+                                                 in_place):
+    offset = np.array([shift_mm[0] / 1000, shift_mm[1] / 1000, 0.0])
+
+    def edit(sim):
+        if in_place:
+            sim.positions[agent] += offset
+        else:
+            moved = sim.positions.copy()
+            moved[agent] += offset
+            sim.positions = moved
+
+    config = team7()
+    edited = sim_with(config, 64)
+    assert run(edited, at=steps, before=edit) == \
+        run(sim_with(config, 1), at=steps, before=edit)
+    if offset.any():
+        plain = sim_with(config, 64)
+        run(plain)
+        assert not np.array_equal(edited.log.actual[steps + 1, agent],
+                                  plain.log.actual[steps + 1, agent])
+
+
+def test_run_steps_once_per_tick(monkeypatch):
+    calls = []
+    step = Simulation.step
+    monkeypatch.setattr(Simulation, "step",
+                        lambda self: calls.append(self.tick) or step(self))
+    sim = Simulation(team7(failure_doc(4, 0.3, "drift", (-6.0, -1.0))))
+    sim.run()
+    assert calls == list(range(TICKS))
+
+
+def test_quiet_run_detects_once_per_block(monkeypatch):
+    calls = []
+    detect = anomaly.evaluate_followers_batch
+
+    def counted(vertices, *args, **kwargs):
+        calls.append(len(vertices))
+        return detect(vertices, *args, **kwargs)
+
+    monkeypatch.setattr(anomaly, "evaluate_followers_batch", counted)
+    Simulation(team7()).run()
+    blocks = -(-TICKS // Simulation.lookahead_ticks)
+    assert len(calls) == 1 + blocks
+    followers = 4
+    assert calls[1] == Simulation.lookahead_ticks * followers
+
+
+def test_block_stops_at_the_first_flagged_tick():
+    sim = Simulation(team7(failure_doc(7, 0.3, "freeze", None)))
+    while not sim.flagged:
+        sim.step()
+    flagged_at = sim.tick
+    # the flagged tick was the last buffered one, and its row is the
+    # first to log the flag
+    assert sim._ahead.committed == len(sim._ahead.positions)
+    col = sim.idx[7]
+    assert np.all(sim.log.health[:flagged_at, col] == HEALTH_OK)
+    assert sim.log.health[flagged_at, col] == HEALTH_FLAGGED
+
+
+def test_dropped_block_clears_its_uncommitted_rows():
+    sim = Simulation(team7())
+    sim.step()
+    ahead = Simulation.lookahead_ticks
+    assert np.all(np.isfinite(sim.log.weights[2:ahead + 1, sim.idx[7]]))
+    inject_failure(sim, 7, "freeze", time=20 * DT)
+    sim.step()
+    # the new block ends before the activation tick 20: rows 2..20 are
+    # rewritten, the rest of the dropped block's rows are unwritten again
+    assert np.all(sim.log.actual[21:ahead + 1] == 0.0)
+    assert np.all(np.isnan(sim.log.weights[21:ahead + 1]))
+    assert np.all(np.isfinite(sim.log.weights[2:21, sim.idx[7]]))
+    sim.step()
+    assert sim.tick == 3
+
+
+def test_numeric_blowup_raises_at_the_same_tick():
+    config = team7(gain=1e6)
+    messages = []
+    for lookahead in (1, 64):
+        sim = sim_with(config, lookahead)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as info:
+                sim.run()
+        messages.append((sim.tick, str(info.value)))
+    assert messages[0] == messages[1]
+    assert f"tick {messages[0][0]}" in messages[0][1]
