@@ -540,7 +540,7 @@ class Simulation:
         diff = positions[:, ep.leader_idx] - cmd
         lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
         events, seen = [], set(self._deviating_leaders)
-        for k, j in zip(*np.nonzero(lag > self.delta)):
+        for k, j in np.argwhere(lag > self.delta).tolist():
             lid = ep.network.leaders[j]
             if lid not in seen:
                 seen.add(lid)
