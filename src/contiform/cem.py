@@ -6,37 +6,38 @@ with one doublet per failed agent.  Each doublet wraps its agent with a
 circular exclusion disk of radius sqrt(delta / u_inf); the combined stream
 function vanishes on that circle, so no streamline crosses it.
 
-Conventions.  A doublet with center (a, b), strength delta and orientation
-gamma contributes the complex potential
+With z = x + 1j y, the whole field is one complex potential
 
-    W_D(z) = -delta * exp(1j * gamma) / (z - (a + 1j b))
+    W(z)  = u_e z - sum_i c_i / (z - z_i),    phi = Re W,  psi = Im W
+    W'(z) = u_e   + sum_i c_i / (z - z_i)^2,  phi_x = Re W',  phi_y = -Im W'
 
-whose real and imaginary parts are
+with u_e = u_inf exp(-1j theta_inf) and, per doublet of center
+z_i = a + 1j b, strength delta and orientation gamma, the coefficient
+c_i = delta exp(1j gamma).  In real form one doublet contributes
 
     phi_D = -delta * (cos(gamma) dx + sin(gamma) dy) / rho^2
     psi_D =  delta * (cos(gamma) dy - sin(gamma) dx) / rho^2
 
-with dx = x - a, dy = y - b, rho^2 = dx^2 + dy^2.  The pair is a true
-harmonic-conjugate pair (Cauchy-Riemann holds analytically), and with the
-orientation gamma = theta_inf + pi the combined field is the classical flow
+with dx = x - a, dy = y - b, rho^2 = dx^2 + dy^2.  W is analytic, so phi
+and psi are harmonic conjugates (Cauchy-Riemann holds exactly), and with
+the orientation gamma = theta_inf + pi the field is the classical flow
 past a cylinder: stagnation points on the upstream/downstream axis and the
 zero streamline on the circle of radius sqrt(delta / u_inf).
 
-All evaluation routines are pure and accept scalars or numpy arrays.
+A FlowField caches u_e and the doublet centers, coefficients, disk radii
+and squared radii as arrays when it is built; one evaluator broadcasts W
+and W' over (queries, doublets).  The flow is planar: the z coordinate of
+a position is carried through unchanged.
 """
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field as dataclass_field
-from typing import Protocol
 
 import numpy as np
 
 from .errors import FlowSingularityError, ScenarioError, StagnationError
-
-log = logging.getLogger(__name__)
 
 # default disk radius around a failed agent (meters)
 DEFAULT_EXCLUSION_RADIUS = 4.0
@@ -47,32 +48,6 @@ STAGNATION_FLOOR_FACTOR = 1e-9
 # relative tolerance for the streamline-restoring Newton projection
 _PROJECTION_RTOL = 1e-12
 _PROJECTION_MAX_ITER = 12
-
-
-class HeightSurface(Protocol):
-    """Height descriptor z = z(x, y) for the out-of-plane coordinate."""
-
-    def height(self, x, y):
-        ...
-
-    def slope(self, x, y):
-        """Return (dz/dx, dz/dy) at (x, y)."""
-        ...
-
-
-@dataclass(frozen=True)
-class ConstantHeight:
-    """Constant-z plane; the default surface.  Slope is identically zero."""
-
-    z0: float = 0.0
-
-    def height(self, x, y):
-        return np.broadcast_to(np.float64(self.z0), np.shape(x)).copy() \
-            if np.ndim(x) else float(self.z0)
-
-    def slope(self, x, y):
-        zero = np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-        return zero, (zero.copy() if np.ndim(x) else 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,6 +66,10 @@ class Doublet:
             raise ValueError(f"doublet strength must be positive, got {self.delta}")
 
 
+def _cached():
+    return dataclass_field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class FlowField:
     """Immutable uniform-plus-doublet flow description."""
@@ -98,17 +77,35 @@ class FlowField:
     u_inf: float
     theta_inf: float = 0.0
     doublets: tuple = ()
-    height_surface: HeightSurface = dataclass_field(default_factory=ConstantHeight)
+    _centers: np.ndarray = _cached()   # (k,) complex z_i
+    _coef: np.ndarray = _cached()      # (k,) complex delta e^{i gamma}
+    _ue: complex = _cached()           # u_inf e^{-i theta_inf}
+    _radius: np.ndarray = _cached()    # (k,) disk radius
+    _radius2: np.ndarray = _cached()   # (k,) delta / u_inf
 
     def __post_init__(self):
         if not (self.u_inf > 0.0 and np.isfinite(self.u_inf)):
             raise ValueError(f"u_inf must be positive, got {self.u_inf}")
-        object.__setattr__(self, "doublets", tuple(self.doublets))
-        radii = [exclusion_radius(self.u_inf, d.delta) for d in self.doublets]
-        for i in range(len(radii)):
-            for j in range(i + 1, len(radii)):
-                di, dj = self.doublets[i], self.doublets[j]
-                gap = np.hypot(di.a - dj.a, di.b - dj.b)
+        doublets = tuple(self.doublets)
+        delta = np.array([d.delta for d in doublets], dtype=np.float64)
+        gamma = np.array([d.gamma for d in doublets], dtype=np.float64)
+        radius2 = delta / self.u_inf
+        cached = {
+            "doublets": doublets,
+            "_centers": np.array([complex(d.a, d.b) for d in doublets],
+                                 dtype=np.complex128),
+            "_coef": delta * (np.cos(gamma) + 1j * np.sin(gamma)),
+            "_ue": self.u_inf * complex(np.cos(self.theta_inf),
+                                        -np.sin(self.theta_inf)),
+            "_radius": np.sqrt(radius2),
+            "_radius2": radius2,
+        }
+        for name, value in cached.items():
+            object.__setattr__(self, name, value)
+        radii = self._radius
+        for i in range(len(doublets)):
+            for j in range(i + 1, len(doublets)):
+                gap = abs(self._centers[i] - self._centers[j])
                 if gap < radii[i] + radii[j]:
                     warnings.warn(
                         f"exclusion disks {i} and {j} overlap "
@@ -119,9 +116,7 @@ class FlowField:
     @property
     def exclusion_radii(self):
         """Disk radius per doublet, as a (k,) array."""
-        return np.array(
-            [exclusion_radius(self.u_inf, d.delta) for d in self.doublets]
-        )
+        return self._radius.copy()
 
     @property
     def stagnation_floor(self):
@@ -155,7 +150,7 @@ def exclusion_radius(u_inf, delta):
 
 
 def build_flow_from_failures(failed_positions, u_inf, theta_inf=0.0,
-                             radius_override=None, height_surface=None):
+                             radius_override=None):
     """Wrap each failed agent with a doublet sized for the exclusion radius.
 
     failed_positions is an (k, 2) or (k, 3) array-like of failed-agent
@@ -179,54 +174,54 @@ def build_flow_from_failures(failed_positions, u_inf, theta_inf=0.0,
         Doublet(a=float(p[0]), b=float(p[1]), delta=delta, gamma=theta_inf + np.pi)
         for p in pts
     )
-    surface = ConstantHeight() if height_surface is None else height_surface
-    return FlowField(u_inf=u_inf, theta_inf=theta_inf, doublets=doublets,
-                     height_surface=surface)
+    return FlowField(u_inf=u_inf, theta_inf=theta_inf, doublets=doublets)
 
 
-def _eval_arrays(field, x, y):
-    """Vectorized core evaluation.
+def _offsets(field, z):
+    """z - z_i for the complex points z (m,) and every center, as (m, k).
 
-    Returns (phi, psi, phi_x, phi_y, unsafe) with the shape of x.  psi
-    gradients follow from Cauchy-Riemann: psi_x = -phi_y, psi_y = phi_x.
-    Raises FlowSingularityError if any query coincides with a doublet center.
+    Raises FlowSingularityError if any point coincides with a center.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    ct, st = np.cos(field.theta_inf), np.sin(field.theta_inf)
-    u = field.u_inf
-    phi = u * (x * ct + y * st)
-    psi = u * (y * ct - x * st)
-    phi_x = np.full(x.shape, u * ct)
-    phi_y = np.full(x.shape, u * st)
-    unsafe = np.zeros(x.shape, dtype=bool)
-    for d in field.doublets:
-        dx = x - d.a
-        dy = y - d.b
-        rho2 = dx * dx + dy * dy
-        if np.any(rho2 == 0.0):
-            raise FlowSingularityError(
-                f"flow evaluated at doublet center ({d.a:.6g}, {d.b:.6g})"
-            )
-        c, s = np.cos(d.gamma), np.sin(d.gamma)
-        phi = phi - d.delta * (c * dx + s * dy) / rho2
-        psi = psi + d.delta * (c * dy - s * dx) / rho2
-        rho4 = rho2 * rho2
-        # W'(z) = delta e^{i gamma} / zeta^2, phi_x = Re W', phi_y = -Im W'
-        phi_x = phi_x + d.delta * (c * (dx * dx - dy * dy) + 2.0 * s * dx * dy) / rho4
-        phi_y = phi_y + d.delta * (2.0 * c * dx * dy - s * (dx * dx - dy * dy)) / rho4
-        unsafe |= rho2 < d.delta / u
-    return phi, psi, phi_x, phi_y, unsafe
+    zeta = z[:, None] - field._centers
+    if np.count_nonzero(zeta) < zeta.size:
+        c = field._centers[int(np.argmax((zeta == 0).any(axis=0)))]
+        raise FlowSingularityError(
+            f"flow evaluated at doublet center ({c.real:.6g}, {c.imag:.6g})"
+        )
+    return zeta
+
+
+def _derivative(field, zeta):
+    """W'(z) = u_e + sum_i c_i / zeta_i^2 from the offsets zeta (m, k)."""
+    return field._ue + np.add.reduce(field._coef / (zeta * zeta), axis=1)
+
+
+def _eval(field, z):
+    """W, W' and the unsafe mask at the complex points z, shape (m,).
+
+    unsafe marks points strictly inside an exclusion disk.  Raises
+    FlowSingularityError if any point coincides with a doublet center.
+    """
+    zeta = _offsets(field, z)
+    w = field._ue * z - np.add.reduce(field._coef / zeta, axis=1)
+    rho2 = zeta.real * zeta.real + zeta.imag * zeta.imag
+    return w, _derivative(field, zeta), (rho2 < field._radius2).any(axis=1)
+
+
+def _as_complex(positions):
+    """x + 1j y of each row of an (m, >=2) float array."""
+    return np.ascontiguousarray(positions[:, :2]).view(np.complex128)[:, 0]
 
 
 def eval_flow(field, x, y):
     """Evaluate potential, stream function, gradients and |J| at one point."""
-    phi, psi, phi_x, phi_y, unsafe = _eval_arrays(field, float(x), float(y))
-    grad_phi = np.array([phi_x, phi_y])
-    grad_psi = np.array([-phi_y, phi_x])
-    jac_det = float(phi_x * phi_x + phi_y * phi_y)
-    return FlowSample(phi=float(phi), psi=float(psi), grad_phi=grad_phi,
-                      grad_psi=grad_psi, jac_det=jac_det, unsafe=bool(unsafe))
+    w, dw, unsafe = _eval(field, np.array([complex(float(x), float(y))]))
+    phi_x, phi_y = float(dw[0].real), -float(dw[0].imag)
+    return FlowSample(phi=float(w[0].real), psi=float(w[0].imag),
+                      grad_phi=np.array([phi_x, phi_y]),
+                      grad_psi=np.array([-phi_y, phi_x]),
+                      jac_det=phi_x * phi_x + phi_y * phi_y,
+                      unsafe=bool(unsafe[0]))
 
 
 def assign_stream_constants(healthy_positions, field):
@@ -236,199 +231,79 @@ def assign_stream_constants(healthy_positions, field):
     used.  An agent strictly inside an exclusion disk cannot be put on a
     streamline, which is a fatal scenario error naming the agent.
     """
-    constants = {}
-    for agent_id, pos in healthy_positions.items():
-        pos = np.asarray(pos, dtype=np.float64)
-        sample = eval_flow(field, pos[0], pos[1])
-        if sample.unsafe:
-            raise ScenarioError(
-                f"agent {agent_id} lies strictly inside an exclusion disk "
-                f"at CEM activation: position ({pos[0]:.6g}, {pos[1]:.6g})"
-            )
-        constants[agent_id] = sample.psi
-    return constants
+    ids = list(healthy_positions)
+    if not ids:
+        return {}
+    pts = np.array([np.asarray(healthy_positions[a], dtype=np.float64)[:2]
+                    for a in ids])
+    w, _, unsafe = _eval(field, _as_complex(pts))
+    if unsafe.any():
+        j = int(np.argmax(unsafe))
+        raise ScenarioError(
+            f"agent {ids[j]} lies strictly inside an exclusion disk "
+            f"at CEM activation: position ({pts[j, 0]:.6g}, {pts[j, 1]:.6g})"
+        )
+    return {a: float(psi) for a, psi in zip(ids, w.imag)}
 
 
 def streamline_velocity(field, x, y, v_phi):
     """Desired velocity sliding along the streamline through (x, y).
 
-    Planar part is (v_phi / |J|) * (psi_y, -psi_x); along it d(psi)/dt = 0
-    and d(phi)/dt = v_phi analytically.  The z component follows the height
-    surface: vz = dz/dx * vx + dz/dy * vy (zero for the constant plane).
-    Raises StagnationError when |J| falls below 1e-9 * u_inf^2.
+    Planar part is (v_phi / |J|) * (psi_y, -psi_x) = v_phi conj(W') / |W'|^2;
+    along it d(psi)/dt = 0 and d(phi)/dt = v_phi analytically.  The flow is
+    planar, so vz = 0.  Raises StagnationError when |J| falls below
+    1e-9 * u_inf^2.
     """
     sample = eval_flow(field, x, y)
     floor = field.stagnation_floor
     if sample.jac_det < floor:
         raise StagnationError(x, y, sample.jac_det, floor)
-    scale = v_phi / sample.jac_det
-    # psi_y = phi_x and -psi_x = phi_y, so the planar velocity is along grad_phi
-    vx = scale * sample.grad_phi[0]
-    vy = scale * sample.grad_phi[1]
-    zx, zy = field.height_surface.slope(x, y)
-    return np.array([vx, vy, zx * vx + zy * vy])
+    vx, vy = v_phi / sample.jac_det * sample.grad_phi
+    return np.array([vx, vy, 0.0])
 
 
-def cem_shape_matrix(field, x, y, z_surface=None, failed_count=None):
-    """Assemble the CEM shape matrix H and its generalized-coordinate layout.
-
-    Columns follow the generalized-coordinate vector
-    [u_inf, theta_inf, (a_i, b_i, delta_i) per doublet, v_phi], which has
-    3 + 3k entries for k doublets.  The first two blocks carry the potential
-    sensitivities to the stream parameters and to each doublet's center and
-    strength; the last column is the streamline-tangent map, so with all
-    parameter rates zero H @ qdot reduces to streamline_velocity.
-
-    Returns (H, layout) with H of shape (3, 3 + 3k) and layout the list of
-    column names.  Raises StagnationError on a singular Jacobian.
-    """
-    k = len(field.doublets)
-    if failed_count is not None and failed_count != k:
-        raise ValueError(
-            f"failed_count {failed_count} does not match field with {k} doublets"
-        )
-    surface = field.height_surface if z_surface is None else z_surface
-    sample = eval_flow(field, x, y)
-    floor = field.stagnation_floor
-    if sample.jac_det < floor:
-        raise StagnationError(x, y, sample.jac_det, floor)
-
-    # column [psi_y, -psi_x]^T shared by every block (equals grad_phi)
-    col = sample.grad_phi.reshape(2, 1)
-    inv_j = 1.0 / sample.jac_det
-
-    ct, st = np.cos(field.theta_inf), np.sin(field.theta_inf)
-    # stream-parameter sensitivities; doublet orientations held fixed
-    dphi_du = x * ct + y * st
-    dphi_dtheta = field.u_inf * (y * ct - x * st)
-    h_s = -inv_j * col @ np.array([[dphi_du, dphi_dtheta]])
-
-    blocks = [h_s]
-    layout = ["u_inf", "theta_inf"]
-    for i, d in enumerate(field.doublets, start=1):
-        dx, dy = x - d.a, y - d.b
-        rho2 = dx * dx + dy * dy
-        if rho2 == 0.0:
-            raise FlowSingularityError(
-                f"shape matrix evaluated at doublet center ({d.a:.6g}, {d.b:.6g})"
-            )
-        rho4 = rho2 * rho2
-        c, s = np.cos(d.gamma), np.sin(d.gamma)
-        phi_d = -d.delta * (c * dx + s * dy) / rho2
-        phi_d_x = d.delta * (c * (dx * dx - dy * dy) + 2.0 * s * dx * dy) / rho4
-        phi_d_y = d.delta * (2.0 * c * dx * dy - s * (dx * dx - dy * dy)) / rho4
-        # phi depends on (x - a, y - b) only, so d/da = -d/dx and d/db = -d/dy
-        sens = np.array([[-phi_d_x, -phi_d_y, phi_d / d.delta]])
-        blocks.append(-inv_j * col @ sens)
-        layout += [f"a_{i}", f"b_{i}", f"delta_{i}"]
-    h_t = inv_j * col
-    blocks.append(h_t)
-    layout.append("v_phi")
-
-    planar = np.hstack(blocks)
-    zx, zy = surface.slope(x, y)
-    lift = np.array([[1.0, 0.0], [0.0, 1.0], [zx, zy]])
-    return lift @ planar, layout
-
-
-def _planar_rk4(field, x, y, v_phi, dt, floor):
+def _planar_rk4(field, z, v_phi, dt, floor):
     """One classical 4th-order step of the planar streamline ODE.
 
-    Returns (x_next, y_next, stagnated).  A stage with |J| below the floor
-    marks the step stagnated; the caller decides whether to raise or clamp.
-    Works on scalars and on equal-shape arrays.
+    z is a complex (m,) array.  Returns (z_next, stagnated): a stage with
+    |W'|^2 below the floor gets zero velocity and marks the agent stagnated.
     """
-    def rate(px, py):
-        _, _, phi_x, phi_y, _ = _eval_arrays(field, px, py)
-        jac = phi_x * phi_x + phi_y * phi_y
+    def rate(p):
+        dw = _derivative(field, _offsets(field, p))
+        jac = dw.real * dw.real + dw.imag * dw.imag
         bad = jac < floor
-        safe = np.where(bad, 1.0, jac)
-        scale = np.where(bad, 0.0, v_phi / safe)
-        return scale * phi_x, scale * phi_y, bad
+        # where jac >= floor the maximum is jac itself
+        scale = np.where(bad, 0.0, v_phi / np.maximum(jac, floor))
+        return scale * dw.conj(), bad
 
-    k1x, k1y, b1 = rate(x, y)
-    k2x, k2y, b2 = rate(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-    k3x, k3y, b3 = rate(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-    k4x, k4y, b4 = rate(x + dt * k3x, y + dt * k3y)
-    stagnated = b1 | b2 | b3 | b4
-    x_next = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    y_next = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return x_next, y_next, stagnated
+    k1, b1 = rate(z)
+    k2, b2 = rate(z + 0.5 * dt * k1)
+    k3, b3 = rate(z + 0.5 * dt * k2)
+    k4, b4 = rate(z + dt * k3)
+    z_next = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z_next, b1 | b2 | b3 | b4
 
 
-def _restore_streamline(field, x, y, psi_target, floor):
-    """Newton correction along grad_psi bringing psi(x, y) back to psi_target."""
-    for _ in range(_PROJECTION_MAX_ITER):
-        _, psi, phi_x, phi_y, _ = _eval_arrays(field, x, y)
-        err = psi_target - psi
-        if abs(err) <= _PROJECTION_RTOL * max(1.0, abs(psi_target)):
-            break
-        # grad_psi = (-phi_y, phi_x)
-        norm2 = phi_x * phi_x + phi_y * phi_y
-        if norm2 < floor:
-            break
-        x = x + err * (-phi_y) / norm2
-        y = y + err * phi_x / norm2
-    return x, y
+def _restore_streamline(field, z, psi_target, floor):
+    """Newton correction along grad_psi bringing psi(z) back to psi_target.
 
-
-def _push_out_of_disks(field, x, y):
-    """Radially move (x, y) out of any exclusion disk it strictly entered."""
-    moved = False
-    for d, radius in zip(field.doublets, field.exclusion_radii):
-        dx, dy = x - d.a, y - d.b
-        rho = np.hypot(dx, dy)
-        if rho >= radius:
-            continue
-        moved = True
-        target = radius * (1.0 + 1e-12)
-        if rho == 0.0:
-            # entered exactly onto the center: push along the upstream axis
-            x = d.a - target * np.cos(field.theta_inf)
-            y = d.b - target * np.sin(field.theta_inf)
-        else:
-            x = d.a + dx * target / rho
-            y = d.b + dy * target / rho
-    return x, y, moved
-
-
-def step_streamline(position, field, v_phi, dt):
-    """Advance one RK4 step along the streamline through position.
-
-    position is a length-3 array (x, y, z); the z component follows the
-    field's height surface (unchanged for the constant plane).  dt = 0
-    returns the position unchanged.  If numerical drift lands the step
-    strictly inside an exclusion disk, the point is pushed back out and
-    projected along grad_psi onto the original streamline, and the repair
-    is logged.  Stage stagnation raises StagnationError.
+    z and psi_target are (m,) arrays; each point iterates until its own
+    error is within tolerance or its |J| falls below the floor.
     """
-    position = np.asarray(position, dtype=np.float64)
-    if position.shape != (3,):
-        raise ValueError(f"position must have shape (3,), got {position.shape}")
-    if dt == 0.0:
-        return position.copy()
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    x0, y0, z0 = position
-    floor = field.stagnation_floor
-    psi0 = eval_flow(field, x0, y0).psi
-
-    x1, y1, stagnated = _planar_rk4(field, x0, y0, v_phi, dt, floor)
-    if stagnated:
-        sample = eval_flow(field, x0, y0)
-        raise StagnationError(x0, y0, sample.jac_det, floor)
-
-    x1, y1, entered = _push_out_of_disks(field, x1, y1)
-    if entered:
-        x1, y1 = _restore_streamline(field, x1, y1, psi0, floor)
-        log.warning(
-            "streamline step from (%.6g, %.6g) drifted into an exclusion disk; "
-            "projected back to psi = %.9g", x0, y0, psi0,
-        )
-
-    zx, zy = field.height_surface.slope(x0, y0)
-    z1 = z0 + zx * (x1 - x0) + zy * (y1 - y0)
-    return np.array([x1, y1, z1])
+    z = z.copy()
+    tol = _PROJECTION_RTOL * np.maximum(1.0, np.abs(psi_target))
+    active = np.ones(len(z), dtype=bool)
+    for _ in range(_PROJECTION_MAX_ITER):
+        w, dw, _ = _eval(field, z)
+        err = psi_target - w.imag
+        norm2 = dw.real * dw.real + dw.imag * dw.imag
+        active &= (np.abs(err) > tol) & (norm2 >= floor)
+        if not active.any():
+            break
+        # grad_psi = (-phi_y, phi_x) = (Im W', Re W') = 1j conj(W')
+        step = err * (1j * dw.conj()) / np.where(active, norm2, 1.0)
+        z[active] += step[active]
+    return z
 
 
 def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
@@ -439,7 +314,7 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     than raising, matching the supervisor's clamp-and-log policy.  Agents
     drifting strictly into a disk are pushed back out and re-projected onto
     psi_targets (their stream constants; defaults to the pre-step psi), and
-    reported in the projected mask.
+    reported in the projected mask.  The z column is carried through.
 
     Returns (next_positions (m, 3), stagnated (m,), projected (m,)).
     """
@@ -450,39 +325,33 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     if m == 0 or dt == 0.0:
         return positions.copy(), np.zeros(m, bool), np.zeros(m, bool)
     floor = field.stagnation_floor
-    x0, y0, z0 = positions[:, 0].copy(), positions[:, 1].copy(), positions[:, 2].copy()
+    z0 = _as_complex(positions)
     if psi_targets is None:
-        _, psi_targets, _, _, _ = _eval_arrays(field, x0, y0)
+        psi_targets = _eval(field, z0)[0].imag
     else:
         psi_targets = np.asarray(psi_targets, dtype=np.float64)
 
-    x1, y1, stagnated = _planar_rk4(field, x0, y0, v_phi, dt, floor)
-    x1 = np.where(stagnated, x0, x1)
-    y1 = np.where(stagnated, y0, y1)
+    z1, stagnated = _planar_rk4(field, z0, v_phi, dt, floor)
+    z1 = np.where(stagnated, z0, z1)
 
+    zeta = z1[:, None] - field._centers
+    rho = np.hypot(zeta.real, zeta.imag)
+    inside = rho < field._radius
     projected = np.zeros(m, dtype=bool)
-    radii = field.exclusion_radii
-    for d, radius in zip(field.doublets, radii):
-        dx, dy = x1 - d.a, y1 - d.b
-        rho = np.hypot(dx, dy)
-        inside = rho < radius
-        if not np.any(inside):
-            continue
-        projected |= inside
-        target = radius * (1.0 + 1e-12)
-        safe_rho = np.where(rho == 0.0, 1.0, rho)
-        push_x = np.where(rho == 0.0, d.a - target * np.cos(field.theta_inf),
-                          d.a + dx * target / safe_rho)
-        push_y = np.where(rho == 0.0, d.b - target * np.sin(field.theta_inf),
-                          d.b + dy * target / safe_rho)
-        x1 = np.where(inside, push_x, x1)
-        y1 = np.where(inside, push_y, y1)
-    if np.any(projected):
+    if np.count_nonzero(inside):
+        projected = inside.any(axis=1)
+        # push radially out of the first disk entered, then back onto psi_0
         idx = np.flatnonzero(projected)
-        for i in idx:
-            x1[i], y1[i] = _restore_streamline(field, x1[i], y1[i],
-                                               float(psi_targets[i]), floor)
+        j = inside[idx].argmax(axis=1)
+        d, r = zeta[idx, j], rho[idx, j]
+        target = field._radius[j] * (1.0 + 1e-12)
+        # a point exactly on a center goes out along the upstream axis
+        push = np.where(r == 0.0,
+                        -target * np.exp(1j * field.theta_inf),
+                        d * target / np.where(r == 0.0, 1.0, r))
+        z1[idx] = _restore_streamline(field, field._centers[j] + push,
+                                      psi_targets[idx], floor)
 
-    zx, zy = field.height_surface.slope(x0, y0)
-    z1 = z0 + zx * (x1 - x0) + zy * (y1 - y0)
-    return np.column_stack([x1, y1, z1]), stagnated, projected
+    out = positions.copy()
+    out[:, :2] = z1.view(np.float64).reshape(m, 2)
+    return out, stagnated, projected

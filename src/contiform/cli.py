@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from . import hdm, logio, refnet
+from . import logio, refnet
 from .errors import (ConnectivityError, ContiformError, DegeneracyError,
                      NetworkError, ScenarioError, SelectionError)
 from .scenario import load_scenario
-from .simulate import MODE_CODE, run_scenario
+from .simulate import MODE_CODE, epoch_bounds, run_scenario
 from .automaton import Mode
 
 
@@ -63,12 +63,7 @@ def cmd_check(args):
     except (DegeneracyError, SelectionError, ConnectivityError,
             NetworkError) as exc:
         raise ScenarioError(f"network build failed: {exc}") from exc
-    xi_max, delta = refnet.deviation_bound(network.D, network.B,
-                                           *config.tolerances)
-    d_min = network.d_min if config.d_min_override is None \
-        else config.d_min_override
-    threshold, _ = hdm.collision_safety_margin(
-        np.ones(3), delta, config.vehicle_radius, d_min)
+    delta, d_min, threshold = epoch_bounds(network, config)
     print(f"scenario: {config.name}")
     print(f"agents: {len(config.agent_ids)} (n={config.n})")
     print(f"leaders: {list(network.leaders)}")

@@ -197,6 +197,23 @@ class _Ahead:
     committed: int = 0
 
 
+def epoch_bounds(network, config: ScenarioConfig):
+    """(Delta, d_min, sigma threshold) of one network epoch.
+
+    Delta is the deviation bound for the scenario's tolerances, d_min the
+    scenario's override or else the network's smallest reference
+    separation, and the threshold the collision-safety bound on the
+    smallest singular value of the commanded deformation.
+    """
+    _, delta = refnet.deviation_bound(network.D, network.B,
+                                      *config.tolerances)
+    d_min = network.d_min if config.d_min_override is None \
+        else config.d_min_override
+    threshold, _ = hdm.collision_safety_margin(
+        np.ones(3), delta, config.vehicle_radius, d_min)
+    return delta, d_min, threshold
+
+
 def _rk4_track(r, rd1, rd2, rd3, g, dt):
     """RK4 step of r' = g (rd(t) - r), rd sampled at t, t+dt/2, t+dt."""
     k1 = g * (rd1 - r)
@@ -293,12 +310,7 @@ class Simulation:
         if network is None:
             network = refnet.build_reference_configuration(
                 members, n=self.n, rho=self.config.rho, xi=self.config.xi)
-        _, delta = refnet.deviation_bound(network.D, network.B,
-                                          *self.config.tolerances)
-        d_min = network.d_min if self.config.d_min_override is None \
-            else self.config.d_min_override
-        threshold, _ = hdm.collision_safety_margin(
-            np.ones(3), delta, self.config.vehicle_radius, d_min)
+        delta, _, threshold = epoch_bounds(network, self.config)
         self.network = network
         self.epoch = _Epoch(network, self.idx, self.tick, delta, threshold)
         self.epochs.append(self.epoch)

@@ -5,6 +5,8 @@ difference oracles check the gradients and the Laplace property.
 """
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contiform import cem
 from contiform.errors import (FlowSingularityError, ScenarioError,
@@ -81,6 +83,12 @@ class TestBuildFlow:
                                            abs=1e-9)
         assert s_both.phi == pytest.approx(s_one.phi + s_other.phi - uni.phi,
                                            abs=1e-9)
+
+    def test_cached_arrays_stay_out_of_eq_and_hash(self):
+        a, b = cylinder_field(theta_inf=0.3), cylinder_field(theta_inf=0.3)
+        assert a == b and hash(a) == hash(b)
+        assert "_coef" not in repr(a)
+        assert a != cylinder_field(theta_inf=0.4)
 
     def test_overlapping_disks_warn(self):
         centers = np.array([[0.0, 0.0], [5.0, 0.0]])
@@ -188,53 +196,76 @@ class TestStreamlineVelocity:
             assert abs(np.dot(v[:2], s.grad_psi)) <= 1e-9
 
 
-class TestShapeMatrix:
-    def test_layout_and_steady_velocity(self):
-        field = cylinder_field()
-        x, y = -9.0, 3.0
-        H, layout = cem.cem_shape_matrix(field, x, y)
-        assert H.shape == (3, 3 + 3 * 1)
-        assert layout == ["u_inf", "theta_inf", "a_1", "b_1", "delta_1",
-                          "v_phi"]
-        # steady parameters: velocity = H @ q_dot with only the potential
-        # coordinate moving
-        q_dot = np.zeros(6)
-        q_dot[-1] = 10.0
-        v = cem.streamline_velocity(field, x, y, 10.0)
-        np.testing.assert_allclose(H @ q_dot, v, atol=1e-12)
+def oracle_eval(field, x, y):
+    """(phi, psi, phi_x, phi_y) from the real per-doublet formulas of the
+    cem module docstring, one doublet at a time."""
+    ct, st = np.cos(field.theta_inf), np.sin(field.theta_inf)
+    u = field.u_inf
+    phi, psi = u * (x * ct + y * st), u * (y * ct - x * st)
+    phi_x, phi_y = u * ct, u * st
+    for d in field.doublets:
+        dx, dy = x - d.a, y - d.b
+        rho2 = dx * dx + dy * dy
+        rho4 = rho2 * rho2
+        c, s = np.cos(d.gamma), np.sin(d.gamma)
+        phi -= d.delta * (c * dx + s * dy) / rho2
+        psi += d.delta * (c * dy - s * dx) / rho2
+        phi_x += d.delta * (c * (dx * dx - dy * dy) + 2 * s * dx * dy) / rho4
+        phi_y += d.delta * (2 * c * dx * dy - s * (dx * dx - dy * dy)) / rho4
+    return phi, psi, phi_x, phi_y
 
-    def test_u_inf_sensitivity_analytic(self):
-        field = cylinder_field()
-        x, y = -9.0, 3.0
-        # phi depends on u_inf (doublet strength held fixed) exactly
-        # through x cos theta + y sin theta
-        h = 1e-6
-        doublet = field.doublets[0]
-        up = cem.FlowField(u_inf=10.0 + h, doublets=(doublet,))
-        dn = cem.FlowField(u_inf=10.0 - h, doublets=(doublet,))
-        fd = (cem.eval_flow(up, x, y).phi - cem.eval_flow(dn, x, y).phi) \
-            / (2 * h)
-        assert fd == pytest.approx(x * np.cos(0.0) + y * np.sin(0.0),
-                                   abs=1e-5)
-        # and the u_inf column of H maps that sensitivity onto the
-        # streamline-orthogonal correction -grad_phi * dphi_du / |J|
-        sample = cem.eval_flow(field, x, y)
-        H, _ = cem.cem_shape_matrix(field, x, y)
-        want = -sample.grad_phi * (x * np.cos(0.0)) / sample.jac_det
-        np.testing.assert_allclose(H[:2, 0], want, atol=1e-12)
-        assert H[2, 0] == 0.0
+
+def oracle_rk4(field, x, y, v_phi, dt):
+    """One real-arithmetic RK4 step along grad_phi / |grad_phi|^2."""
+    def rate(px, py):
+        _, _, gx, gy = oracle_eval(field, px, py)
+        scale = v_phi / (gx * gx + gy * gy)
+        return scale * gx, scale * gy
+
+    k1 = rate(x, y)
+    k2 = rate(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1])
+    k3 = rate(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1])
+    k4 = rate(x + dt * k3[0], y + dt * k3[1])
+    return (x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+coord = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+@st.composite
+def fields_and_points(draw):
+    """A field with 1-3 disjoint disks, theta_inf != 0, and a point well
+    outside every disk."""
+    theta = draw(st.floats(0.05, 2 * np.pi - 0.05))
+    radius = draw(st.floats(0.5, 5.0))
+    centers = draw(st.lists(st.tuples(coord, coord), min_size=1,
+                            max_size=3))
+    centers = np.array(centers)
+    gaps = np.hypot(*(centers[:, None] - centers[None]).transpose(2, 0, 1))
+    assume(np.all(gaps[np.triu_indices(len(centers), 1)] > 2.5 * radius))
+    field = cem.build_flow_from_failures(centers, 10.0, theta,
+                                         radius_override=radius)
+    x, y = draw(coord), draw(coord)
+    assume(np.all(np.hypot(x - centers[:, 0], y - centers[:, 1])
+                  > 1.5 * radius))
+    return field, x, y
 
 
 class TestStepStreamline:
     def test_uniform_advance(self):
-        out = cem.step_streamline(np.array([0.0, 2.0, 0.7]), uniform_field(),
-                                  10.0, 0.1)
-        np.testing.assert_allclose(out, [0.1, 2.0, 0.7], atol=1e-12)
+        out, stag, proj = cem.step_streamline_many(
+            np.array([[0.0, 2.0, 0.7]]), uniform_field(), 10.0, 0.1)
+        np.testing.assert_allclose(out, [[0.1, 2.0, 0.7]], atol=1e-12)
+        assert not stag.any() and not proj.any()
 
     def test_zero_dt(self):
-        start = np.array([6.0, 2.0, 0.0])
-        out = cem.step_streamline(start, cylinder_field(u_inf=5.0), 7.0, 0.0)
-        np.testing.assert_allclose(out, start, atol=0)
+        start = np.array([[6.0, 2.0, 0.0]])
+        out, _, _ = cem.step_streamline_many(start, cylinder_field(u_inf=5.0),
+                                             7.0, 0.0)
+        np.testing.assert_array_equal(out, start)
 
     def test_conservation_past_cylinder(self):
         field = cylinder_field()
@@ -247,18 +278,63 @@ class TestStepStreamline:
         psi = cem.eval_flow(field, pos[0, 0], pos[0, 1]).psi
         assert abs(psi - psi0[0]) <= 1e-6
 
-    def test_batch_matches_scalar(self):
+    @ORACLE
+    @given(fields_and_points(), st.floats(1e-4, 1e-2))
+    def test_batch_matches_real_oracle(self, case, dt):
+        """The complex evaluator and one RK4 step against the real
+        per-doublet formulas.  The tolerances scale with the magnitude of
+        the summed terms: psi vanishes on every disk circle and W' at the
+        stagnation points, where a bound relative to the result itself
+        would ask for more than rounding allows."""
+        field, x, y = case
+        phi, psi, phi_x, phi_y = oracle_eval(field, x, y)
+        rho = np.array([np.hypot(x - d.a, y - d.b) for d in field.doublets])
+        delta = np.array([d.delta for d in field.doublets])
+        pot_scale = field.u_inf * np.hypot(x, y) + np.sum(delta / rho)
+        grad_scale = field.u_inf + np.sum(delta / rho**2)
+        s = cem.eval_flow(field, x, y)
+        assert abs(s.phi - phi) <= 1e-12 * pot_scale
+        assert abs(s.psi - psi) <= 1e-12 * pot_scale
+        np.testing.assert_allclose(s.grad_phi, [phi_x, phi_y], rtol=0,
+                                   atol=1e-12 * grad_scale)
+        assume(s.jac_det > 0.01 * field.u_inf**2)
+        want = oracle_rk4(field, x, y, 10.0, dt)
+        out, stag, proj = cem.step_streamline_many(
+            np.array([[x, y, 0.3]]), field, 10.0, dt)
+        assume(not proj[0])
+        assert not stag[0]
+        moved = np.hypot(want[0] - x, want[1] - y)
+        np.testing.assert_allclose(out[0], [want[0], want[1], 0.3], rtol=0,
+                                   atol=1e-12 * (np.hypot(x, y) + moved))
+
+    def test_step_into_disk_is_projected(self):
         field = cylinder_field()
-        starts = np.array([[-10.0, 0.5, 0.0], [-8.0, 3.0, 0.2],
-                           [6.0, -2.0, 0.0]])
-        batch = starts.copy()
-        for _ in range(50):
-            batch, _, _ = cem.step_streamline_many(batch, field, 10.0, 1e-2)
-        for k in range(starts.shape[0]):
-            scalar = starts[k]
-            for _ in range(50):
-                scalar = cem.step_streamline(scalar, field, 10.0, 1e-2)
-            np.testing.assert_allclose(batch[k], scalar, atol=1e-9)
+        start = np.array([[-4.2, 0.3, 0.5], [-12.0, 6.0, 0.5]])
+        psi0 = np.array([cem.eval_flow(field, x, y).psi
+                         for x, y, _ in start])
+        out, stag, proj = cem.step_streamline_many(start, field, 10.0, 0.3,
+                                                   psi0)
+        np.testing.assert_array_equal(proj, [True, False])
+        assert not stag.any()
+        assert np.hypot(out[0, 0], out[0, 1]) >= 4.0
+        assert abs(cem.eval_flow(field, out[0, 0], out[0, 1]).psi
+                   - psi0[0]) <= 1e-9
+        np.testing.assert_array_equal(out[:, 2], start[:, 2])
+
+    def test_upstream_stagnation_point_holds(self):
+        field = cylinder_field()
+        start = np.array([[-4.0, 0.0, 0.0], [-12.0, 6.0, 0.0]])
+        out, stag, proj = cem.step_streamline_many(start, field, 10.0, 1e-2)
+        np.testing.assert_array_equal(stag, [True, False])
+        assert not proj.any()
+        np.testing.assert_array_equal(out[0], start[0])
+        assert out[1, 0] > start[1, 0]
+
+    def test_doublet_center_raises(self):
+        with pytest.raises(FlowSingularityError):
+            cem.step_streamline_many(np.array([[-9.0, 1.0, 0.0],
+                                               [0.0, 0.0, 0.0]]),
+                                     cylinder_field(), 10.0, 1e-2)
 
 
 class TestLaplace:

@@ -168,6 +168,16 @@ class TestCliCheck:
         assert "deviation bound:" in text
         assert "sigma threshold:" in text
 
+    def test_bounds_match_simulation_epoch(self, tiny_file, tiny_log, capsys):
+        assert cli.main(["check", tiny_file]) == 0
+        lines = dict(line.split(": ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        epoch = tiny_log.epochs[0]
+        assert lines["deviation bound"].startswith(f"{epoch['delta']:.6g} ")
+        assert lines["d_min"] == f"{epoch['d_min']:.6g}"
+        assert lines["sigma threshold"].startswith(
+            f"{epoch['sigma_threshold']:.6g} ")
+
 
 class TestCliAnalyze:
     @pytest.fixture()

@@ -6,6 +6,7 @@ point at rate g (up to the classical integrator's truncation error).
 """
 import numpy as np
 import pytest
+from conftest import TEAM22
 
 from contiform.automaton import Mode
 from contiform.errors import NumericError
@@ -254,3 +255,25 @@ class TestLogShape:
         log = run_scenario(static4(duration=0.05))
         np.testing.assert_allclose(log.sigma[1:], 1.0, atol=1e-9)
         assert np.all(log.margin_ok[1:] == 1)
+
+
+class TestKnownLimitations:
+    def test_frozen_leader_is_never_flagged(self):
+        """A failed leader is not detected (README, Known limitations).
+
+        The detector checks follower weights only, and followers keep
+        tracking the stuck leader, so the run reports the leader's lag once
+        and otherwise stays in HDM with every agent healthy.  This pins
+        today's behaviour; a leader-failure policy will change it.
+        """
+        text = TEAM22.read_text().replace("duration: 125.0", "duration: 20.0")
+        text = text.replace("dt: 0.001", "dt: 0.002")
+        text = text[:text.index("failures:")] \
+            + "failures:\n- {agent: 1, time: 1.0, kind: freeze}\n"
+        log = run_scenario(load_scenario(text))
+        deviations = log.events_of_kind("leader_deviation")
+        assert [e.payload["agent"] for e in deviations] == [1]
+        assert np.all(log.health == HEALTH_OK)
+        assert np.all(log.mode == MODE_CODE[Mode.HDM])
+        assert log.mode_changes() == []
+        assert log.events_of_kind("reference_reset") == []
