@@ -17,8 +17,16 @@ centroid = tri.mean(axis=0)
 static = np.array([1 / 3, 1 / 3, 1 / 3])
 delta = 0.3
 
+
+def rate(nbrs, own):
+    """One follower through the batch detector: weights, bounds, verdict."""
+    w, lo, hi, healthy = anomaly.evaluate_followers_batch(
+        nbrs[None], own[None], static[None], delta, n=2)
+    return w[0], lo[0], hi[0], bool(healthy[0])
+
+
 print("static weights:", np.round(static, 6))
-lo, hi = anomaly.transient_weight_bounds(4, tri, centroid, delta, n=2)
+_, lo, hi, _ = rate(tri, centroid)
 print(f"bounds at delta {delta}: lo {np.round(lo, 6)} hi {np.round(hi, 6)}")
 
 # healthy motion: the whole pattern translates and shears together
@@ -27,28 +35,22 @@ for step in range(4):
     shift = np.array([2.5 * step, 1.0 * step])
     moved = tri.copy()
     moved[:, :2] = tri[:, :2] @ lin.T + shift
-    own = moved.mean(axis=0)
-    report = anomaly.evaluate_follower(4, (1, 2, 3), static, moved, own,
-                                       delta, n=2, timestamp=float(step))
-    print(f"t={step}: healthy follower weights "
-          f"{np.round(report.weights, 6)} passed={report.passed}")
+    w, _, _, passed = rate(moved, moved.mean(axis=0))
+    print(f"t={step}: healthy follower weights {np.round(w, 6)} "
+          f"passed={passed}")
 
 # failure: the follower freezes at the centroid while neighbors move on
 print("\nfrozen follower, neighbors translating +x:")
 frozen = centroid.copy()
 for dx in (0.2, 0.6, 1.2, 2.0):
     moved = tri + np.array([dx, 0.0, 0.0])
-    report = anomaly.evaluate_follower(4, (1, 2, 3), static, moved, frozen,
-                                       delta, n=2, timestamp=dx)
-    flags = "".join("." if ok else "x" for ok in report.neighbor_pass)
-    print(f"  offset {dx:3.1f} m: weights {np.round(report.weights, 4)} "
-          f"[{flags}] passed={report.passed}")
+    w, lo, hi, passed = rate(moved, frozen)
+    flags = "".join("." if ok else "x" for ok in (lo <= static) & (static <= hi))
+    print(f"  offset {dx:3.1f} m: weights {np.round(w, 4)} "
+          f"[{flags}] passed={passed}")
 
-reports = [
-    anomaly.evaluate_follower(4, (1, 2, 3), static, tri + 2.0, centroid + 2.0,
-                              delta, n=2),
-    anomaly.evaluate_follower(5, (1, 2, 3), static, tri + 2.0, centroid,
-                              delta, n=2),
-]
-healthy, anomalous = anomaly.partition_health(reports, leaders=(1, 2, 3))
-print(f"\npartition: healthy {sorted(healthy)} anomalous {sorted(anomalous)}")
+# many followers in one call: 4 tracks the shift, 5 stayed behind
+_, _, _, healthy = anomaly.evaluate_followers_batch(
+    np.stack([tri + 2.0, tri + 2.0]), np.stack([centroid + 2.0, centroid]),
+    np.stack([static, static]), delta, n=2)
+print(f"\nfollowers 4, 5 healthy: {healthy.tolist()}")

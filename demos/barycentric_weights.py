@@ -36,7 +36,7 @@ tet = np.array([[0.0, 0.0, 0.0],
                 [0.0, 3.0, 0.0],
                 [0.0, 0.0, 3.0]])
 query = np.array([0.5, 0.6, 0.7])
-lam = geometry.barycentric_lambda(*tet, query)
+lam = geometry.lambda_nd(*tet, query, n=3)
 print(f"\ntetrahedron query {query}: weights {np.round(lam, 6)}")
 print(f"reconstruction error "
       f"{np.linalg.norm(lam @ tet - query):.3e}")

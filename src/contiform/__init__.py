@@ -14,7 +14,6 @@ from . import geometry, refnet, hdm, cem, anomaly, automaton, scenario, simulate
 from .errors import (
     ContiformError,
     DegeneracyError,
-    CommunicationError,
     ConnectivityError,
     SelectionError,
     NetworkError,
@@ -35,7 +34,6 @@ __all__ = [
     "simulate",
     "ContiformError",
     "DegeneracyError",
-    "CommunicationError",
     "ConnectivityError",
     "SelectionError",
     "NetworkError",

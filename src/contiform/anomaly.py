@@ -22,15 +22,9 @@ for boundary followers whose static weights are negative.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegeneracyError
-from .geometry import _cross_rows, _row_norms, lambda_nd
-
-log = logging.getLogger(__name__)
+from .geometry import _cross_rows, _row_norms
 
 _DEGENERATE_NORM = 1e-12
 
@@ -39,54 +33,15 @@ _OTHERS_2 = np.array([(1, 2), (0, 2), (0, 1)])
 _OTHERS_3 = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
 
-@dataclass(frozen=True)
-class TransientWeightReport:
-    """Per-follower detector output for one evaluation instant."""
-
-    agent_id: int
-    neighbor_ids: tuple
-    weights: np.ndarray
-    static_weights: np.ndarray
-    bounds_lo: np.ndarray
-    bounds_hi: np.ndarray
-    neighbor_pass: np.ndarray
-    passed: bool
-    timestamp: float = 0.0
-    degenerate: bool = False
-
-
-def transient_weights(agent_id, neighbor_actual, own_actual, n, xi=1.0):
-    """Communication weights recomputed from actual in-neighbor positions.
-
-    Returns the n+1 barycentric weights of the agent's actual position with
-    respect to its in-neighbors' actual positions.  Raises DegeneracyError
-    when the actual neighbor simplex collapses; callers treat that as an
-    anomaly signal in its own right.
-    """
-    neighbor_actual = np.asarray(neighbor_actual, dtype=np.float64)
-    if neighbor_actual.shape != (n + 1, 3):
-        raise ValueError(
-            f"expected {n + 1} neighbor positions of dimension 3, "
-            f"got {neighbor_actual.shape}"
-        )
-    if n == 3:
-        lam = lambda_nd(neighbor_actual[0], neighbor_actual[1],
-                        neighbor_actual[2], neighbor_actual[3],
-                        own_actual, n=3, xi=xi)
-    else:
-        lam = lambda_nd(neighbor_actual[0], neighbor_actual[1],
-                        neighbor_actual[2], None, own_actual, n=2, xi=xi)
-    return lam[: n + 1]
-
-
 def _signed_distances(vertices, queries, n):
     """Signed agent-to-face and neighbor-to-face distances, batched.
 
     vertices is (m, n+1, 3), queries (m, 3).  Returns (d, l, degenerate)
     where d[:, k] is the signed distance from the query to the side or face
     opposite vertex k (positive toward vertex k) and l[:, k] the distance
-    from vertex k to it.  For n = 2 the query is first projected onto each
-    row's neighbor plane, matching the weight computation.
+    from vertex k to it.  For n = 2 the side normals lie in the neighbor
+    plane, so d ignores the query's offset from that plane, as the
+    weight operator's projection does.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -99,96 +54,26 @@ def _signed_distances(vertices, queries, n):
         degenerate |= norm < _DEGENERATE_NORM
         safe = np.where(degenerate, 1.0, norm)
         plane = raw / safe[:, None]
-        rel = queries - vertices[:, 0]
-        proj = queries - np.einsum("ij,ij->i", rel, plane)[:, None] * plane
         o1 = vertices[:, _OTHERS_2[:, 0]]            # (m, 3, 3)
         o2 = vertices[:, _OTHERS_2[:, 1]]
         u = _cross_rows(plane[:, None, :], o2 - o1)
-        point = proj[:, None, :]
     else:
         o1 = vertices[:, _OTHERS_3[:, 0]]            # (m, 4, 3)
         o2 = vertices[:, _OTHERS_3[:, 1]]
         o3 = vertices[:, _OTHERS_3[:, 2]]
         u = _cross_rows(o2 - o1, o3 - o1)
-        point = queries[:, None, :]
     u_norm = _row_norms(u)
     degenerate |= (u_norm < _DEGENERATE_NORM).any(axis=1)
     u = u / np.where(u_norm < _DEGENERATE_NORM, 1.0, u_norm)[..., None]
     toward = np.einsum("mkj,mkj->mk", vertices - o1, u)
     sign = np.where(toward < 0.0, -1.0, 1.0)
-    d = sign * np.einsum("mkj,mkj->mk", point - o1, u)
+    d = sign * np.einsum("mkj,mkj->mk", queries[:, None, :] - o1, u)
     l = sign * toward
     degenerate |= np.abs(l).min(axis=1) < _DEGENERATE_NORM
     return d, l, degenerate
 
 
-def transient_weight_bounds(agent_id, neighbor_actual, own_actual, delta, n):
-    """Per-neighbor (lo, hi) interval for the transient weights of one agent.
-
-    delta is the global deviation bound from the Theorem 1 machinery.  Sides
-    with l_k <= 2 delta produce hi = +inf (the upper test passes trivially).
-    """
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    neighbor_actual = np.asarray(neighbor_actual, dtype=np.float64)
-    own_actual = np.asarray(own_actual, dtype=np.float64)
-    d, l, degenerate = _signed_distances(
-        neighbor_actual[None, : n + 1], own_actual[None], n)
-    if degenerate[0]:
-        raise DegeneracyError(
-            f"actual in-neighbor simplex of agent {agent_id} is degenerate"
-        )
-    return _bounds_from_distances(d[0], l[0], delta)
-
-
-def _bounds_from_distances(d, l, delta):
-    lo = (d - 2.0 * delta) / (l + 2.0 * delta)
-    head = l - 2.0 * delta
-    with np.errstate(divide="ignore"):
-        hi = np.where(head > 0.0, (d + 2.0 * delta) / np.where(head > 0.0, head, 1.0),
-                      np.inf)
-    return lo, hi
-
-
-def check_agent_health(static_weights, bounds_lo, bounds_hi):
-    """Condition Psi for one agent: every static weight inside its interval.
-
-    Leaders carry no in-neighbors; empty inputs return True (vacuous pass).
-    """
-    static_weights = np.asarray(static_weights, dtype=np.float64)
-    return bool(np.all((bounds_lo <= static_weights) & (static_weights <= bounds_hi)))
-
-
-def evaluate_follower(agent_id, neighbor_ids, static_weights, neighbor_actual,
-                      own_actual, delta, n, xi=1.0, timestamp=0.0):
-    """Full detector evaluation for one follower, as a report.
-
-    A degenerate actual neighbor simplex cannot be rated against the bounds;
-    the report carries NaN weights, fails every neighbor, and is marked
-    degenerate (the anomaly signal the caller expects).
-    """
-    static_weights = np.asarray(static_weights, dtype=np.float64)
-    k = n + 1
-    try:
-        w = transient_weights(agent_id, neighbor_actual, own_actual, n, xi=xi)
-        lo, hi = transient_weight_bounds(agent_id, neighbor_actual, own_actual,
-                                         delta, n)
-    except DegeneracyError:
-        log.warning("agent %s: degenerate actual in-neighbor simplex", agent_id)
-        nan = np.full(k, np.nan)
-        return TransientWeightReport(
-            agent_id=agent_id, neighbor_ids=tuple(neighbor_ids), weights=nan,
-            static_weights=static_weights, bounds_lo=nan.copy(),
-            bounds_hi=nan.copy(), neighbor_pass=np.zeros(k, dtype=bool),
-            passed=False, timestamp=timestamp, degenerate=True)
-    ok = (lo <= static_weights) & (static_weights <= hi)
-    return TransientWeightReport(
-        agent_id=agent_id, neighbor_ids=tuple(neighbor_ids), weights=w,
-        static_weights=static_weights, bounds_lo=lo, bounds_hi=hi,
-        neighbor_pass=ok, passed=bool(ok.all()), timestamp=timestamp)
-
-
-def evaluate_followers_batch(vertices, queries, static_weights, delta, n, xi=1.0):
+def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     """Vectorized condition Psi over many followers at once.
 
     vertices is (m, n+1, 3) actual in-neighbor positions, queries (m, 3) the
@@ -205,39 +90,16 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n, xi=1.0
         return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)
     d, l, degenerate = _signed_distances(vertices, queries, n)
     # geometric identity: the transient weight toward neighbor k is the
-    # ratio of signed distances d_k / l_k (transient_weights computes the
-    # same values through the bordered solve)
+    # ratio of signed distances d_k / l_k
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = d / np.where(np.abs(l) < _DEGENERATE_NORM, np.nan, l)
+        lo = (d - 2.0 * delta) / (l + 2.0 * delta)
+        head = l - 2.0 * delta
+        hi = np.where(head > 0.0, (d + 2.0 * delta) / head, np.inf)
     degenerate |= np.isnan(weights).any(axis=1)
-    lo, hi = _bounds_from_distances(d, l, delta)
     lo[degenerate] = np.nan
     hi[degenerate] = np.nan
     weights = np.where(degenerate[:, None], np.nan, weights)
     ok = (lo <= static_weights) & (static_weights <= hi)
     healthy = ok.all(axis=1) & ~degenerate
     return weights, lo, hi, healthy
-
-
-def partition_health(reports, leaders=()):
-    """Split the team into healthy and anomalous sets from follower reports.
-
-    Leaders have no in-neighbors and pass vacuously.  When a flagged agent
-    appears among another flagged agent's in-neighbors the attribution is
-    genuinely ambiguous (a failed neighbor corrupts the report); the
-    ambiguity is logged and both stay flagged.
-    """
-    healthy = set(leaders)
-    anomalous = set()
-    for report in reports:
-        (healthy if report.passed else anomalous).add(report.agent_id)
-    for report in reports:
-        if report.passed:
-            continue
-        tainted = anomalous.intersection(report.neighbor_ids)
-        if tainted:
-            log.info(
-                "agent %s flagged with flagged in-neighbor(s) %s: "
-                "attribution ambiguous", report.agent_id, sorted(tainted),
-            )
-    return frozenset(healthy), frozenset(anomalous)

@@ -15,10 +15,6 @@ class DegeneracyError(ContiformError, ValueError):
     """Geometric input is rank deficient (collinear, coplanar, coincident)."""
 
 
-class CommunicationError(ContiformError, ValueError):
-    """A required neighbor position is missing or malformed."""
-
-
 class ConnectivityError(ContiformError):
     """No admissible enclosing simplex exists for an agent."""
 

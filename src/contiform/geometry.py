@@ -76,85 +76,34 @@ def plane_normal(p1, p2, p3) -> np.ndarray:
     return raw / norm
 
 
-def virtual_fourth_point(p1, p2, p3, xi: float = DEFAULT_XI) -> np.ndarray:
-    """Virtual vertex p1 + xi * (p3 - p1) x (p2 - p1) completing a planar triangle.
-
-    xi is a free nonzero scale; downstream weights do not depend on it
-    because the query is projected into the triangle plane first.
-    """
-    if xi == 0.0:
-        raise DegeneracyError("xi must be nonzero")
-    p1, p2, p3 = as_position(p1), as_position(p2), as_position(p3)
-    raw = np.cross(p3 - p1, p2 - p1)
-    norm = np.linalg.norm(raw)
-    scale = np.linalg.norm(p3 - p1) * np.linalg.norm(p2 - p1)
-    if norm <= RANK_TOLERANCE * max(scale, 1e-300):
-        raise DegeneracyError(f"collinear triangle: |cross| = {norm:.3e}")
-    return p1 + xi * raw
-
-
-def project_to_plane(c, p1, p2, p3) -> np.ndarray:
-    """Remove from c its component along the triangle normal: c - (c . n) n.
-
-    The result lies in the plane through the origin with the triangle's
-    normal. Callers that need the projection onto the triangle's own
-    plane (offset from the origin) should pass p1-relative coordinates.
-    """
-    c = as_position(c)
-    n = plane_normal(p1, p2, p3)
-    return c - np.dot(c, n) * n
-
-
-def barycentric_lambda(p1, p2, p3, p4, c) -> np.ndarray:
-    """Weights (l1..l4) with sum 1 reproducing c from the four vertices.
-
-    Solves the bordered 4x4 system above. All weights strictly positive
-    exactly when c lies strictly inside the tetrahedron.
-    """
-    pts = [as_position(p) for p in (p1, p2, p3, p4)]
-    c = as_position(c)
-    if rank_simplex(pts, 3) != 3:
-        raise DegeneracyError("degenerate tetrahedron: vertices are coplanar")
-    m = np.ones((4, 4))
-    m[:3, :] = np.stack(pts, axis=1)
-    rhs = np.append(c, 1.0)
-    return np.linalg.solve(m, rhs)
-
-
 def lambda_nd(p1, p2, p3, p4, c, n: int, xi: float = DEFAULT_XI) -> np.ndarray:
-    """Dimension-aware weight operator.
+    """Weights (l1..l4) of one query point; see lambda_nd_batch.
 
-    n = 3: p4 is a real vertex, plain bordered solve.
-    n = 2: p4 is ignored; a virtual fourth vertex is built from the
-    triangle and the query is projected onto the triangle plane (working
-    in p1-centered coordinates so the projection lands in the correct
-    plane). The fourth weight is then zero for any query point, and the
-    first three weights are independent of xi.
+    n = 3 needs p4, a real vertex; n = 2 ignores it. Raises
+    DegeneracyError for a degenerate simplex.
     """
-    if n == 3:
-        if p4 is None:
-            raise ValueError("n=3 requires a real fourth point")
-        return barycentric_lambda(p1, p2, p3, p4, c)
-    if n != 2:
+    if n == 3 and p4 is None:
+        raise ValueError("n=3 requires a real fourth point")
+    if n not in (2, 3):
         raise ValueError(f"n must be 2 or 3, got {n}")
-    p1, p2, p3 = as_position(p1), as_position(p2), as_position(p3)
-    c = as_position(c)
-    origin = np.zeros(3)
-    q2, q3 = p2 - p1, p3 - p1
-    q4 = virtual_fourth_point(origin, q2, q3, xi)
-    cq = project_to_plane(c - p1, origin, q2, q3)
-    return barycentric_lambda(origin, q2, q3, q4, cq)
+    pts = [as_position(p) for p in (p1, p2, p3, p4)[: n + 1]]
+    return lambda_nd_batch(np.stack(pts)[None], as_position(c)[None], n, xi)[0]
 
 
 def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,
                     xi: float = DEFAULT_XI, on_degenerate: str = "raise") -> np.ndarray:
-    """Vectorized lambda_nd over M simplexes.
+    """Dimension-aware weight operator over M simplexes.
 
     vertices: (M, n+1, 3) simplex vertices, queries: (M, 3).
-    Returns (M, 4) weight rows. Degenerate simplexes either raise or are
-    filled with NaN rows (on_degenerate = "nan"), which search code uses
-    to discard unusable candidate tuples in bulk.
+    Returns (M, 4) weight rows. For n = 2 the virtual vertex is
+    p1 + xi (p3 - p1) x (p2 - p1) and the query is projected in
+    p1-centered coordinates, so the first three weights do not depend on
+    the nonzero scale xi. Degenerate simplexes either raise or are filled
+    with NaN rows (on_degenerate = "nan"), which search code uses to
+    discard unusable candidate tuples in bulk.
     """
+    if n == 2 and xi == 0.0:
+        raise DegeneracyError("xi must be nonzero")
     vertices = np.asarray(vertices, dtype=float)
     queries = np.asarray(queries, dtype=float)
     m_count = vertices.shape[0]

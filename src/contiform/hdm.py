@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommunicationError, DegeneracyError
-from .geometry import as_position, plane_normal, rank_simplex
+from .errors import DegeneracyError
+from .geometry import RANK_TOLERANCE, as_position, plane_normal, rank_simplex
 
 
 @dataclass(frozen=True)
@@ -34,20 +34,55 @@ class HomogeneousTransform:
         return out[0] if np.asarray(points).ndim == 1 else out
 
 
-@dataclass(frozen=True)
-class HdmErrors:
-    """Per-axis error stacks of one tick.
+def leader_fit_system(leader_ref, n: int = 2) -> np.ndarray:
+    """Inverse of the leader-fit system [r_0 | 1] of one reference simplex.
 
-    E_d_F: follower local-desired minus actual, (F, 3).
-    E_c_F: follower global-desired minus actual, (F, 3).
-    E_c_L: leader global-desired minus actual, (L, 3).
-    They satisfy E_d_F = D P_F + B P_L (with P the actual position
-    stacks) and E_c_F = -D^-1 (E_d_F + B E_c_L).
+    The rows are the n + 1 reference leaders; for n = 2 a fourth row,
+    the reference unit normal placed at p1, completes the out-of-plane
+    direction. One network epoch factors this once and hands it to
+    fit_transforms_batch. Raises DegeneracyError for a degenerate
+    reference simplex.
     """
+    ref = np.stack([as_position(p) for p in leader_ref])
+    if len(ref) != n + 1:
+        raise ValueError(f"need {n + 1} leader positions for n={n}")
+    if rank_simplex(ref, n) != n:
+        raise DegeneracyError("degenerate leader reference simplex")
+    if n == 2:
+        ref = np.vstack([ref, ref[0] + plane_normal(*ref)])
+    m = np.ones((4, 4))
+    m[:, :3] = ref
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError("singular leader system") from exc
 
-    E_d_F: np.ndarray
-    E_c_F: np.ndarray
-    E_c_L: np.ndarray
+
+def fit_transforms_batch(fit_inv, leader_cmd) -> np.ndarray:
+    """Rows [Q^T; d], (K, 4, 3), mapping the reference leaders onto each
+    of K commanded leader sets (K, n+1, 3).
+
+    fit_inv comes from leader_fit_system. Planar sets are completed with
+    their own unit normal at p1, so one singular value of Q is exactly 1;
+    a collinear commanded triangle gives a NaN row.
+    """
+    leader_cmd = np.asarray(leader_cmd, dtype=float)
+    degenerate = np.zeros(len(leader_cmd), dtype=bool)
+    rhs = leader_cmd
+    if leader_cmd.shape[1] == 3:
+        e1 = leader_cmd[:, 1] - leader_cmd[:, 0]
+        e2 = leader_cmd[:, 2] - leader_cmd[:, 0]
+        raw = np.cross(e2, e1)
+        nrm = np.sqrt(np.einsum("ki,ki->k", raw, raw))
+        scale = np.sqrt(np.einsum("ki,ki->k", e1, e1)
+                        * np.einsum("ki,ki->k", e2, e2))
+        degenerate = nrm <= RANK_TOLERANCE * np.maximum(scale, 1e-300)
+        normal = raw / np.where(degenerate, 1.0, nrm)[:, None]
+        rhs = np.concatenate(
+            [leader_cmd, (leader_cmd[:, 0] + normal)[:, None]], axis=1)
+    sol = fit_inv @ rhs
+    sol[degenerate] = np.nan
+    return sol
 
 
 def fit_homogeneous_transform(leader_ref, leader_current, n: int = 2):
@@ -58,25 +93,15 @@ def fit_homogeneous_transform(leader_ref, leader_current, n: int = 2):
     by mapping the reference unit normal onto the current unit normal,
     so one singular value is exactly 1 for planar fits.
     """
-    ref = [as_position(p) for p in leader_ref]
-    cur = [as_position(p) for p in leader_current]
-    if len(ref) != n + 1 or len(cur) != n + 1:
+    cur = np.stack([as_position(p) for p in leader_current])
+    if len(cur) != n + 1:
         raise ValueError(f"need {n + 1} leader positions for n={n}")
-    if rank_simplex(ref, n) != n:
-        raise DegeneracyError("degenerate leader reference simplex")
-    if n == 2:
-        ref = ref + [ref[0] + plane_normal(*ref)]
-        cur = cur + [cur[0] + plane_normal(*cur)]
-    m = np.ones((4, 4))
-    m[:, :3] = np.stack(ref)
-    try:
-        sol = np.linalg.solve(m, np.stack(cur))  # rows [Q^T; d]
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("singular leader system") from exc
+    sol = fit_transforms_batch(leader_fit_system(leader_ref, n), cur[None])[0]
+    if np.isnan(sol).any():
+        raise DegeneracyError("degenerate current leader simplex")
     Q = sol[:3].T
-    d = sol[3]
     sv = np.linalg.svd(Q, compute_uv=False)
-    return HomogeneousTransform(Q=Q, d=d, singular_values=sv)
+    return HomogeneousTransform(Q=Q, d=sol[3], singular_values=sv)
 
 
 def global_desired_positions(W_L, leader_desired):
@@ -88,43 +113,6 @@ def global_desired_positions(W_L, leader_desired):
             f"W_L has {W_L.shape[1]} leader columns but got {leaders.shape[0]} leader rows"
         )
     return W_L @ leaders
-
-
-def local_desired_position(weights, neighbor_actual, leader_desired=None):
-    """One follower's desired position: its weighted in-neighbor combination.
-
-    Leaders pass leader_desired and get it back unchanged; their desired
-    position is commanded, not negotiated.
-    """
-    if leader_desired is not None:
-        return as_position(leader_desired)
-    w = np.asarray(weights, dtype=float)
-    pts = np.asarray(neighbor_actual, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != w.shape[0] or pts.shape[1] != 3:
-        raise CommunicationError(
-            f"need one (3,) position per weight: weights {w.shape}, positions {pts.shape}"
-        )
-    if not np.all(np.isfinite(pts)):
-        raise CommunicationError("neighbor positions contain non-finite values")
-    return w @ pts
-
-
-def error_vectors(actual, local_desired, global_desired, leader_idx, follower_idx):
-    """Build the HdmErrors stacks from per-agent position arrays.
-
-    All three inputs are (N, 3) in one shared agent order; leader_idx
-    and follower_idx select rows.
-    """
-    actual = np.asarray(actual, dtype=float)
-    local_desired = np.asarray(local_desired, dtype=float)
-    global_desired = np.asarray(global_desired, dtype=float)
-    li = np.asarray(leader_idx, dtype=int)
-    fi = np.asarray(follower_idx, dtype=int)
-    return HdmErrors(
-        E_d_F=local_desired[fi] - actual[fi],
-        E_c_F=global_desired[fi] - actual[fi],
-        E_c_L=global_desired[li] - actual[li],
-    )
 
 
 def collision_safety_margin(transform, delta, epsilon, d_min):

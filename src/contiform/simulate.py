@@ -41,11 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import anomaly, cem, geometry, hdm, refnet
+from . import anomaly, cem, hdm, refnet
 from .automaton import Event, Mode, ModeState, transition
 from .errors import (ConnectivityError, DegeneracyError, NetworkError,
                      NumericError, ScenarioError, SelectionError)
-from .scenario import FailureSpec, ScenarioConfig, load_scenario
+from .scenario import (FailureSpec, ScenarioConfig, _number, _position,
+                       load_scenario)
 
 MODE_CODE = {Mode.HDM: 0, Mode.CEM: 1}
 HEALTH_OK, HEALTH_FLAGGED, HEALTH_EXCLUDED = 1, 0, -1
@@ -123,20 +124,8 @@ class _Epoch:
             nbrs = network.in_neighbors[fid]
             self.nbr_idx[j] = [idx[a] for a in nbrs]
             self.static_w[j] = [network.weights[(fid, a)] for a in nbrs]
-        self.leader_ref = np.stack(
-            [network.ref_positions[a] for a in network.leaders])
-        # Prefactored leader-fit system (rows [ref | 1]); for n = 2 the
-        # fourth row is the virtual normal point, exactly as in
-        # hdm.fit_homogeneous_transform.
-        self.planar = network.n == 2
-        ref_rows = self.leader_ref
-        if self.planar:
-            normal = geometry.plane_normal(ref_rows[0], ref_rows[1],
-                                           ref_rows[2])
-            ref_rows = np.vstack([ref_rows, ref_rows[0] + normal])
-        m = np.ones((4, 4))
-        m[:, :3] = ref_rows
-        self._fit_inv = np.linalg.inv(m)
+        self._fit_inv = hdm.leader_fit_system(
+            [network.ref_positions[a] for a in network.leaders], network.n)
 
     def sigmas(self, leader_cmd):
         """Singular values (K, 3), descending, of the deformations the
@@ -145,21 +134,11 @@ class _Epoch:
         A degenerate commanded leader simplex logs NaN and violates the
         margin.
         """
-        degenerate = np.zeros(len(leader_cmd), dtype=bool)
-        rhs = leader_cmd
-        if self.planar:
-            e1 = leader_cmd[:, 1] - leader_cmd[:, 0]
-            e2 = leader_cmd[:, 2] - leader_cmd[:, 0]
-            raw = np.cross(e2, e1)
-            nrm = np.sqrt(np.einsum("ki,ki->k", raw, raw))
-            scale = np.sqrt(np.einsum("ki,ki->k", e1, e1)
-                            * np.einsum("ki,ki->k", e2, e2))
-            degenerate = nrm <= 1e-9 * np.maximum(scale, 1e-300)
-            normal = raw / np.where(degenerate, 1.0, nrm)[:, None]
-            rhs = np.concatenate(
-                [leader_cmd, (leader_cmd[:, 0] + normal)[:, None]], axis=1)
-        sol = self._fit_inv @ rhs   # rows [Q^T; d]; sigma(Q^T) = sigma(Q)
-        sigma = np.linalg.svd(sol[:, :3], compute_uv=False)
+        sol = hdm.fit_transforms_batch(self._fit_inv, leader_cmd)
+        degenerate = np.isnan(sol).any(axis=(1, 2))
+        # rows [Q^T; d]; sigma(Q^T) = sigma(Q)
+        sigma = np.linalg.svd(np.where(degenerate[:, None, None], 0.0,
+                                       sol[:, :3]), compute_uv=False)
         sigma[degenerate] = np.nan
         ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
                       MARGIN_VIOLATED)
@@ -447,8 +426,7 @@ class Simulation:
         w, lo, hi, healthy = anomaly.evaluate_followers_batch(
             positions[:, ep.nbr_idx].reshape(-1, self.n + 1, 3),
             positions[:, ep.follower_idx].reshape(-1, 3),
-            np.tile(ep.static_w, (len(positions), 1)), self.delta, self.n,
-            xi=self.config.xi)
+            np.tile(ep.static_w, (len(positions), 1)), self.delta, self.n)
         return (w, lo, hi), healthy.reshape(len(positions), -1)
 
     def _refresh_healthy(self):
@@ -737,23 +715,23 @@ def inject_failure(sim: Simulation, agent_id, kind, time, velocity=None):
 
     kind "freeze" holds the agent's position from the given time;
     "drift" moves it at the constant velocity.  A time at or beyond the
-    run's end warns and has no effect.
+    run's end warns and has no effect.  A non-finite or negative time and
+    a non-finite or malformed velocity raise ScenarioError (a ValueError)
+    naming the field, as in a scenario file.
     """
     if agent_id not in sim.idx:
         raise ValueError(f"unknown agent {agent_id}")
     if kind not in ("freeze", "drift"):
         raise ValueError(f"failure kind must be freeze or drift, got {kind!r}")
+    time = _number(float(time), "time", nonnegative=True)
     if kind == "drift":
         if velocity is None:
             raise ValueError("drift failure requires a velocity")
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape == (2,):
-            velocity = np.append(velocity, 0.0)
-        if velocity.shape != (3,):
-            raise ValueError("drift velocity must be a 2- or 3-vector")
+        velocity = _position(np.asarray(velocity, dtype=np.float64).tolist(),
+                             "velocity")
     if agent_id in sim.failures:
         raise ValueError(f"agent {agent_id} already has a failure")
-    spec = FailureSpec(agent_id=agent_id, time=float(time), kind=kind,
+    spec = FailureSpec(agent_id=agent_id, time=time, kind=kind,
                        velocity=velocity)
     end_time = sim.total_ticks * sim.dt
     if spec.time >= end_time:

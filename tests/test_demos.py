@@ -1,20 +1,24 @@
-"""Smoke tests for the scripts under demos/.
+"""Smoke tests for the scripts under demos/ and the README examples.
 
 The sub-second demos run in full; streamline_cem and three_phase_replay
-take several seconds each and do not run here.  For every demo an AST
-walk checks that each contiform name it imports or reads as a module
-attribute exists, so an API deletion fails here rather than in a demo
-nobody ran.
+take several seconds each and do not run here.  For every demo and every
+```python block of README.md an AST walk checks that each contiform name
+it imports or reads as a module attribute exists, so an API deletion
+fails here rather than in a demo or a doc example nobody ran.
 """
 import ast
 import importlib
 import inspect
+import re
 import runpy
 
 import pytest
 from conftest import REPO_ROOT
 
 DEMOS = REPO_ROOT / "demos"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
+                           (REPO_ROOT / "README.md").read_text(),
+                           flags=re.S | re.M)
 FAST = ("anomaly_detection", "barycentric_weights", "homogeneous_tracking",
         "reference_network")
 
@@ -45,11 +49,20 @@ def contiform_references(tree):
     return refs
 
 
+def missing_references(source):
+    refs = contiform_references(ast.parse(source))
+    assert refs
+    return [f"{mod}.{attr}" for mod, attr in refs
+            if not hasattr(importlib.import_module(mod), attr)]
+
+
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_demo_references_exist(path):
-    refs = contiform_references(ast.parse(path.read_text()))
-    assert refs
-    missing = [f"{mod}.{attr}" for mod, attr in refs
-               if not hasattr(importlib.import_module(mod), attr)]
-    assert missing == []
+    assert missing_references(path.read_text()) == []
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[
+    f"block{k + 1}" for k in range(len(README_BLOCKS))])
+def test_readme_references_exist(block):
+    assert missing_references(block) == []

@@ -68,40 +68,45 @@ class TestPlaneNormal:
 
 
 class TestVirtualFourthPoint:
-    def test_default_xi(self):
-        p4 = geometry.virtual_fourth_point((0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                           xi=1.0)
-        np.testing.assert_allclose(p4, [0.0, 0.0, -1.0], atol=1e-15)
-
-    def test_negative_xi(self):
-        p4 = geometry.virtual_fourth_point((0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                           xi=-2.0)
-        np.testing.assert_allclose(p4, [0.0, 0.0, 2.0], atol=1e-15)
+    """The virtual vertex p1 + xi (p3 - p1) x (p2 - p1) inside the n = 2
+    weight operator."""
 
     def test_random_triangle_gains_rank(self):
+        # any non-collinear triangle gives a solvable bordered system
         rng = np.random.default_rng(RNG_SEED)
-        for _ in range(20):
-            tri = random_triangle(rng)
-            p4 = geometry.virtual_fourth_point(*tri)
-            assert geometry.rank_simplex([*tri, p4], 3) == 3
+        tris = np.stack([random_triangle(rng) for _ in range(20)])
+        queries = rng.uniform(-10, 10, size=(20, 3))
+        lam = geometry.lambda_nd_batch(tris, queries, 2)
+        assert np.all(np.isfinite(lam))
 
     def test_zero_xi_raises(self):
-        with pytest.raises(DegeneracyError):
-            geometry.virtual_fourth_point((0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                          xi=0.0)
+        with pytest.raises(DegeneracyError, match="xi must be nonzero"):
+            geometry.lambda_nd((0, 0, 0), (1, 0, 0), (0, 1, 0), None,
+                               (0.2, 0.2, 0), 2, xi=0.0)
+        with pytest.raises(DegeneracyError, match="xi must be nonzero"):
+            geometry.lambda_nd_batch(np.eye(3)[None], np.zeros((1, 3)), 2,
+                                     xi=0.0, on_degenerate="nan")
 
 
 class TestProjectToPlane:
+    """n = 2 queries are projected onto the triangle's own plane: the
+    weights rebuild the foot of the perpendicular from the query."""
+
     TRI = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
 
+    @staticmethod
+    def _foot(c, tri):
+        lam = geometry.lambda_nd(*tri, None, c, 2)
+        return lam[:3] @ np.asarray(tri, dtype=float)
+
     def test_drops_z(self):
-        out = geometry.project_to_plane((3, 4, 5), *self.TRI)
+        out = self._foot((3, 4, 5), self.TRI)
         np.testing.assert_allclose(out, [3.0, 4.0, 0.0], atol=1e-12)
 
     def test_idempotent(self):
-        once = geometry.project_to_plane((3, 4, 5), *self.TRI)
-        twice = geometry.project_to_plane(once, *self.TRI)
-        np.testing.assert_allclose(twice, once, atol=1e-15)
+        once = self._foot((3, 4, 5), self.TRI)
+        twice = self._foot(once, self.TRI)
+        np.testing.assert_allclose(twice, once, atol=1e-14)
 
     def test_residual_normal_component(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -109,20 +114,25 @@ class TestProjectToPlane:
             tri = random_triangle(rng)
             c = rng.uniform(-10, 10, size=3)
             n = geometry.plane_normal(*tri)
-            out = geometry.project_to_plane(c, *tri)
-            assert abs(np.dot(out, n)) <= 1e-12 * max(1.0, np.linalg.norm(c))
+            out = self._foot(c, tri)
+            tol = 1e-12 * max(1.0, np.linalg.norm(c))
+            assert abs(np.dot(out - tri[0], n)) <= tol
+            # the dropped part is along the normal
+            assert np.linalg.norm(np.cross(c - out, n)) <= 1e-9
 
 
 class TestBarycentricLambda:
+    """lambda_nd with n = 3: the bordered solve on a real tetrahedron."""
+
     UNIT_TET = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_centroid(self):
         c = np.mean(self.UNIT_TET, axis=0)
-        lam = geometry.barycentric_lambda(*self.UNIT_TET, c)
+        lam = geometry.lambda_nd(*self.UNIT_TET, c, 3)
         np.testing.assert_allclose(lam, 0.25, atol=1e-12)
 
     def test_vertex(self):
-        lam = geometry.barycentric_lambda(*self.UNIT_TET, self.UNIT_TET[0])
+        lam = geometry.lambda_nd(*self.UNIT_TET, self.UNIT_TET[0], 3)
         np.testing.assert_allclose(lam, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_reconstruction(self):
@@ -130,7 +140,7 @@ class TestBarycentricLambda:
         for _ in range(50):
             tet = random_tetrahedron(rng)
             c = rng.uniform(-10, 10, size=3)
-            lam = geometry.barycentric_lambda(*tet, c)
+            lam = geometry.lambda_nd(*tet, c, 3)
             rebuilt = lam @ tet
             assert abs(lam.sum() - 1.0) <= 1e-9
             np.testing.assert_allclose(rebuilt, c,
@@ -139,7 +149,7 @@ class TestBarycentricLambda:
     def test_coplanar_raises(self):
         flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
         with pytest.raises(DegeneracyError):
-            geometry.barycentric_lambda(*flat, (0.2, 0.2, 0.0))
+            geometry.lambda_nd(*flat, (0.2, 0.2, 0.0), 3)
 
 
 class TestLambdaNd:
@@ -228,7 +238,7 @@ class TestContainmentAgainstOracle:
             lam_target /= lam_target.sum() if abs(lam_target.sum()) > 0.1 \
                 else 1.0
             c = lam_target @ tet
-            lam = geometry.barycentric_lambda(*tet, c)
+            lam = geometry.lambda_nd(*tet, c, 3)
             assert bool(np.all(lam > 1e-12)) == \
                 halfspace_inside_tetrahedron(tet, c)
 
@@ -243,13 +253,19 @@ def _plane_basis(tri):
 
 class TestLambdaBatch:
     def test_matches_scalar(self):
+        """Each batch row against a per-row least-squares oracle: the
+        in-plane coordinates (l2, l3) of the query's projection."""
         rng = np.random.default_rng(RNG_SEED)
         tris = np.stack([random_triangle(rng) for _ in range(40)])
         queries = rng.uniform(-10, 10, size=(40, 3))
         batch = geometry.lambda_nd_batch(tris, queries, 2)
         for k in range(40):
-            lam = geometry.lambda_nd(*tris[k], None, queries[k], 2)
-            np.testing.assert_allclose(batch[k], lam, atol=1e-9)
+            edges = np.column_stack([tris[k, 1] - tris[k, 0],
+                                     tris[k, 2] - tris[k, 0]])
+            l23 = np.linalg.lstsq(edges, queries[k] - tris[k, 0],
+                                  rcond=None)[0]
+            want = np.array([1.0 - l23.sum(), l23[0], l23[1], 0.0])
+            np.testing.assert_allclose(batch[k], want, atol=1e-9)
 
     def test_degenerate_nan_rows(self):
         tris = np.array([

@@ -10,6 +10,8 @@ import pytest
 
 from contiform import hdm, refnet
 from contiform.errors import DegeneracyError
+from contiform.scenario import load_scenario
+from contiform.simulate import Simulation
 from conftest import random_network
 
 RNG_SEED = 3404
@@ -17,6 +19,26 @@ RNG_SEED = 3404
 LEADER_REF = [np.array([0.0, 0.0, 0.0]),
               np.array([4.0, 0.0, 0.0]),
               np.array([0.0, 4.0, 0.0])]
+
+
+# three leaders moving east at 1 m/s and follower 4 at {x}, {y}
+LOCAL4_LEADERS = {1: np.array([0.0, 0.0, 0.0]), 2: np.array([4.0, 0.0, 0.0]),
+                  3: np.array([0.0, 4.0, 0.0])}
+LOCAL4 = """
+n: 2
+dt: 0.001
+duration: 0.01
+leader_override: [1, 2, 3]
+agents:
+  - {{id: 1, position: [0, 0]}}
+  - {{id: 2, position: [4, 0]}}
+  - {{id: 3, position: [0, 4]}}
+  - {{id: 4, position: [{x!r}, {y!r}]}}
+leader_trajectories:
+  1: [{{time: 0, position: [0, 0]}}, {{time: 1, position: [1, 0]}}]
+  2: [{{time: 0, position: [4, 0]}}, {{time: 1, position: [5, 0]}}]
+  3: [{{time: 0, position: [0, 4]}}, {{time: 1, position: [1, 4]}}]
+"""
 
 
 def random_planar_map(rng, sigma_lo=0.5, sigma_hi=1.8):
@@ -80,6 +102,53 @@ class TestFitHomogeneousTransform:
         np.testing.assert_allclose(tf.d, d, atol=1e-9)
 
 
+class TestLeaderFitBatch:
+    def test_rows_match_hand_built_maps(self):
+        rng = np.random.default_rng(RNG_SEED)
+        maps = [random_planar_map(rng) for _ in range(8)]
+        cmd = np.stack([[Q @ p + d for p in LEADER_REF] for Q, d in maps])
+        sol = hdm.fit_transforms_batch(hdm.leader_fit_system(LEADER_REF, 2),
+                                       cmd)
+        assert sol.shape == (8, 4, 3)
+        for (Q, d), rows in zip(maps, sol):
+            # the normal maps onto the commanded normal, which a
+            # reflection turns over
+            want = Q.copy()
+            want[2, 2] = np.sign(np.linalg.det(Q))
+            np.testing.assert_allclose(rows[:3].T, want, atol=1e-12)
+            np.testing.assert_allclose(rows[3], d, atol=1e-12)
+
+    def test_spatial_rows(self):
+        ref = [np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
+               np.array([0, 0, 1.0])]
+        Q = np.array([[2.0, 0.3, 0], [0.1, 1.5, 0.2], [0, -0.4, 1.2]])
+        d = np.array([1.0, -2.0, 3.0])
+        cmd = np.stack([[Q @ p + d for p in ref]] * 2)
+        sol = hdm.fit_transforms_batch(hdm.leader_fit_system(ref, 3), cmd)
+        np.testing.assert_allclose(sol[:, :3].swapaxes(1, 2), [Q, Q],
+                                   atol=1e-12)
+        np.testing.assert_allclose(sol[:, 3], [d, d], atol=1e-12)
+
+    def test_degenerate_commanded_set_is_nan_row(self):
+        flat = [np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 0, 0])]
+        cmd = np.stack([LEADER_REF, flat, LEADER_REF])
+        sol = hdm.fit_transforms_batch(hdm.leader_fit_system(LEADER_REF, 2),
+                                       cmd)
+        assert np.all(np.isnan(sol[1]))
+        np.testing.assert_allclose(sol[[0, 2], :3], [np.eye(3)] * 2,
+                                   atol=1e-12)
+        with pytest.raises(DegeneracyError):
+            hdm.fit_homogeneous_transform(LEADER_REF, flat, n=2)
+
+    def test_degenerate_reference_raises(self):
+        flat = [np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 0, 0])]
+        with pytest.raises(DegeneracyError):
+            hdm.leader_fit_system(flat, 2)
+        coplanar = LEADER_REF + [np.array([1.0, 1.0, 0.0])]
+        with pytest.raises(DegeneracyError):
+            hdm.leader_fit_system(coplanar, 3)
+
+
 class TestGlobalDesired:
     def test_reference_is_fixed_point(self, decagon22_network):
         net = decagon22_network
@@ -110,20 +179,47 @@ class TestGlobalDesired:
 
 
 class TestLocalDesired:
+    """A follower's local desired position is its weighted in-neighbor
+    combination of the previous tick's actual positions; a leader's is its
+    command.  The simulator computes these for the whole team at once and
+    logs them, so they are read from a one-tick run."""
+
+    @staticmethod
+    def _one_tick(follower_xy):
+        config = load_scenario(LOCAL4.format(x=follower_xy[0],
+                                             y=follower_xy[1]))
+        sim = Simulation(config)
+        before = sim.positions.copy()
+        before[sim.idx[4]] += (0.3, -0.2, 0.0)   # off its desired spot
+        sim.positions = before.copy()
+        sim.step()
+        return sim, before
+
+    def _check_follower(self, follower_xy, weights):
+        sim, before = self._one_tick(follower_xy)
+        net = sim.network
+        nbrs = net.in_neighbors[4]
+        np.testing.assert_allclose(
+            [net.weights[(4, a)] for a in nbrs], weights, atol=1e-12)
+        want = weights @ before[[sim.idx[a] for a in nbrs]]
+        np.testing.assert_allclose(sim.log.local_desired[1, sim.idx[4]],
+                                   want, atol=1e-12)
+
     def test_equal_weights(self):
-        nbrs = np.array([[0.0, 0, 0], [3.0, 0, 0], [0, 3.0, 0]])
-        out = hdm.local_desired_position(np.full(3, 1.0 / 3.0), nbrs)
-        np.testing.assert_allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
+        self._check_follower((4.0 / 3.0, 4.0 / 3.0), np.full(3, 1.0 / 3.0))
 
     def test_leader_passthrough(self):
-        out = hdm.local_desired_position(None, None,
-                                         leader_desired=(5.0, 5.0, 0.0))
-        np.testing.assert_allclose(out, [5.0, 5.0, 0.0])
+        sim, _ = self._one_tick((1.0, 1.0))
+        for a in (1, 2, 3):
+            j = sim.idx[a]
+            np.testing.assert_array_equal(sim.log.local_desired[1, j],
+                                          sim.log.global_desired[1, j])
+            np.testing.assert_allclose(sim.log.local_desired[1, j],
+                                       LOCAL4_LEADERS[a] + (0.001, 0.0, 0.0),
+                                       atol=1e-12)
 
     def test_weighted_combination(self):
-        nbrs = np.array([[0.0, 0, 0], [4.0, 0, 0], [0, 4.0, 0]])
-        out = hdm.local_desired_position(np.array([0.5, 0.25, 0.25]), nbrs)
-        np.testing.assert_allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
+        self._check_follower((1.0, 1.0), np.array([0.5, 0.25, 0.25]))
 
 
 class TestErrorVectors:
@@ -142,25 +238,24 @@ class TestErrorVectors:
         glob = np.empty_like(actual)
         glob[leader_idx] = leader_desired
         glob[follower_idx] = net.W_L @ leader_desired
-        return actual, local, glob, leader_idx, follower_idx
+        # E_d_F, E_c_F, E_c_L: follower local-desired, follower
+        # global-desired and leader global-desired minus actual
+        return (local[follower_idx] - actual[follower_idx],
+                glob[follower_idx] - actual[follower_idx],
+                glob[leader_idx] - actual[leader_idx])
 
     def test_zero_at_reference(self, decagon22_network):
         rng = np.random.default_rng(RNG_SEED)
-        actual, local, glob, li, fi = self._stacks(decagon22_network, rng)
-        errs = hdm.error_vectors(actual, local, glob, li, fi)
-        np.testing.assert_allclose(errs.E_d_F, 0.0, atol=1e-9)
-        np.testing.assert_allclose(errs.E_c_F, 0.0, atol=1e-9)
-        np.testing.assert_allclose(errs.E_c_L, 0.0, atol=1e-9)
+        for errs in self._stacks(decagon22_network, rng):
+            np.testing.assert_allclose(errs, 0.0, atol=1e-9)
 
     def test_identity_between_error_families(self, decagon22_network):
         net = decagon22_network
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
-            actual, local, glob, li, fi = self._stacks(net, rng, perturb=0.4)
-            errs = hdm.error_vectors(actual, local, glob, li, fi)
-            lhs = errs.E_c_F
-            rhs = -np.linalg.inv(net.D) @ (errs.E_d_F + net.B @ errs.E_c_L)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+            E_d_F, E_c_F, E_c_L = self._stacks(net, rng, perturb=0.4)
+            rhs = -np.linalg.inv(net.D) @ (E_d_F + net.B @ E_c_L)
+            np.testing.assert_allclose(E_c_F, rhs, atol=1e-9)
 
     def test_deviation_bound_monte_carlo(self, decagon22_network):
         net = decagon22_network
@@ -213,6 +308,5 @@ class TestTwoRoutesAgree:
             nbrs = net.in_neighbors[fid]
             w = np.array([net.weights[(fid, a)] for a in nbrs])
             pts = np.stack([actual[idx[a]] for a in nbrs])
-            scalar_route = hdm.local_desired_position(w, pts)
-            np.testing.assert_allclose(scalar_route, matrix_route[j],
+            np.testing.assert_allclose(w @ pts, matrix_route[j],
                                        atol=1e-9)

@@ -250,3 +250,9 @@ class TestBuildReferenceConfiguration:
         pts[6] = pts[1]
         with pytest.raises(DegeneracyError):
             refnet.build_reference_configuration(pts, n=2)
+
+    def test_zero_xi_raises(self):
+        # a zero virtual-vertex scale makes every planar bordered system
+        # singular; it must surface as a library error, not a LinAlgError
+        with pytest.raises(DegeneracyError, match="xi must be nonzero"):
+            refnet.build_reference_configuration(SQUARE5, n=2, xi=0.0)

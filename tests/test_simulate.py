@@ -11,8 +11,8 @@ from conftest import TEAM22
 from contiform.automaton import Mode
 from contiform.errors import NumericError
 from contiform.scenario import load_scenario
-from contiform.simulate import (HEALTH_OK, MODE_CODE, Simulation,
-                                inject_failure, run_scenario,
+from contiform.simulate import (HEALTH_FLAGGED, HEALTH_OK, MODE_CODE,
+                                Simulation, inject_failure, run_scenario,
                                 step_simulation)
 
 STATIC4 = """
@@ -186,6 +186,22 @@ failures:
         with pytest.raises(ValueError):
             inject_failure(sim, 4, "teleport", time=0.01)
 
+    @pytest.mark.parametrize("time, velocity, field", [
+        (float("nan"), None, "time"),
+        (float("inf"), None, "time"),
+        (-3.0, None, "time"),
+        (0.05, [float("nan"), 0.0], r"velocity\[0\]"),
+        (0.05, [0.0, 0.0, float("inf")], r"velocity\[2\]"),
+        (0.05, [1.0, 2.0, 3.0, 4.0], "velocity"),
+    ])
+    def test_bad_time_or_velocity_rejected(self, time, velocity, field):
+        """The checks load_scenario applies to a declared failure."""
+        sim = Simulation(static4(duration=0.1))
+        kind = "freeze" if velocity is None else "drift"
+        with pytest.raises(ValueError, match=field):
+            inject_failure(sim, 4, kind, time=time, velocity=velocity)
+        assert sim.failures == {}
+
 
 class TestRunScenario:
     def test_no_failures_stays_hdm(self):
@@ -277,3 +293,31 @@ class TestKnownLimitations:
         assert np.all(log.mode == MODE_CODE[Mode.HDM])
         assert log.mode_changes() == []
         assert log.events_of_kind("reference_reset") == []
+
+    def test_simultaneous_failures_are_handled_serially(self):
+        """Two agents frozen together are flagged one after the other
+        (README, Known limitations).
+
+        The flagged set is frozen while CEM is active, so agent 11 is
+        flagged only once 14 has been excluded and the network rebuilt.
+        This pins today's behaviour; flagging both at once will change it.
+        """
+        text = TEAM22.read_text().replace("duration: 125.0", "duration: 5.0")
+        text = text.replace("dt: 0.001", "dt: 0.002")
+        text = text[:text.index("failures:")] + (
+            "failures:\n- {agent: 11, time: 1.0, kind: freeze}\n"
+            "- {agent: 14, time: 1.0, kind: freeze}\n")
+        log = run_scenario(load_scenario(text))
+        changes = log.mode_changes()
+        assert [(e.payload["to"], e.payload["agents"]) for e in changes] == \
+            [("CEM", [14]), ("HDM", [14]), ("CEM", [11])]
+        resets = log.events_of_kind("reference_reset")
+        assert [e.payload["excluded"] for e in resets] == [[14]]
+        rebuilt = resets[0].time
+        assert changes[1].time == rebuilt < changes[2].time
+        assert 14 not in log.epochs[1]["followers"] + log.epochs[1]["leaders"]
+        # 11 stays unflagged until the rebuild, though frozen since 1 s
+        j = log.agent_ids.index(11)
+        before = log.times < rebuilt
+        assert np.all(log.health[before, j] == HEALTH_OK)
+        assert np.any(log.health[~before, j] == HEALTH_FLAGGED)
