@@ -1,18 +1,17 @@
-"""Hybrid supervisor: HDM/CEM mode logic and the containment domain.
+"""Hybrid supervisor: HDM/CEM mode logic over the containment domain.
 
-The mode transition is a pure function of the previous mode, the health
-partition, and containment membership, so replaying a logged run reproduces
-identical transition times.  The containment domain is a rigid-size norm
-ball (1-norm box by default); its center is maintained by the caller, which
-either freezes it at CEM entry (default policy) or tracks the healthy mean
-every tick.
+The mode transition is a pure function of the previous mode, the flagged
+agents' positions and the containment domain, so replaying a logged run
+reproduces identical transition times.  The containment domain is a
+rigid-size norm ball (1-norm box by default, boundary inclusive); its
+center is maintained by the caller, which either freezes it at CEM entry
+(default policy) or tracks the healthy mean every tick.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +19,6 @@ import numpy as np
 class Mode(enum.Enum):
     HDM = "HDM"
     CEM = "CEM"
-
-
-NORM_KINDS = ("l1", "l2")
 
 
 @dataclass(frozen=True)
@@ -34,99 +30,30 @@ class Event:
     payload: dict
 
 
-@dataclass(frozen=True)
-class ModeState:
-    """Current operation mode plus the containment-domain geometry."""
-
-    mode: Mode
-    entered_at: float
-    containment_center: np.ndarray
-    containment_half_size: float
-    norm_kind: str = "l1"
-
-    def __post_init__(self):
-        if not self.containment_half_size > 0.0:
-            raise ValueError(
-                f"containment half size must be positive, "
-                f"got {self.containment_half_size}"
-            )
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"norm_kind must be one of {NORM_KINDS}")
-        center = np.asarray(self.containment_center, dtype=np.float64)
-        if center.shape != (3,):
-            raise ValueError(f"center must have shape (3,), got {center.shape}")
-        object.__setattr__(self, "containment_center", center)
-
-
-def nominal_containment_position(positions, betas=None):
-    """Weighted nominal position of the containment domain.
-
-    positions is an (N, 3) array or a mapping id -> position (iterated in
-    sorted-id order when betas are given).  betas default to the uniform
-    mean; explicit betas must be nonnegative and sum to 1.
-    """
-    if isinstance(positions, Mapping):
-        pts = np.asarray([positions[k] for k in sorted(positions)], dtype=np.float64)
-    else:
-        pts = np.asarray(positions, dtype=np.float64)
-    pts = np.atleast_2d(pts)
-    if pts.shape[0] == 0:
-        raise ValueError("at least one position is required")
-    if betas is None:
-        return pts.mean(axis=0)
-    betas = np.asarray(betas, dtype=np.float64)
-    if betas.shape != (pts.shape[0],):
-        raise ValueError(
-            f"betas must have one entry per agent, got {betas.shape} "
-            f"for {pts.shape[0]} agents"
-        )
-    if np.any(betas < 0.0):
-        raise ValueError("betas must be nonnegative")
-    if abs(betas.sum() - 1.0) > 1e-9:
-        raise ValueError(f"betas must sum to 1, got {betas.sum()!r}")
-    return betas @ pts
-
-
-def containment_contains(r, center, half_size, norm_kind="l1"):
-    """Inclusive membership test of the rigid containment domain."""
-    if not half_size > 0.0:
-        raise ValueError(f"half_size must be positive, got {half_size}")
-    if norm_kind not in NORM_KINDS:
-        raise ValueError(f"norm_kind must be one of {NORM_KINDS}")
-    diff = np.asarray(r, dtype=np.float64) - np.asarray(center, dtype=np.float64)
-    order = 1 if norm_kind == "l1" else 2
-    return bool(np.linalg.norm(diff, ord=order) <= half_size)
-
-
-def transition(state, healthy, anomalous, positions, clock):
+def transition(mode, anomalous, positions, center, half_size, norm_kind,
+               clock):
     """One supervisor step; pure in all inputs.
 
-    healthy and anomalous are the current id partition, positions maps id to
-    actual position.  HDM switches to CEM when any anomalous agent sits
-    inside the containment domain; CEM returns to HDM once every anomalous
-    agent is outside, emitting a reference-reset event so the caller
-    rebuilds the communication network from current positions and discards
-    stream constants.  Returns (next_state, events).
+    anomalous is the sorted flagged ids and positions their (k, 3) actual
+    positions; norm_kind is "l1" or "l2".  HDM switches to CEM when any
+    anomalous agent sits inside the containment domain; CEM returns to HDM
+    once every anomalous agent is outside, emitting a reference-reset event
+    so the caller rebuilds the communication network from current positions
+    and discards stream constants.  Returns (next_mode, events).
     """
-    del healthy  # the partition's healthy side never gates a transition
-    inside = sorted(
-        i for i in anomalous
-        if containment_contains(positions[i], state.containment_center,
-                                state.containment_half_size, state.norm_kind)
-    )
-    if state.mode is Mode.HDM and inside:
-        next_state = replace(state, mode=Mode.CEM, entered_at=clock)
-        events = [Event(time=clock, kind="mode_change",
-                        payload={"from": "HDM", "to": "CEM", "agents": inside})]
-        return next_state, events
-    if state.mode is Mode.CEM and not inside:
-        next_state = replace(state, mode=Mode.HDM, entered_at=clock)
-        events = [
+    diff = np.asarray(positions, dtype=np.float64).reshape(-1, 3) - center
+    dist = np.linalg.norm(diff, ord=1 if norm_kind == "l1" else 2, axis=1)
+    inside = [a for a, d in zip(anomalous, dist) if d <= half_size]
+    if mode is Mode.HDM and inside:
+        return Mode.CEM, [Event(time=clock, kind="mode_change",
+                                payload={"from": "HDM", "to": "CEM",
+                                         "agents": inside})]
+    if mode is Mode.CEM and not inside:
+        return Mode.HDM, [
             Event(time=clock, kind="mode_change",
                   payload={"from": "CEM", "to": "HDM",
-                           "agents": sorted(anomalous)}),
+                           "agents": list(anomalous)}),
             Event(time=clock, kind="reference_reset",
-                  payload={"excluded": sorted(anomalous)}),
+                  payload={"excluded": list(anomalous)}),
         ]
-        return next_state, events
-    return state, []
+    return mode, []

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import anomaly, cem, hdm, refnet
-from .automaton import Event, Mode, ModeState, transition
+from .automaton import Event, Mode, transition
 from .errors import (ConnectivityError, DegeneracyError, NetworkError,
                      NumericError, ScenarioError, SelectionError)
 from .scenario import (FailureSpec, ScenarioConfig, _number, _position,
@@ -222,9 +222,8 @@ class Simulation:
         self.excluded = set()
         self.flagged = frozenset()
         self.mode = Mode.HDM
-        self.entered_at = 0.0
         self._tracking_center = config.center_policy == "tracking"
-        self._healthy_idx = np.arange(self.n_agents)
+        self._refresh_healthy()
         self.center = self.positions.mean(axis=0)
         self.events = []
         self.epochs = []
@@ -240,7 +239,6 @@ class Simulation:
         self.flow = None
         self.cem_targets = None
         self.psi0 = None
-        self.healthy_idx = None
 
         try:
             self._build_network(initial=True)
@@ -430,29 +428,29 @@ class Simulation:
         return (w, lo, hi), healthy.reshape(len(positions), -1)
 
     def _refresh_healthy(self):
-        mask = np.ones(self.n_agents, dtype=bool)
-        for a in self.excluded:
-            mask[self.idx[a]] = False
-        for a in self.flagged:
-            mask[self.idx[a]] = False
-        self._healthy_idx = np.flatnonzero(mask)
+        """Derive the health partition from the excluded and flagged sets:
+        the healthy agents' indices, the flagged ids (sorted) and their
+        indices, and the (N,) health-code row."""
+        self.flagged_ids = sorted(self.flagged)
+        self.flagged_idx = np.array([self.idx[a] for a in self.flagged_ids],
+                                    dtype=int)
+        self.health = np.full(self.n_agents, HEALTH_OK, dtype=np.int8)
+        self.health[[self.idx[a] for a in self.excluded]] = HEALTH_EXCLUDED
+        self.health[self.flagged_idx] = HEALTH_FLAGGED
+        self.healthy_idx = np.flatnonzero(self.health == HEALTH_OK)
 
     def _update_center(self):
         if self._tracking_center or self.mode is Mode.HDM:
-            self.center = self.positions[self._healthy_idx].mean(axis=0)
+            self.center = self.positions[self.healthy_idx].mean(axis=0)
 
     def _enter_cem(self, clock):
-        failed_xy = np.stack([self.positions[self.idx[a]][:2]
-                              for a in sorted(self.flagged)])
         self.flow = cem.build_flow_from_failures(
-            failed_xy, self.config.cem_u_inf, self.config.cem_theta_inf,
-            radius_override=self.config.cem_radius)
-        healthy = [a for a in self.ids
-                   if a not in self.excluded and a not in self.flagged]
-        self.healthy_idx = np.array([self.idx[a] for a in healthy], dtype=int)
-        pos_map = {a: self.positions[self.idx[a]] for a in healthy}
-        psi0 = cem.assign_stream_constants(pos_map, self.flow)
-        self.psi0 = np.array([psi0[a] for a in healthy])
+            self.positions[self.flagged_idx, :2], self.config.cem_u_inf,
+            self.config.cem_theta_inf, radius_override=self.config.cem_radius)
+        psi0 = cem.assign_stream_constants(
+            {self.ids[i]: self.positions[i] for i in self.healthy_idx},
+            self.flow)
+        self.psi0 = np.fromiter(psi0.values(), dtype=np.float64)
         self.cem_targets = self.positions.copy()
         self._cem_event_latch = {"stagnation": set(), "disk_projection": set()}
 
@@ -463,7 +461,6 @@ class Simulation:
         self.flow = None
         self.cem_targets = None
         self.psi0 = None
-        self.healthy_idx = None
         try:
             self._build_network(initial=False)
         except (DegeneracyError, SelectionError, ConnectivityError,
@@ -473,18 +470,13 @@ class Simulation:
 
     def _supervise(self, clock):
         """Supervisor transition at the end of a tick with agents flagged."""
-        state = ModeState(
-            mode=self.mode, entered_at=self.entered_at,
-            containment_center=self.center,
-            containment_half_size=self.config.containment_half_size,
-            norm_kind=self.config.containment_norm)
-        flagged_pos = {a: self.positions[self.idx[a]] for a in self.flagged}
-        next_state, events = transition(state, None, self.flagged,
-                                        flagged_pos, clock)
-        if next_state.mode is self.mode:
+        mode, events = transition(
+            self.mode, self.flagged_ids, self.positions[self.flagged_idx],
+            self.center, self.config.containment_half_size,
+            self.config.containment_norm, clock)
+        if mode is self.mode:
             return
-        self.mode = next_state.mode
-        self.entered_at = next_state.entered_at
+        self.mode = mode
         self.events.extend(events)
         if self.mode is Mode.CEM:
             self._enter_cem(clock)
@@ -511,8 +503,7 @@ class Simulation:
         log.actual[rows] = positions
         log.mode[rows] = MODE_CODE[Mode.HDM]
         log.center[rows] = centers
-        excluded = [self.idx[a] for a in self.excluded]
-        log.health[rows, excluded] = HEALTH_EXCLUDED
+        log.health[rows] = self.health
         if healthy is not None:
             log.health[rows, ep.follower_idx] = np.where(
                 healthy, HEALTH_OK, HEALTH_FLAGGED)
@@ -559,10 +550,7 @@ class Simulation:
         log.actual[row] = self.positions
         log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
-        for a in self.excluded:
-            log.health[row, self.idx[a]] = HEALTH_EXCLUDED
-        for a in self.flagged:
-            log.health[row, self.idx[a]] = HEALTH_FLAGGED
+        log.health[row] = self.health
         desired = np.full((self.n_agents, 3), np.nan)
         desired[self.healthy_idx] = self.cem_targets[self.healthy_idx]
         log.local_desired[row] = desired
@@ -640,7 +628,7 @@ class Simulation:
             positions, local, healthy = \
                 positions[:size], local[:size], healthy[:size]
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
-        centers = positions[:, self._healthy_idx].mean(axis=1)
+        centers = positions[:, self.healthy_idx].mean(axis=1)
         events = self._write_hdm_rows(self.tick + 1, positions, local,
                                       centers, det, healthy)
         flags = frozenset(ep.network.followers[j]
