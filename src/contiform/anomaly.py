@@ -11,13 +11,20 @@ The interval follows the geometric reading of the weights: with d_k the
 signed distance from the agent to the side (n = 2) or face (n = 3) opposite
 in-neighbor k, and l_k the distance from neighbor k to that same side or
 face, the transient weight is d_k / l_k and a deviation budget Delta on
-every position shifts numerator and denominator by at most 2 Delta:
+every position shifts numerator and denominator by at most 2 Delta.  The
+denominator is a height, positive in the reference, so a nonnegative
+numerator is extreme over the farthest denominator l_k + 2 Delta and a
+negative one over the nearest, l_k - 2 Delta:
 
-    lo_k = (d_k - 2 Delta) / (l_k + 2 Delta)
-    hi_k = (d_k + 2 Delta) / (l_k - 2 Delta)    (+inf when l_k <= 2 Delta)
+    lo_k = (d_k - 2 Delta) / (l_k + 2 Delta)   if d_k - 2 Delta >= 0
+           (d_k - 2 Delta) / (l_k - 2 Delta)   otherwise (-inf when l_k <= 2 Delta)
+    hi_k = (d_k + 2 Delta) / (l_k - 2 Delta)   if d_k + 2 Delta >= 0
+                                               (+inf when l_k <= 2 Delta)
+           (d_k + 2 Delta) / (l_k + 2 Delta)   otherwise
 
 Distances are signed, positive toward neighbor k, so the test stays sound
-for boundary followers whose static weights are negative.
+for boundary followers whose static weights are negative, below -1
+included.
 """
 
 from __future__ import annotations
@@ -93,9 +100,12 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     # ratio of signed distances d_k / l_k
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = d / np.where(np.abs(l) < _DEGENERATE_NORM, np.nan, l)
-        lo = (d - 2.0 * delta) / (l + 2.0 * delta)
-        head = l - 2.0 * delta
-        hi = np.where(head > 0.0, (d + 2.0 * delta) / head, np.inf)
+        low, high = d - 2.0 * delta, d + 2.0 * delta
+        far, near = l + 2.0 * delta, l - 2.0 * delta
+        lo = np.where(low >= 0.0, low / far,
+                      np.where(near > 0.0, low / near, -np.inf))
+        hi = np.where(high < 0.0, high / far,
+                      np.where(near > 0.0, high / near, np.inf))
     degenerate |= np.isnan(weights).any(axis=1)
     lo[degenerate] = np.nan
     hi[degenerate] = np.nan

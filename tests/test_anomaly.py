@@ -3,11 +3,13 @@
 Every case drives anomaly.evaluate_followers_batch, the one detector.
 The equilateral bound values were computed by hand from the signed
 point-line distances (d = 2/sqrt(3), l = 2 sqrt(3) for side 4):
-lo = (d - 2*0.1) / (l + 2*0.1), hi = (d + 2*0.1) / (l - 2*0.1).
+lo = (d - 2*0.1) / (l + 2*0.1), hi = (d + 2*0.1) / (l - 2*0.1).  A
+negative numerator takes the other denominator (see the anomaly module).
 The weights are checked against the bordered solve of
 geometry.lambda_nd_batch, an independent route to the same values.
 """
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -63,8 +65,16 @@ def hand_bounds(vertices, weights, delta):
             facet = np.linalg.norm(np.cross(o[1] - o[0], o[2] - o[0])) / 2
         l = n * measure / facet
         d = weights[k] * l
-        lo[k] = (d - 2 * delta) / (l + 2 * delta)
-        hi[k] = (d + 2 * delta) / (l - 2 * delta) if l > 2 * delta else np.inf
+        low, high = d - 2 * delta, d + 2 * delta
+        far, near = l + 2 * delta, l - 2 * delta
+        if low >= 0:
+            lo[k] = low / far
+        else:
+            lo[k] = low / near if near > 0 else -np.inf
+        if high < 0:
+            hi[k] = high / far
+        else:
+            hi[k] = high / near if near > 0 else np.inf
     return lo, hi
 
 
@@ -113,10 +123,26 @@ class TestTransientWeightBounds:
         assert np.all(lo < 1.0 / 3.0) and np.all(hi > 1.0 / 3.0)
 
     def test_large_delta_unbounded_above(self):
-        # side-4 equilateral: l = 2 sqrt(3) < 2 * 2.0
+        # side-4 equilateral: l = 2 sqrt(3) < 2 * 2.0, and d - 2 * 2.0 < 0,
+        # so the denominator can reach zero on both sides
         _, lo, hi, _ = evaluate(EQUILATERAL, EQ_CENTROID, delta=2.0)
-        assert np.all(np.isinf(hi))
-        assert np.all(np.isfinite(lo))
+        assert np.all(hi == np.inf)
+        assert np.all(lo == -np.inf)
+
+    def test_weight_below_minus_one_is_bracketed(self):
+        # the query at weights (-1.5, 1.25, 1.25) of a right triangle: the
+        # first numerator is negative on both sides, so lo divides by the
+        # nearest denominator and hi by the farthest
+        tri = np.array([[0.0, 0, 0], [4.0, 0, 0], [0.0, 4.0, 0]])
+        static = np.array([-1.5, 1.25, 1.25])
+        w, lo, hi, healthy = evaluate(tri, static @ tri, static, delta=0.1)
+        np.testing.assert_allclose(w, static, atol=1e-12)
+        l0 = 2.0 * np.sqrt(2.0)
+        d0 = -1.5 * l0
+        assert lo[0] == pytest.approx((d0 - 0.2) / (l0 - 0.2), abs=1e-12)
+        assert hi[0] == pytest.approx((d0 + 0.2) / (l0 + 0.2), abs=1e-12)
+        assert np.all((lo <= static) & (static <= hi))
+        assert healthy
 
 
 class TestCheckAgentHealth:
@@ -235,7 +261,7 @@ class TestProperties:
         for k, angle in ((1, heading), (2, heading + opening)):
             ref[k, :2] += sides[k - 1] * np.array([np.cos(angle),
                                                    np.sin(angle)])
-        # every weight >= -0.4: the bounds bracket any weight above -1
+        # every weight >= -0.4
         l2 = -0.4 + t * (1.8 - l1)
         lam = np.array([l1, l2, 1.0 - l1 - l2])
         Q = np.eye(3)
