@@ -8,7 +8,8 @@ meters, times in seconds, angles in radians):
     dt: required step size
     duration: required run length
     gain: tracking gain g (default 25)
-    rho: interior margin (default 0.1 for n=2, 0.05 for n=3)
+    rho: interior margin in (0, 1/(n+1)) (default 0.1 for n=2,
+         0.05 for n=3)
     xi: virtual-vertex scale (default 1)
     tolerances: {dx, dy, dz}       per-axis tracking bounds (default 0.1)
     vehicle_radius: collision radius epsilon (default 0.5)
@@ -183,6 +184,9 @@ def load_scenario(source):
                        nonnegative=True)
     gain = _number(doc.get("gain", DEFAULTS["gain"]), "gain", positive=True)
     rho = _number(doc.get("rho", DEFAULT_RHO[n]), "rho", positive=True)
+    if not rho < 1.0 / (n + 1):
+        raise ScenarioError(f"rho: must lie in (0, 1/{n + 1}) for n={n}, "
+                            f"got {rho}")
     xi = _number(doc.get("xi", DEFAULTS["xi"]), "xi")
     if xi == 0.0:
         raise ScenarioError("xi: must be nonzero")

@@ -229,6 +229,15 @@ class TestCliExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("scenario error:")
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_rho_out_of_range_is_two(self, command, tmp_path, capsys):
+        p = tmp_path / "rho.yaml"
+        p.write_text(TINY + "rho: 0.5\n")
+        rc = cli.main([command, str(p), "--out", str(tmp_path / "run")]
+                      if command == "simulate" else [command, str(p)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("scenario error: rho:")
+
     def test_missing_file_is_two(self, capsys):
         rc = cli.main(["simulate", "/nonexistent/path.yaml"])
         assert rc == 2

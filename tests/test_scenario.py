@@ -1,6 +1,12 @@
 """Scenario-file loading and validation tests."""
+import math
+import re
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contiform.errors import ScenarioError
 from contiform.scenario import load_scenario
@@ -152,3 +158,56 @@ failures:
 """
         config = load_scenario(doc)
         assert config.agent_ids == (1, 2, 3, 4)
+
+
+# (field path, strategy of values the loader must reject) for n = 2
+NOT_A_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf, "x", True,
+                                [1.0]])
+BAD_FIELDS = (
+    [(path, st.one_of(st.floats(max_value=0.0), NOT_A_NUMBER))
+     for path in ("dt", "gain", "vehicle_radius", "d_min",
+                  "containment.half_size", "cem.u_inf",
+                  "cem.exclusion_radius", "cem.v_phi")]
+    + [(path, st.one_of(st.floats(max_value=-1e-9), NOT_A_NUMBER))
+       for path in ("duration", "tolerances.dx", "tolerances.dz")]
+    + [("rho", st.one_of(st.floats(max_value=0.0),
+                         st.floats(min_value=1.0 / 3.0), NOT_A_NUMBER)),
+       ("xi", st.one_of(st.just(0.0), NOT_A_NUMBER)),
+       ("cem.theta_inf", NOT_A_NUMBER),
+       ("containment.norm", st.text(max_size=4).filter(
+           lambda v: v not in ("l1", "l2"))),
+       ("containment.center_policy", st.one_of(st.text(max_size=4),
+                                               st.integers())),
+       ("n", st.integers().filter(lambda v: v not in (2, 3))),
+       ("agents[0].id", st.one_of(st.floats(), st.text(max_size=3))),
+       ("agents[0].position", st.one_of(
+           st.lists(st.floats(-5.0, 5.0), max_size=1),
+           st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=5),
+           st.lists(NOT_A_NUMBER, min_size=2, max_size=3)))]
+)
+
+
+def with_value(path, value):
+    """The MINIMAL document with the field at path set to value."""
+    doc = yaml.safe_load(MINIMAL)
+    *outer, last = re.findall(r"\w+|\[\d+\]", path)
+    node = doc
+    for key in outer:
+        node = node[int(key[1:-1])] if key.startswith("[") \
+            else node.setdefault(key, {})
+    node[last] = value
+    return yaml.safe_dump(doc)
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(BAD_FIELDS).flatmap(
+        lambda case: st.tuples(st.just(case[0]), case[1])))
+    def test_bad_field_raises_naming_its_path(self, case):
+        path, value = case
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(with_value(path, value))
+        message = str(err.value)
+        assert message.startswith(path)
+        assert message[len(path)] in ":["
