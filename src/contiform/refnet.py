@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConnectivityError, DegeneracyError, NetworkError, SelectionError
-from .geometry import DEFAULT_XI, as_position, lambda_nd, lambda_nd_batch, rank_simplex
+from .geometry import DEFAULT_XI, as_position, lambda_nd_batch, rank_simplex
 
 # Inclusion-margin defaults per dimension; must stay below 1/(n+1).
 DEFAULT_RHO = {2: 0.1, 3: 0.05}
@@ -237,18 +237,6 @@ def find_in_neighbors(agent_id, ref_positions, n: int = 2, rho: float = None,
     return best_tuple
 
 
-def communication_weights(agent_id, neighbor_ids, ref_positions, n: int = 2,
-                          xi: float = DEFAULT_XI):
-    """Static weights of one follower against its in-neighbor simplex."""
-    pts = [ref_positions[i] for i in neighbor_ids]
-    own = ref_positions[agent_id]
-    if n == 2:
-        lam = lambda_nd(pts[0], pts[1], pts[2], None, own, 2, xi)
-    else:
-        lam = lambda_nd(pts[0], pts[1], pts[2], pts[3], own, 3, xi)
-    return lam[: n + 1]
-
-
 def build_weight_matrices(leaders, followers, in_neighbors, weights):
     """Assemble W = [B | A], D = -I + A and W_L = -D^-1 B.
 
@@ -318,14 +306,18 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     boundary, interior = classify_boundary_interior(positions, n, rho, xi)
     leaders = select_leaders(boundary, positions, n, leader_override)
     followers = tuple(i for i in ids if i not in set(leaders))
-    in_neighbors, weights = {}, {}
-    for fid in followers:
-        nbrs = find_in_neighbors(fid, positions, n, rho, xi,
-                                 leaders=leaders, interior=interior)
-        w = communication_weights(fid, nbrs, positions, n, xi)
-        in_neighbors[fid] = tuple(nbrs)
-        for nid, wv in zip(nbrs, w):
-            weights[(fid, nid)] = float(wv)
+    in_neighbors = {fid: tuple(find_in_neighbors(fid, positions, n, rho, xi,
+                                                 leaders=leaders,
+                                                 interior=interior))
+                    for fid in followers}
+    # every follower's static weights in one solve
+    static = lambda_nd_batch(
+        np.array([[positions[a] for a in in_neighbors[fid]]
+                  for fid in followers]),
+        np.array([positions[fid] for fid in followers]), n, xi)
+    weights = {(fid, nid): float(w)
+               for fid, row in zip(followers, static)
+               for nid, w in zip(in_neighbors[fid], row)}
     W, A, B, D, W_L = build_weight_matrices(leaders, followers, in_neighbors, weights)
     row_err = np.abs(W.sum(axis=1) - 1.0)
     if np.any(row_err > 1e-9):

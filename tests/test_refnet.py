@@ -135,23 +135,28 @@ def _exhaustive_best(pts, agent_id, own, n, rho):
 
 
 class TestCommunicationWeights:
+    """Static weights of the one interior follower 9, whose in-neighbors
+    are the leaders, as build_reference_configuration solves them."""
+
+    def weights(self, pts, n=2):
+        net = refnet.build_reference_configuration(pts, n=n)
+        return [net.weights[(9, a)] for a in net.in_neighbors[9]]
+
     def test_centroid(self):
         pts = {1: (0.0, 0.0, 0.0), 2: (3.0, 0.0, 0.0), 3: (0.0, 3.0, 0.0),
                9: (1.0, 1.0, 0.0)}
-        w = refnet.communication_weights(9, (1, 2, 3), pts, n=2)
-        np.testing.assert_allclose(w, 1.0 / 3.0, atol=1e-12)
+        np.testing.assert_allclose(self.weights(pts), 1.0 / 3.0, atol=1e-12)
 
     def test_asymmetric_point(self):
         pts = {1: (0.0, 0.0, 0.0), 2: (4.0, 0.0, 0.0), 3: (0.0, 4.0, 0.0),
                9: (1.0, 1.0, 0.0)}
-        w = refnet.communication_weights(9, (1, 2, 3), pts, n=2)
-        np.testing.assert_allclose(w, [0.5, 0.25, 0.25], atol=1e-12)
+        np.testing.assert_allclose(self.weights(pts), [0.5, 0.25, 0.25],
+                                   atol=1e-12)
 
     def test_tetrahedron_centroid(self):
         pts = {1: (0.0, 0.0, 0.0), 2: (1.0, 0.0, 0.0), 3: (0.0, 1.0, 0.0),
                4: (0.0, 0.0, 1.0), 9: (0.25, 0.25, 0.25)}
-        w = refnet.communication_weights(9, (1, 2, 3, 4), pts, n=3)
-        np.testing.assert_allclose(w, 0.25, atol=1e-12)
+        np.testing.assert_allclose(self.weights(pts, n=3), 0.25, atol=1e-12)
 
 
 class TestBuildWeightMatrices:
