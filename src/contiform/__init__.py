@@ -17,7 +17,6 @@ from .errors import (
     ConnectivityError,
     SelectionError,
     NetworkError,
-    StagnationError,
     FlowSingularityError,
     ScenarioError,
     NumericError,
@@ -37,7 +36,6 @@ __all__ = [
     "ConnectivityError",
     "SelectionError",
     "NetworkError",
-    "StagnationError",
     "FlowSingularityError",
     "ScenarioError",
     "NumericError",

@@ -37,12 +37,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import FlowSingularityError, ScenarioError, StagnationError
+from .errors import FlowSingularityError, ScenarioError
 
 # default disk radius around a failed agent (meters)
 DEFAULT_EXCLUSION_RADIUS = 4.0
 
-# stagnation guard: |J| below this multiple of u_inf^2 raises StagnationError
+# stagnation guard: a streamline stage with |J| below this multiple of
+# u_inf^2 gets zero velocity and marks the agent stagnated
 STAGNATION_FLOOR_FACTOR = 1e-9
 
 # relative tolerance for the streamline-restoring Newton projection
@@ -246,26 +247,12 @@ def assign_stream_constants(healthy_positions, field):
     return {a: float(psi) for a, psi in zip(ids, w.imag)}
 
 
-def streamline_velocity(field, x, y, v_phi):
-    """Desired velocity sliding along the streamline through (x, y).
-
-    Planar part is (v_phi / |J|) * (psi_y, -psi_x) = v_phi conj(W') / |W'|^2;
-    along it d(psi)/dt = 0 and d(phi)/dt = v_phi analytically.  The flow is
-    planar, so vz = 0.  Raises StagnationError when |J| falls below
-    1e-9 * u_inf^2.
-    """
-    sample = eval_flow(field, x, y)
-    floor = field.stagnation_floor
-    if sample.jac_det < floor:
-        raise StagnationError(x, y, sample.jac_det, floor)
-    vx, vy = v_phi / sample.jac_det * sample.grad_phi
-    return np.array([vx, vy, 0.0])
-
-
 def _planar_rk4(field, z, v_phi, dt, floor):
     """One classical 4th-order step of the planar streamline ODE.
 
-    z is a complex (m,) array.  Returns (z_next, stagnated): a stage with
+    The rate is v_phi conj(W') / |W'|^2, the planar velocity
+    (v_phi / |J|) (psi_y, -psi_x) along which d(psi)/dt = 0 and
+    d(phi)/dt = v_phi.  z is a complex (m,) array.  Returns (z_next, stagnated): a stage with
     |W'|^2 below the floor gets zero velocity and marks the agent stagnated.
     """
     def rate(p):
@@ -310,8 +297,8 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     """Vectorized streamline step for the simulation loop.
 
     positions is (m, 3).  Stagnating agents keep their position for the step
-    (velocity clamped to zero) and are reported in the stagnated mask rather
-    than raising, matching the supervisor's clamp-and-log policy.  Agents
+    (velocity clamped to zero) and are reported in the stagnated mask,
+    matching the supervisor's clamp-and-log policy.  Agents
     drifting strictly into a disk are pushed back out and re-projected onto
     psi_targets (their stream constants; defaults to the pre-step psi), and
     reported in the projected mask.  The z column is carried through.

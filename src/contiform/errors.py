@@ -31,18 +31,6 @@ class NetworkError(ContiformError):
     """Weight-matrix construction produced an unusable network."""
 
 
-class StagnationError(ContiformError):
-    """Flow Jacobian determinant fell below the stagnation floor."""
-
-    def __init__(self, x, y, jac_det, floor):
-        self.x, self.y = x, y
-        self.jac_det = jac_det
-        self.floor = floor
-        super().__init__(
-            f"stagnation at ({x:.6g}, {y:.6g}): |J| = {jac_det:.3e} < floor {floor:.3e}"
-        )
-
-
 class FlowSingularityError(ContiformError):
     """Flow field evaluated exactly at a doublet center."""
 

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contiform import cem
-from contiform.errors import (FlowSingularityError, ScenarioError,
-                              StagnationError)
+from contiform.errors import FlowSingularityError, ScenarioError
 
 RNG_SEED = 7117
 
@@ -168,35 +167,6 @@ class TestAssignStreamConstants:
                                         cylinder_field())
 
 
-class TestStreamlineVelocity:
-    def test_uniform_unit_speed(self):
-        v = cem.streamline_velocity(uniform_field(), 5.0, -3.0, 10.0)
-        np.testing.assert_allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_rotated_stream(self):
-        th = 0.7
-        v = cem.streamline_velocity(uniform_field(theta_inf=th), 1.0, 1.0,
-                                    10.0)
-        np.testing.assert_allclose(v, [np.cos(th), np.sin(th), 0.0],
-                                   atol=1e-12)
-
-    def test_stagnation_raises(self):
-        field = cylinder_field()
-        with pytest.raises(StagnationError):
-            cem.streamline_velocity(field, -4.0 - 1e-6, 0.0, 10.0)
-
-    def test_velocity_orthogonal_to_grad_psi(self):
-        rng = np.random.default_rng(RNG_SEED)
-        field = cylinder_field()
-        for _ in range(40):
-            rho = rng.uniform(5.0, 30.0)
-            th = rng.uniform(0.0, 2 * np.pi)
-            x, y = rho * np.cos(th), rho * np.sin(th)
-            v = cem.streamline_velocity(field, x, y, 10.0)
-            s = cem.eval_flow(field, x, y)
-            assert abs(np.dot(v[:2], s.grad_psi)) <= 1e-9
-
-
 def oracle_eval(field, x, y):
     """(phi, psi, phi_x, phi_y) from the real per-doublet formulas of the
     cem module docstring, one doublet at a time."""
@@ -257,10 +227,15 @@ def fields_and_points(draw):
 
 class TestStepStreamline:
     def test_uniform_advance(self):
-        out, stag, proj = cem.step_streamline_many(
-            np.array([[0.0, 2.0, 0.7]]), uniform_field(), 10.0, 0.1)
-        np.testing.assert_allclose(out, [[0.1, 2.0, 0.7]], atol=1e-12)
-        assert not stag.any() and not proj.any()
+        # v_phi = u_inf: unit speed along the stream heading theta_inf
+        for th in (0.0, 0.7):
+            out, stag, proj = cem.step_streamline_many(
+                np.array([[0.0, 2.0, 0.7]]), uniform_field(theta_inf=th),
+                10.0, 0.1)
+            np.testing.assert_allclose(
+                out, [[0.1 * np.cos(th), 2.0 + 0.1 * np.sin(th), 0.7]],
+                atol=1e-12)
+            assert not stag.any() and not proj.any()
 
     def test_zero_dt(self):
         start = np.array([[6.0, 2.0, 0.0]])
