@@ -170,8 +170,8 @@ BAD_FIELDS = (
                   "cem.exclusion_radius", "cem.v_phi")]
     + [(path, st.one_of(st.floats(max_value=-1e-9), NOT_A_NUMBER))
        for path in ("duration", "tolerances.dx", "tolerances.dz")]
-    + [("rho", st.one_of(st.floats(max_value=0.0),
-                         st.floats(min_value=1.0 / 3.0), NOT_A_NUMBER)),
+    + [("rho", st.one_of(st.floats(max_value=0.0), NOT_A_NUMBER)),
+       ("rho", st.floats(min_value=1.0 / 3.0, allow_infinity=False)),
        ("xi", st.one_of(st.just(0.0), NOT_A_NUMBER)),
        ("cem.theta_inf", NOT_A_NUMBER),
        ("containment.norm", st.text(max_size=4).filter(
