@@ -18,9 +18,8 @@ negative one over the nearest, l_k - 2 Delta:
 
     lo_k = (d_k - 2 Delta) / (l_k + 2 Delta)   if d_k - 2 Delta >= 0
            (d_k - 2 Delta) / (l_k - 2 Delta)   otherwise (-inf when l_k <= 2 Delta)
-    hi_k = (d_k + 2 Delta) / (l_k - 2 Delta)   if d_k + 2 Delta >= 0
-                                               (+inf when l_k <= 2 Delta)
-           (d_k + 2 Delta) / (l_k + 2 Delta)   otherwise
+    hi_k = (d_k + 2 Delta) / (l_k + 2 Delta)   if d_k + 2 Delta <= 0
+           (d_k + 2 Delta) / (l_k - 2 Delta)   otherwise (+inf when l_k <= 2 Delta)
 
 Distances are signed, positive toward neighbor k, so the test stays sound
 for boundary followers whose static weights are negative, below -1
@@ -101,11 +100,11 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = d / np.where(np.abs(l) < _DEGENERATE_NORM, np.nan, l)
         low, high = d - 2.0 * delta, d + 2.0 * delta
-        far, near = l + 2.0 * delta, l - 2.0 * delta
-        lo = np.where(low >= 0.0, low / far,
-                      np.where(near > 0.0, low / near, -np.inf))
-        hi = np.where(high < 0.0, high / far,
-                      np.where(near > 0.0, high / near, np.inf))
+        far = l + 2.0 * delta
+        # l <= 2 Delta lets the denominator reach zero: x / +0 is +-inf
+        near = np.maximum(l - 2.0 * delta, 0.0)
+        lo = low / np.where(low >= 0.0, far, near)
+        hi = high / np.where(high <= 0.0, far, near)
     degenerate |= np.isnan(weights).any(axis=1)
     lo[degenerate] = np.nan
     hi[degenerate] = np.nan

@@ -41,7 +41,7 @@ def transition(mode, anomalous, positions, center, half_size, norm_kind,
     so the caller rebuilds the communication network from current positions
     and discards stream constants.  Returns (next_mode, events).
     """
-    diff = np.asarray(positions, dtype=np.float64).reshape(-1, 3) - center
+    diff = np.asarray(positions, dtype=np.float64) - center
     dist = np.linalg.norm(diff, ord=1 if norm_kind == "l1" else 2, axis=1)
     inside = [a for a, d in zip(anomalous, dist) if d <= half_size]
     if mode is Mode.HDM and inside:

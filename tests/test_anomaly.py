@@ -71,7 +71,7 @@ def hand_bounds(vertices, weights, delta):
             lo[k] = low / far
         else:
             lo[k] = low / near if near > 0 else -np.inf
-        if high < 0:
+        if high <= 0:
             hi[k] = high / far
         else:
             hi[k] = high / near if near > 0 else np.inf
