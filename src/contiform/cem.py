@@ -252,8 +252,9 @@ def _planar_rk4(field, z, v_phi, dt, floor):
 
     The rate is v_phi conj(W') / |W'|^2, the planar velocity
     (v_phi / |J|) (psi_y, -psi_x) along which d(psi)/dt = 0 and
-    d(phi)/dt = v_phi.  z is a complex (m,) array.  Returns (z_next, stagnated): a stage with
-    |W'|^2 below the floor gets zero velocity and marks the agent stagnated.
+    d(phi)/dt = v_phi.  z is a complex (m,) array.  Returns (z_next,
+    stagnated): a stage with |W'|^2 below the floor gets zero velocity and
+    marks the agent stagnated.
     """
     def rate(p):
         dw = _derivative(field, _offsets(field, p))

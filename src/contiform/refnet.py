@@ -306,9 +306,8 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     boundary, interior = classify_boundary_interior(positions, n, rho, xi)
     leaders = select_leaders(boundary, positions, n, leader_override)
     followers = tuple(i for i in ids if i not in set(leaders))
-    in_neighbors = {fid: tuple(find_in_neighbors(fid, positions, n, rho, xi,
-                                                 leaders=leaders,
-                                                 interior=interior))
+    in_neighbors = {fid: find_in_neighbors(fid, positions, n, rho, xi,
+                                           leaders=leaders, interior=interior)
                     for fid in followers}
     # every follower's static weights in one solve
     static = lambda_nd_batch(
