@@ -225,17 +225,62 @@ def fields_and_points(draw):
     return field, x, y
 
 
+def step_velocity(field, x, y, v_phi, dt):
+    """Mean velocity (3,) of one batched step from (x, y, 0), and its
+    stagnated flag."""
+    start = np.array([[x, y, 0.0]])
+    out, stag, _ = cem.step_streamline_many(start, field, v_phi, dt)
+    return (out[0] - start[0]) / dt, bool(stag[0])
+
+
+class TestStreamlineVelocity:
+    """The RK4 rate v_phi conj(W') / |W'|^2, seen through one batched
+    step."""
+
+    def test_uniform_unit_speed(self):
+        v, stag = step_velocity(uniform_field(), 5.0, -3.0, 10.0, 0.1)
+        np.testing.assert_allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
+        assert not stag
+
+    def test_rotated_stream(self):
+        th = 0.7
+        v, stag = step_velocity(uniform_field(theta_inf=th), 1.0, 1.0, 10.0,
+                                0.1)
+        np.testing.assert_allclose(v, [np.cos(th), np.sin(th), 0.0],
+                                   atol=1e-12)
+        assert not stag
+
+    def test_stagnation_raises(self):
+        # 1e-6 upstream of the stagnation point (-a, 0) |J| is below the
+        # floor: the step raises the stagnated flag and holds the agent
+        v, stag = step_velocity(cylinder_field(), -4.0 - 1e-6, 0.0, 10.0,
+                                1e-3)
+        assert stag
+        np.testing.assert_array_equal(v, [0.0, 0.0, 0.0])
+
+    def test_velocity_orthogonal_to_grad_psi(self):
+        # d(psi)/dt = 0 and d(phi)/dt = v_phi along the step
+        rng = np.random.default_rng(RNG_SEED)
+        field = cylinder_field()
+        dt = 1e-3
+        for _ in range(40):
+            rho = rng.uniform(5.0, 30.0)
+            th = rng.uniform(0.0, 2 * np.pi)
+            x, y = rho * np.cos(th), rho * np.sin(th)
+            v, stag = step_velocity(field, x, y, 10.0, dt)
+            assert not stag
+            s0 = cem.eval_flow(field, x, y)
+            s1 = cem.eval_flow(field, x + dt * v[0], y + dt * v[1])
+            assert abs(s1.psi - s0.psi) <= 1e-9
+            assert abs(s1.phi - s0.phi - 10.0 * dt) <= 1e-9
+
+
 class TestStepStreamline:
     def test_uniform_advance(self):
-        # v_phi = u_inf: unit speed along the stream heading theta_inf
-        for th in (0.0, 0.7):
-            out, stag, proj = cem.step_streamline_many(
-                np.array([[0.0, 2.0, 0.7]]), uniform_field(theta_inf=th),
-                10.0, 0.1)
-            np.testing.assert_allclose(
-                out, [[0.1 * np.cos(th), 2.0 + 0.1 * np.sin(th), 0.7]],
-                atol=1e-12)
-            assert not stag.any() and not proj.any()
+        out, stag, proj = cem.step_streamline_many(
+            np.array([[0.0, 2.0, 0.7]]), uniform_field(), 10.0, 0.1)
+        np.testing.assert_allclose(out, [[0.1, 2.0, 0.7]], atol=1e-12)
+        assert not stag.any() and not proj.any()
 
     def test_zero_dt(self):
         start = np.array([[6.0, 2.0, 0.0]])
