@@ -4,7 +4,7 @@ Agent 11 freezes at t = 100 s while the team deforms through a corridor.
 The detector flags it, the supervisor switches to streamline evasion,
 and once the frozen agent's 1-norm distance from the containment center
 exceeds the box half-size it is excluded and the network is rebuilt.
-Takes about fifteen seconds; pass a different scenario path to replay it.
+Takes about seven seconds; pass a different scenario path to replay it.
 """
 import sys
 import time

@@ -34,16 +34,17 @@ def transition(mode, anomalous, positions, center, half_size, norm_kind,
                clock):
     """One supervisor step; pure in all inputs.
 
-    anomalous is the sorted flagged ids and positions their (k, 3) actual
-    positions; norm_kind is "l1" or "l2".  HDM switches to CEM when any
-    anomalous agent sits inside the containment domain; CEM returns to HDM
-    once every anomalous agent is outside, emitting a reference-reset event
-    so the caller rebuilds the communication network from current positions
+    anomalous is the sorted flagged ids and positions the (k, 3) array of
+    their actual positions; norm_kind is "l1" or "l2".  HDM switches to
+    CEM when any anomalous agent sits inside the containment domain; CEM
+    returns to HDM once every anomalous agent is outside, emitting a
+    reference-reset event so the caller rebuilds the communication network
     and discards stream constants.  Returns (next_mode, events).
     """
-    diff = np.asarray(positions, dtype=np.float64) - center
-    dist = np.linalg.norm(diff, ord=1 if norm_kind == "l1" else 2, axis=1)
-    inside = [a for a, d in zip(anomalous, dist) if d <= half_size]
+    diff = positions - center
+    dist = np.abs(diff).sum(axis=1) if norm_kind == "l1" \
+        else np.sqrt((diff * diff).sum(axis=1))
+    inside = [anomalous[j] for j in np.flatnonzero(dist <= half_size)]
     if mode is Mode.HDM and inside:
         return Mode.CEM, [Event(time=clock, kind="mode_change",
                                 payload={"from": "HDM", "to": "CEM",

@@ -146,6 +146,14 @@ def _mapping(value, path):
     return value
 
 
+def _fields(value, path, known):
+    """value as a mapping whose keys all lie in known."""
+    for key in _mapping(value, path):
+        if key not in known:
+            raise ScenarioError(f"{path}.{key}: unknown field")
+    return value
+
+
 def load_scenario(source):
     """Parse and validate a scenario from a file path or document text.
 
@@ -191,10 +199,7 @@ def load_scenario(source):
     if xi == 0.0:
         raise ScenarioError("xi: must be nonzero")
 
-    tol_doc = _mapping(doc.get("tolerances", {}), "tolerances")
-    for key in tol_doc:
-        if key not in ("dx", "dy", "dz"):
-            raise ScenarioError(f"tolerances.{key}: unknown field")
+    tol_doc = _fields(doc.get("tolerances", {}), "tolerances", ("dx", "dy", "dz"))
     tol_defaults = DEFAULTS["tolerances"]
     tolerances = np.array([
         _number(tol_doc.get(k, tol_defaults[k]), f"tolerances.{k}", nonnegative=True)
@@ -207,10 +212,8 @@ def load_scenario(source):
     if doc.get("d_min") is not None:
         d_min_override = _number(doc["d_min"], "d_min", positive=True)
 
-    con_doc = _mapping(doc.get("containment", {}), "containment")
-    for key in con_doc:
-        if key not in ("half_size", "norm", "center_policy"):
-            raise ScenarioError(f"containment.{key}: unknown field")
+    con_doc = _fields(doc.get("containment", {}), "containment",
+                      ("half_size", "norm", "center_policy"))
     con_defaults = DEFAULTS["containment"]
     half_size = _number(con_doc.get("half_size", con_defaults["half_size"]),
                         "containment.half_size", positive=True)
@@ -224,10 +227,8 @@ def load_scenario(source):
             f"got {center_policy!r}"
         )
 
-    cem_doc = _mapping(doc.get("cem", {}), "cem")
-    for key in cem_doc:
-        if key not in ("u_inf", "theta_inf", "exclusion_radius", "v_phi"):
-            raise ScenarioError(f"cem.{key}: unknown field")
+    cem_doc = _fields(doc.get("cem", {}), "cem",
+                      ("u_inf", "theta_inf", "exclusion_radius", "v_phi"))
     cem_defaults = DEFAULTS["cem"]
     u_inf = _number(cem_doc.get("u_inf", cem_defaults["u_inf"]),
                     "cem.u_inf", positive=True)
@@ -245,10 +246,7 @@ def load_scenario(source):
     ids = []
     positions = []
     for k, item in enumerate(agents_doc):
-        item = _mapping(item, f"agents[{k}]")
-        for key in item:
-            if key not in ("id", "position"):
-                raise ScenarioError(f"agents[{k}].{key}: unknown field")
+        item = _fields(item, f"agents[{k}]", ("id", "position"))
         agent_id = _agent_id(_require(item, "id", f"agents[{k}]."), f"agents[{k}].id")
         if agent_id in ids:
             raise ScenarioError(f"agents[{k}].id: duplicate id {agent_id}")
@@ -293,10 +291,7 @@ def load_scenario(source):
         times = []
         points = []
         for k, wp in enumerate(waypoints):
-            wp = _mapping(wp, f"{path}[{k}]")
-            for key in wp:
-                if key not in ("time", "position"):
-                    raise ScenarioError(f"{path}[{k}].{key}: unknown field")
+            wp = _fields(wp, f"{path}[{k}]", ("time", "position"))
             times.append(_number(_require(wp, "time", f"{path}[{k}]."),
                                  f"{path}[{k}].time", nonnegative=True))
             points.append(_position(_require(wp, "position", f"{path}[{k}]."),
@@ -313,10 +308,8 @@ def load_scenario(source):
         raise ScenarioError("failures: expected a list")
     seen_failed = set()
     for k, item in enumerate(failures_doc):
-        item = _mapping(item, f"failures[{k}]")
-        for key in item:
-            if key not in ("agent", "time", "kind", "velocity"):
-                raise ScenarioError(f"failures[{k}].{key}: unknown field")
+        item = _fields(item, f"failures[{k}]",
+                       ("agent", "time", "kind", "velocity"))
         agent_id = _agent_id(_require(item, "agent", f"failures[{k}]."),
                              f"failures[{k}].agent")
         if agent_id not in agent_ids:

@@ -4,33 +4,34 @@ Every agent is a single integrator tracking its local desired position,
 r' = g (r_d - r), integrated per tick with the classical 4th-order scheme.
 Within one tick every computation reads the previous tick's position
 snapshot: follower desired positions are frozen over the tick while leader
-commands are sampled at the three integration stage times.  The loop is
-strictly sequential and free of randomness, so identical configurations
-produce bit-identical trajectory logs.
+commands are sampled at the three integration stage times.  That RK4 step
+has a closed form, so a team tick is the affine map r+ = M r + U, with M
+built once per network epoch.  The loop is strictly sequential and free of
+randomness, so identical configurations produce bit-identical logs.
 
-Per tick, in order: (1) desired positions per mode, (2) RK4 position
-update for every agent, (3) failure kinematics override, (4) anomaly
-checks (HDM only; the flagged set is frozen while CEM is active),
-(5) supervisor transition, (6) one log row.
+Per tick, in order: (1) desired positions per mode, (2) the affine team
+step, (3) failure kinematics override, (4) anomaly checks (HDM only; the
+flagged set is frozen while CEM is active), (5) supervisor transition,
+(6) one log row.
 
 HDM ticks run this order in look-ahead blocks.  The detector reads only
 the actual positions, and until it flags someone neither detection nor
 logging feeds back into the dynamics.  So a step() on an HDM tick with
-nothing flagged and nothing buffered integrates up to `lookahead_ticks`
-ticks ahead, steps (1)-(3) per tick as above, ending the block at the run
-end and before any tick on which a failure activates.  It then evaluates
-the whole block in one vectorized pass: the detector over all K x F
-follower rows, the commanded deformation's singular values, the leader lag
-and its leader_deviation events in tick order, the containment center and
-the log rows.  The block keeps the ticks up to and including the first one
-on which the detector flags anyone, and each step() call commits one
-buffered tick; the flagged tick runs the supervisor transition (5).  An
-HDM tick with agents already flagged is a block of one tick, and CEM ticks
-run one at a time.  The buffer is dropped, and its uncommitted log rows
-cleared, when the state it was built from changes between steps: a failure
-added or edited (inject_failure), or positions, mode or flagged set edited.
+nothing flagged and nothing buffered advances up to `lookahead_ticks`
+ticks by steps (2)-(3), ending the block at the run end and before any
+tick on which a failure activates.  It then evaluates the whole block in
+one vectorized pass: the desired positions from the tick-start snapshots,
+the detector over all K x F follower rows, the commanded deformation's
+singular values, the leader lag and its leader_deviation events in tick
+order, the containment center and the log rows.  The block keeps the ticks
+up to and including the first one on which the detector flags anyone, and
+each step() call commits one buffered tick; the flagged tick runs the
+supervisor transition (5).  An HDM tick with agents already flagged is a
+block of one tick, and CEM ticks run one at a time.  The buffer is
+dropped, and its uncommitted log rows cleared, when the state it was built
+from changes between steps: a failure added or edited (inject_failure), or
+positions, mode or flagged set edited.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -106,7 +107,7 @@ class TrajectoryLog:
 class _Epoch:
     """Precomputed index caches for one reference-network epoch."""
 
-    def __init__(self, network, idx, start_tick, delta, threshold):
+    def __init__(self, network, idx, start_tick, delta, threshold, a0):
         self.network = network
         self.start_tick = start_tick
         self.delta = delta
@@ -126,6 +127,9 @@ class _Epoch:
             self.static_w[j] = [network.weights[(fid, a)] for a in nbrs]
         self._fit_inv = hdm.leader_fit_system(
             [network.ref_positions[a] for a in network.leaders], network.n)
+        self.team_matrix = _team_matrix(len(idx), a0, self.follower_idx,
+                                        self.order_idx, network.W,
+                                        self.leader_idx)
 
     def sigmas(self, leader_cmd):
         """Singular values (K, 3), descending, of the deformations the
@@ -193,13 +197,30 @@ def epoch_bounds(network, config: ScenarioConfig):
     return delta, d_min, threshold
 
 
-def _rk4_track(r, rd1, rd2, rd3, g, dt):
-    """RK4 step of r' = g (rd(t) - r), rd sampled at t, t+dt/2, t+dt."""
-    k1 = g * (rd1 - r)
-    k2 = g * (rd2 - (r + 0.5 * dt * k1))
-    k3 = g * (rd2 - (r + 0.5 * dt * k2))
-    k4 = g * (rd3 - (r + dt * k3))
-    return r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_coefficients(h):
+    """(a0, a1, a2, a3): one classical RK4 step of r' = g (c(t) - r) with
+    h = g dt is exactly r+ = a0 r + a1 c(t) + a2 c(t+dt/2) + a3 c(t+dt)."""
+    return (1.0 - h + h**2 / 2 - h**3 / 6 + h**4 / 24,
+            h / 6 - h**2 / 6 + h**3 / 12 - h**4 / 24,
+            2 * h / 3 - h**2 / 3 + h**3 / 12,
+            h / 6)
+
+
+def _team_matrix(n_agents, a0, follower_idx, order_idx, W, leader_idx):
+    """M of the team step r+ = M r + U: followers track W's weighted point
+    held over the tick, leaders their commands in U; excluded agents hold."""
+    M = np.eye(n_agents)
+    M[leader_idx, leader_idx] = a0
+    M[follower_idx[:, None], order_idx] = (1.0 - a0) * W
+    M[follower_idx, follower_idx] += a0   # W has no self-weight
+    return M
+
+
+def _stage_commands(coeffs, cmd):
+    """U's leader rows (L, K, 3) for K ticks of leader commands cmd
+    (L, 2K + 1, 3) on the half-step grid."""
+    _, a1, a2, a3 = coeffs
+    return a1 * cmd[:, :-1:2] + a2 * cmd[:, 1::2] + a3 * cmd[:, 2::2]
 
 
 class Simulation:
@@ -211,7 +232,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.dt = config.dt
-        self.g = config.gain
+        self._rk4 = _rk4_coefficients(config.gain * config.dt)
         self.ids = tuple(config.agent_ids)
         self.idx = {a: i for i, a in enumerate(self.ids)}
         self.n_agents = len(self.ids)
@@ -256,12 +277,12 @@ class Simulation:
     def _register_failure(self, spec: FailureSpec):
         if spec.agent_id not in self.idx:
             raise ValueError(f"unknown agent {spec.agent_id} in failure spec")
-        if spec.time >= self.config.duration:
+        if spec.time >= self.total_ticks * self.dt:
             warnings.warn(
                 f"failure of agent {spec.agent_id} at t={spec.time} is beyond "
                 f"the run duration and has no effect", stacklevel=3)
             self.events.append(Event(
-                time=0.0, kind="failure_ignored",
+                time=self.clock, kind="failure_ignored",
                 payload={"agent": int(spec.agent_id), "time": float(spec.time)}))
             return
         self.failures[spec.agent_id] = spec
@@ -289,7 +310,8 @@ class Simulation:
                 members, n=self.n, rho=self.config.rho, xi=self.config.xi)
         delta, _, threshold = epoch_bounds(network, self.config)
         self.network = network
-        self.epoch = _Epoch(network, self.idx, self.tick, delta, threshold)
+        self.epoch = _Epoch(network, self.idx, self.tick, delta, threshold,
+                            self._rk4[0])
         self.epochs.append(self.epoch)
         self.delta = delta
         self._deviating_leaders = set()
@@ -357,57 +379,54 @@ class Simulation:
     def clock(self):
         return self.tick * self.dt
 
-    def _hdm_targets(self, positions, leader_cmd):
-        """Local desired positions (S, N, 3) for S leader commands
-        (L, S, 3): followers at their weighted in-neighbor point, leaders
-        at the command, excluded agents where they are."""
+    def _hdm_targets(self, prev, leader_cmd):
+        """Local desired positions (K, N, 3) from tick-start positions prev
+        (K, N, 3) and leader commands (L, K, 3); excluded agents hold."""
         ep = self.epoch
-        rd = np.empty((leader_cmd.shape[1],) + positions.shape)
-        rd[:] = positions
-        rd[:, ep.follower_idx] = ep.network.W @ positions[ep.order_idx]
+        rd = prev.copy()
+        rd[:, ep.follower_idx] = ep.network.W @ prev[:, ep.order_idx]
         rd[:, ep.leader_idx] = leader_cmd.swapaxes(0, 1)
         return rd
 
-    def _cem_desired(self):
-        """Advance streamline targets one step; all stages track the result."""
+    def _cem_targets(self):
+        """Advance the healthy agents' streamline targets one step."""
         idx = self.healthy_idx
-        targets = self.cem_targets[idx]
         stepped, stagnated, projected = cem.step_streamline_many(
-            targets, self.flow, self.config.cem_v_phi, self.dt, self.psi0)
+            self.cem_targets[idx], self.flow, self.config.cem_v_phi, self.dt,
+            self.psi0)
         self.cem_targets[idx] = stepped
         t_next = self.clock + self.dt
         for flag, kind in ((stagnated, "stagnation"),
                            (projected, "disk_projection")):
-            if np.any(flag):
-                for j in np.flatnonzero(flag):
-                    agent = self.ids[idx[j]]
-                    if agent not in self._cem_event_latch[kind]:
-                        self._cem_event_latch[kind].add(agent)
-                        self.events.append(Event(
-                            time=t_next, kind=kind,
-                            payload={"agent": int(agent)}))
-        rd = self.positions.copy()
-        rd[idx] = stepped
-        return rd
+            for j in np.flatnonzero(flag):
+                agent = self.ids[idx[j]]
+                if agent not in self._cem_event_latch[kind]:
+                    self._cem_event_latch[kind].add(agent)
+                    self.events.append(Event(time=t_next, kind=kind,
+                                             payload={"agent": int(agent)}))
+        return stepped
 
-    def _apply_failures(self, positions, snapshot, t_start, t_end):
-        """Override failed agents' rows of the tick's new positions;
-        snapshot holds the positions the tick started from."""
+    def _failure_rows(self, size):
+        """Failed agents' indices (A,) and positions (size, A, 3) after each
+        of the next size ticks; one activating now anchors where it is."""
+        t_start = self.clock
         for agent_id, spec in self.failures.items():
-            if t_start < spec.time - 1e-12:
-                continue
-            i = self.idx[agent_id]
-            if agent_id not in self.failure_anchor:
-                # anchor at the position held when the failure activates
-                self.failure_anchor[agent_id] = (t_start, snapshot[i].copy())
+            if (agent_id not in self.failure_anchor
+                    and t_start >= spec.time - 1e-12):
+                self.failure_anchor[agent_id] = (
+                    t_start, self.positions[self.idx[agent_id]].copy())
                 self.events.append(Event(
                     time=t_start, kind="failure_active",
                     payload={"agent": int(agent_id), "kind": spec.kind}))
+        active = [a for a in self.failures if a in self.failure_anchor]
+        rows = np.empty((size, len(active), 3))
+        t_end = (self.tick + np.arange(size)) * self.dt + self.dt
+        for j, agent_id in enumerate(active):
+            spec = self.failures[agent_id]
             t_active, anchor = self.failure_anchor[agent_id]
-            if spec.kind == "freeze":
-                positions[i] = anchor
-            else:
-                positions[i] = anchor + spec.velocity * (t_end - t_active)
+            rows[:, j] = anchor if spec.kind == "freeze" else \
+                anchor + spec.velocity * (t_end - t_active)[:, None]
+        return np.array([self.idx[a] for a in active], dtype=int), rows
 
     def _non_finite(self, finite):
         """NumericError for the tick being stepped; finite is (N,) bool."""
@@ -441,7 +460,8 @@ class Simulation:
 
     def _update_center(self):
         if self._tracking_center or self.mode is Mode.HDM:
-            self.center = self.positions[self.healthy_idx].mean(axis=0)
+            idx = self.healthy_idx   # the mean, without np.mean's overhead
+            self.center = self.positions[idx].sum(axis=0) / len(idx)
 
     def _enter_cem(self, clock):
         self.flow = cem.build_flow_from_failures(
@@ -539,22 +559,22 @@ class Simulation:
         """Log the row on which a network epoch starts (the first row and
         the row of a rebuild), which no HDM integration produced."""
         base = 2 * (self.tick - self._grid_base_tick)
-        local = self._hdm_targets(self.positions,
+        local = self._hdm_targets(self.positions[None],
                                   self._leader_cmd[:, base:base + 1])
         self._emit(self._write_hdm_rows(
             self.tick, self.positions[None], local, self.center[None], det,
             None))
 
     def _write_cem_row(self, row):
-        log = self.log
+        log, idx = self.log, self.healthy_idx
         log.actual[row] = self.positions
         log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
         log.health[row] = self.health
-        desired = np.full((self.n_agents, 3), np.nan)
-        desired[self.healthy_idx] = self.cem_targets[self.healthy_idx]
-        log.local_desired[row] = desired
-        log.global_desired[row] = desired
+        targets = self.cem_targets[idx]
+        for desired in (log.local_desired[row], log.global_desired[row]):
+            desired[:] = np.nan
+            desired[idx] = targets
         log.sigma[row] = np.nan
         log.margin_ok[row] = MARGIN_NA
 
@@ -598,36 +618,39 @@ class Simulation:
         ep = self.epoch
         size = min(1 if self.flagged else self.lookahead_ticks,
                    self.total_ticks - self.tick)
-        activation = min((spec.time - 1e-12 for a, spec in
-                          self.failures.items()
-                          if a not in self.failure_anchor), default=math.inf)
+        fail_idx, fail_rows = self._failure_rows(size)
+        # the tick on which the next failure activates starts the next block
+        later = (self.tick + np.arange(1, size)) * self.dt >= min(
+            (spec.time - 1e-12 for a, spec in self.failures.items()
+             if a not in self.failure_anchor), default=math.inf)
+        size = int(later.argmax()) + 1 if later.any() else size
+        base = 2 * (self.tick - self._grid_base_tick)
+        cmd = self._leader_cmd[:, base:base + 2 * size + 1]
+        M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
+        U[:, ep.leader_idx] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
         positions = np.empty((size, self.n_agents, 3))
-        local = np.empty_like(positions)
-        cmd = self._leader_cmd[:, 2 * (self.tick - self._grid_base_tick):]
         r = self.positions
         for k in range(size):
-            t_start = (self.tick + k) * self.dt
-            if k and t_start >= activation:
-                size = k   # the activation tick starts the next block
-                break
-            rd1, rd2, rd3 = self._hdm_targets(r, cmd[:, 2 * k:2 * k + 3])
-            r_next = _rk4_track(r, rd1, rd2, rd3, self.g, self.dt)
-            self._apply_failures(r_next, r, t_start, t_start + self.dt)
-            positions[k], local[k], r = r_next, rd3, r_next
-        finite = np.isfinite(positions[:size]).all(axis=2)
+            r = M.dot(r)
+            r += U[k]
+            if fail_idx.size:
+                r[fail_idx] = fail_rows[k]
+            positions[k] = r
+        finite = np.isfinite(positions).all(axis=2)
         if not finite[0].all():
             raise self._non_finite(finite[0])
         bad_ticks = np.flatnonzero(~finite.all(axis=1))
         if bad_ticks.size:   # starts the next block, which raises
             size = int(bad_ticks[0])
-        positions, local = positions[:size], local[:size]
+        positions = positions[:size]
         det, healthy = self._detect(positions)
         flagged_ticks = np.flatnonzero(~healthy.all(axis=1))
         if flagged_ticks.size:
             size = int(flagged_ticks[0]) + 1
-            positions, local, healthy = \
-                positions[:size], local[:size], healthy[:size]
+            positions, healthy = positions[:size], healthy[:size]
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
+        prev = np.concatenate((self.positions[None], positions[:-1]))
+        local = self._hdm_targets(prev, cmd[:, 2:2 * size + 1:2])
         centers = positions[:, self.healthy_idx].mean(axis=1)
         events = self._write_hdm_rows(self.tick + 1, positions, local,
                                       centers, det, healthy)
@@ -665,10 +688,12 @@ class Simulation:
     def _cem_step(self):
         """One CEM tick; the detector is suspended, the flagged set frozen."""
         t_start = self.clock
-        rd = self._cem_desired()
-        positions = _rk4_track(self.positions, rd, rd, rd, self.g, self.dt)
-        self._apply_failures(positions, self.positions, t_start,
-                             t_start + self.dt)
+        targets = self._cem_targets()
+        fail_idx, fail_rows = self._failure_rows(1)
+        idx, a0 = self.healthy_idx, self._rk4[0]
+        positions = self.positions.copy()
+        positions[idx] = a0 * positions[idx] + (1.0 - a0) * targets
+        positions[fail_idx] = fail_rows[0]
         finite = np.isfinite(positions).all(axis=1)
         if not finite.all():
             raise self._non_finite(finite)
@@ -686,16 +711,6 @@ class Simulation:
             self.step()
         self.log.epochs = [ep.meta() for ep in self.epochs]
         return self.log
-
-
-def step_simulation(sim: Simulation, dt=None):
-    """Advance one tick; dt, if given, must equal the configured step."""
-    if dt is not None and abs(dt - sim.dt) > 1e-15:
-        raise ValueError(
-            f"fixed-step integrator: dt must equal the configured "
-            f"{sim.dt}, got {dt}")
-    sim.step()
-    return sim
 
 
 def inject_failure(sim: Simulation, agent_id, kind, time, velocity=None):
@@ -719,18 +734,8 @@ def inject_failure(sim: Simulation, agent_id, kind, time, velocity=None):
                              "velocity")
     if agent_id in sim.failures:
         raise ValueError(f"agent {agent_id} already has a failure")
-    spec = FailureSpec(agent_id=agent_id, time=time, kind=kind,
-                       velocity=velocity)
-    end_time = sim.total_ticks * sim.dt
-    if spec.time >= end_time:
-        warnings.warn(
-            f"failure of agent {agent_id} at t={spec.time} is beyond the run "
-            f"duration and has no effect", stacklevel=2)
-        sim.events.append(Event(
-            time=sim.clock, kind="failure_ignored",
-            payload={"agent": int(agent_id), "time": float(spec.time)}))
-        return sim
-    sim.failures[agent_id] = spec
+    sim._register_failure(FailureSpec(agent_id=agent_id, time=time,
+                                      kind=kind, velocity=velocity))
     return sim
 
 

@@ -4,9 +4,11 @@ tests/data/team22_golden.json holds one run of scenarios/team22.yaml:
 the actual positions every second, the event list with exact ticks and
 payloads, and the network epoch metadata.  A change that moves a
 trajectory by more than 1e-9 m, shifts an event by a tick or changes a
-network epoch fails here.  The log digest is stored as information only:
-a reassociated formula may change logged series such as sigma in their
-last bits without moving a trajectory.
+network epoch fails here.  The log digest is not stored: a reassociated
+formula, such as the affine closed form of the RK4 step, changes logged
+series in their last bits without moving a trajectory, so an exact digest
+would have to be re-recorded on every such change and would then compare
+nothing.
 
 Re-record after an intended numeric change, and declare it in CHANGES.md:
 
@@ -43,7 +45,6 @@ def summarize(log):
         "events": [[int(round(e.time / log.dt)), e.kind, e.payload]
                    for e in log.events],
         "epochs": log.epochs,
-        "digest": log.digest(),
     }
 
 
@@ -96,4 +97,4 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     summary = summarize(run_scenario(str(TEAM22)))
     GOLDEN.write_text(json.dumps(summary, sort_keys=True) + "\n")
-    print(f"recorded {GOLDEN.name}: digest {summary['digest']}")
+    print(f"recorded {GOLDEN.name}")

@@ -3,17 +3,26 @@
 The convergence oracle is the scalar ODE e' = -g e: with static leaders
 a displaced follower must contract toward its weighted in-neighbor
 point at rate g (up to the classical integrator's truncation error).
+The oracle for the affine team step r+ = M r + U is the classical RK4
+step it is the closed form of, written out stage by stage.
 """
+import math
+
 import numpy as np
 import pytest
-from conftest import TEAM22
+from conftest import REPO_ROOT, TEAM22
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contiform.automaton import Mode
 from contiform.errors import NumericError
 from contiform.scenario import load_scenario
-from contiform.simulate import (HEALTH_FLAGGED, HEALTH_OK, MODE_CODE,
-                                Simulation, inject_failure, run_scenario,
-                                step_simulation)
+from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK,
+                                MODE_CODE, Simulation, _rk4_coefficients,
+                                _stage_commands, _team_matrix,
+                                inject_failure, run_scenario)
+
+LATTICE27 = REPO_ROOT / "scenarios" / "lattice27.yaml"
 
 STATIC4 = """
 n: 2
@@ -91,6 +100,66 @@ leader_override: [1, 2, 3]
         assert np.all(log.health == HEALTH_OK)
 
 
+def rk4_track(r, rd1, rd2, rd3, g, dt):
+    """RK4 step of r' = g (rd(t) - r), rd sampled at t, t+dt/2, t+dt."""
+    k1 = g * (rd1 - r)
+    k2 = g * (rd2 - (r + 0.5 * dt * k1))
+    k3 = g * (rd2 - (r + 0.5 * dt * k2))
+    k4 = g * (rd3 - (r + dt * k3))
+    return r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+class TestTeamStep:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.sampled_from([2, 3]),
+           h=st.floats(0.0, 2.0, exclude_min=True),
+           dt=st.sampled_from([1e-3, 5e-3, 0.2]),
+           followers=st.integers(1, 6), excluded=st.integers(0, 2),
+           magnitude=st.floats(-2.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_affine_step_matches_rk4(self, n, h, dt, followers, excluded,
+                                     magnitude, seed):
+        """One tick of M r + U against RK4 with the followers' weighted
+        in-neighbor points held over the tick and the leaders' commands
+        sampled at the three stage times."""
+        rng = np.random.default_rng(seed)
+        leaders = n + 1
+        size = leaders + followers + excluded
+        perm = rng.permutation(size)
+        leader_idx = perm[:leaders]
+        follower_idx = perm[leaders:leaders + followers]
+        excluded_idx = perm[leaders + followers:]
+        order_idx = perm[:leaders + followers]
+        W = np.zeros((followers, len(order_idx)))
+        for j in range(followers):   # affine rows over n+1 other agents
+            cols = rng.choice(np.delete(np.arange(len(order_idx)),
+                                        leaders + j), n + 1, replace=False)
+            W[j, cols[:-1]] = rng.uniform(-2.0, 2.0, n)
+            W[j, cols[-1]] = 1.0 - W[j, cols[:-1]].sum()
+        scale = 10.0 ** magnitude
+        r = rng.uniform(-scale, scale, (size, 3))
+        cmd = rng.uniform(-scale, scale, (leaders, 3, 3))   # t, t+dt/2, t+dt
+        g = h / dt
+        coeffs = _rk4_coefficients(g * dt)
+        M = _team_matrix(size, coeffs[0], follower_idx, order_idx, W,
+                         leader_idx)
+        U = np.zeros((size, 3))
+        U[leader_idx] = _stage_commands(coeffs, cmd)[:, 0]
+        got = M @ r + U
+
+        stages = []
+        for c in cmd.swapaxes(0, 1):
+            rd = r.copy()
+            rd[follower_idx] = W @ r[order_idx]
+            rd[leader_idx] = c
+            stages.append(rd)
+        want = rk4_track(r, *stages, g, dt)
+        tol = 1e-12 * scale * max(1.0, np.abs(W).sum(axis=1).max())
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+        assert got[excluded_idx].tobytes() == r[excluded_idx].tobytes()
+        assert abs(math.fsum(coeffs) - 1.0) <= 4 * np.spacing(1.0)
+
+
 class TestConvergenceRate:
     def test_follower_contracts_at_gain_rate(self):
         sim = Simulation(static4(duration=1.0))
@@ -99,7 +168,7 @@ class TestConvergenceRate:
         sim.positions[j] = ref + np.array([0.05, 0.0, 0.0])
         ticks = 200
         for _ in range(ticks):
-            step_simulation(sim)
+            sim.step()
         err = np.linalg.norm(sim.positions[j] - ref)
         want = 0.05 * np.exp(-25.0 * ticks * sim.dt)
         assert err == pytest.approx(want, rel=1e-6)
@@ -111,7 +180,7 @@ class TestConvergenceRate:
         sim.positions[j] = ref + np.array([0.05, 0.0, 0.0])
         errors = []
         for _ in range(500):
-            step_simulation(sim)
+            sim.step()
             errors.append(np.linalg.norm(sim.positions[j] - ref))
         errors = np.array(errors)
         # monotone contraction toward the weighted point, settling < 1e-6
@@ -142,7 +211,7 @@ agents:
         sim._enter_cem(0.0)
         sim.mode = Mode.CEM
         before = sim.cem_targets.copy()
-        step_simulation(sim)
+        sim.step()
         advance = sim.cem_targets[sim.healthy_idx] - before[sim.healthy_idx]
         dt = sim.dt
         np.testing.assert_allclose(advance[:, 0], 10.0 / 10.0 * dt,
@@ -195,7 +264,7 @@ failures:
         sim = Simulation(static4(duration=0.1))
         inject_failure(sim, 4, "freeze", time=0.02)
         for _ in range(sim.total_ticks):
-            step_simulation(sim)
+            sim.step()
         j = sim.idx[4]
         np.testing.assert_allclose(sim.positions[j], sim.log.actual[20, j],
                                    atol=1e-12)
@@ -265,10 +334,8 @@ failures:
 
     def test_step_guard(self):
         sim = Simulation(static4(duration=0.01))
-        with pytest.raises(ValueError, match="dt must equal"):
-            step_simulation(sim, dt=0.5)
         for _ in range(sim.total_ticks):
-            step_simulation(sim, dt=sim.dt)
+            sim.step()
         with pytest.raises(RuntimeError):
             sim.step()
 
@@ -292,6 +359,41 @@ class TestLogShape:
         log = run_scenario(static4(duration=0.05))
         np.testing.assert_allclose(log.sigma[1:], 1.0, atol=1e-9)
         assert np.all(log.margin_ok[1:] == 1)
+
+
+class TestLattice27:
+    def test_evades_excludes_and_rebuilds_in_3d(self):
+        """n = 3 end to end: the shipped 3-D lattice tracks its climbing
+        leaders, evades the drifting centre agent, excludes it and rebuilds
+        the network, and the block length does not change the log."""
+        config = load_scenario(LATTICE27)
+        assert config.n == 3 and len(config.agent_ids) == 27
+        log = run_scenario(config)
+        changes = log.mode_changes()
+        assert [(e.payload["to"], e.payload["agents"]) for e in changes] \
+            == [("CEM", [14]), ("HDM", [14])]
+        resets = log.events_of_kind("reference_reset")
+        assert [e.payload["excluded"] for e in resets] == [[14]]
+        assert [ep["start_tick"] for ep in log.epochs] == \
+            [0, round(resets[0].time / log.dt)]
+        rebuilt = log.epochs[1]
+        assert 14 not in rebuilt["leaders"] + rebuilt["followers"]
+        assert log.health[-1, log.agent_ids.index(14)] == HEALTH_EXCLUDED
+        # before the drift every agent follows the leaders' 0.12 m/s climb,
+        # each in-neighbor hop adding a lag of about v/g
+        row = round(0.5 / log.dt)
+        assert np.all(log.health[:row + 1] == HEALTH_OK)
+        climb = log.actual[row, :, 2] - log.actual[0, :, 2]
+        assert np.all((climb > 0.03) & (climb < 0.06))
+        # the planar evasion carries each healthy agent's height
+        cem = np.flatnonzero(log.mode == MODE_CODE[Mode.CEM])
+        healthy = log.health[cem[-1]] == HEALTH_OK
+        z = log.actual[cem[0]:cem[-1] + 1][:, healthy, 2]
+        np.testing.assert_allclose(z, np.broadcast_to(z[0], z.shape),
+                                   rtol=0.0, atol=1e-9)
+        one = Simulation(config)
+        one.lookahead_ticks = 1
+        assert one.run().digest() == log.digest()
 
 
 class TestKnownLimitations:
