@@ -44,17 +44,17 @@ def transition(mode, anomalous, positions, center, half_size, norm_kind,
     diff = positions - center
     dist = np.abs(diff).sum(axis=1) if norm_kind == "l1" \
         else np.sqrt((diff * diff).sum(axis=1))
-    inside = [anomalous[j] for j in np.flatnonzero(dist <= half_size)]
-    if mode is Mode.HDM and inside:
-        return Mode.CEM, [Event(time=clock, kind="mode_change",
-                                payload={"from": "HDM", "to": "CEM",
-                                         "agents": inside})]
-    if mode is Mode.CEM and not inside:
-        return Mode.HDM, [
-            Event(time=clock, kind="mode_change",
-                  payload={"from": "CEM", "to": "HDM",
-                           "agents": list(anomalous)}),
-            Event(time=clock, kind="reference_reset",
-                  payload={"excluded": list(anomalous)}),
-        ]
-    return mode, []
+    inside = dist <= half_size
+    if bool(np.count_nonzero(inside)) is (mode is Mode.CEM):
+        return mode, []   # HDM with nobody inside, or CEM with someone
+    if mode is Mode.HDM:
+        return Mode.CEM, [Event(time=clock, kind="mode_change", payload={
+            "from": "HDM", "to": "CEM",
+            "agents": [anomalous[j] for j in np.flatnonzero(inside)]})]
+    return Mode.HDM, [
+        Event(time=clock, kind="mode_change",
+              payload={"from": "CEM", "to": "HDM",
+                       "agents": list(anomalous)}),
+        Event(time=clock, kind="reference_reset",
+              payload={"excluded": list(anomalous)}),
+    ]

@@ -24,10 +24,10 @@ the orientation gamma = theta_inf + pi the field is the classical flow
 past a cylinder: stagnation points on the upstream/downstream axis and the
 zero streamline on the circle of radius sqrt(delta / u_inf).
 
-A FlowField caches u_e and the doublet centers, coefficients, disk radii
-and squared radii as arrays when it is built; one evaluator broadcasts W
-and W' over (queries, doublets).  The flow is planar: the z coordinate of
-a position is carried through unchanged.
+A FlowField caches u_e and the doublet centers, coefficients and disk
+radii; one evaluator sums W and W' over the doublets.  The streamline step
+inverts W: the outer root of a quadratic with one doublet, a batched
+Newton solve with more.  The flow is planar: z is carried through.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ from .errors import FlowSingularityError, ScenarioError
 # default disk radius around a failed agent (meters)
 DEFAULT_EXCLUSION_RADIUS = 4.0
 
-# stagnation guard: a streamline stage with |J| below this multiple of
-# u_inf^2 gets zero velocity and marks the agent stagnated
+# stagnation guard: an agent where |J| = |W'|^2 is below this multiple of
+# u_inf^2 holds its position and is marked stagnated
 STAGNATION_FLOOR_FACTOR = 1e-9
 
-# relative tolerance for the streamline-restoring Newton projection
-_PROJECTION_RTOL = 1e-12
-_PROJECTION_MAX_ITER = 12
+# Newton inversion of W with two or more doublets: residual tolerance
+# relative to the summed term scale, and iteration cap
+_INVERSE_RTOL = 1e-13
+_INVERSE_MAX_ITER = 12
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class FlowField:
     _coef: np.ndarray = _cached()      # (k,) complex delta e^{i gamma}
     _ue: complex = _cached()           # u_inf e^{-i theta_inf}
     _radius: np.ndarray = _cached()    # (k,) disk radius
-    _radius2: np.ndarray = _cached()   # (k,) delta / u_inf
 
     def __post_init__(self):
         if not (self.u_inf > 0.0 and np.isfinite(self.u_inf)):
@@ -90,7 +90,6 @@ class FlowField:
         doublets = tuple(self.doublets)
         delta = np.array([d.delta for d in doublets], dtype=np.float64)
         gamma = np.array([d.gamma for d in doublets], dtype=np.float64)
-        radius2 = delta / self.u_inf
         cached = {
             "doublets": doublets,
             "_centers": np.array([complex(d.a, d.b) for d in doublets],
@@ -98,8 +97,7 @@ class FlowField:
             "_coef": delta * (np.cos(gamma) + 1j * np.sin(gamma)),
             "_ue": self.u_inf * complex(np.cos(self.theta_inf),
                                         -np.sin(self.theta_inf)),
-            "_radius": np.sqrt(radius2),
-            "_radius2": radius2,
+            "_radius": np.sqrt(delta / self.u_inf),
         }
         for name, value in cached.items():
             object.__setattr__(self, name, value)
@@ -178,35 +176,28 @@ def build_flow_from_failures(failed_positions, u_inf, theta_inf=0.0,
     return FlowField(u_inf=u_inf, theta_inf=theta_inf, doublets=doublets)
 
 
-def _offsets(field, z):
-    """z - z_i for the complex points z (m,) and every center, as (m, k).
-
-    Raises FlowSingularityError if any point coincides with a center.
-    """
-    zeta = z[:, None] - field._centers
-    if np.count_nonzero(zeta) < zeta.size:
-        c = field._centers[int(np.argmax((zeta == 0).any(axis=0)))]
-        raise FlowSingularityError(
-            f"flow evaluated at doublet center ({c.real:.6g}, {c.imag:.6g})"
-        )
-    return zeta
-
-
-def _derivative(field, zeta):
-    """W'(z) = u_e + sum_i c_i / zeta_i^2 from the offsets zeta (m, k)."""
-    return field._ue + np.add.reduce(field._coef / (zeta * zeta), axis=1)
-
-
 def _eval(field, z):
-    """W, W' and the unsafe mask at the complex points z, shape (m,).
+    """W and W' at the complex points z (m,), one doublet at a time.
 
-    unsafe marks points strictly inside an exclusion disk.  Raises
-    FlowSingularityError if any point coincides with a doublet center.
+    Raises FlowSingularityError if any point coincides with a doublet center.
     """
-    zeta = _offsets(field, z)
-    w = field._ue * z - np.add.reduce(field._coef / zeta, axis=1)
-    rho2 = zeta.real * zeta.real + zeta.imag * zeta.imag
-    return w, _derivative(field, zeta), (rho2 < field._radius2).any(axis=1)
+    w, dw = field._ue * z, field._ue
+    for center, coef in zip(field._centers, field._coef):
+        zeta = z - center
+        if np.count_nonzero(zeta) < len(zeta):
+            raise FlowSingularityError(
+                f"flow evaluated at doublet center "
+                f"({center.real:.6g}, {center.imag:.6g})")
+        term = coef / zeta
+        w -= term
+        dw = dw + term / zeta
+    # with no doublet dw is still the scalar u_e
+    return w, dw if len(field._centers) else np.full(len(z), dw)
+
+
+def _inside(field, z):
+    """(m, k) mask of the points z (m,) strictly inside each disk."""
+    return np.abs(z[:, None] - field._centers) < field._radius
 
 
 def _as_complex(positions):
@@ -216,13 +207,14 @@ def _as_complex(positions):
 
 def eval_flow(field, x, y):
     """Evaluate potential, stream function, gradients and |J| at one point."""
-    w, dw, unsafe = _eval(field, np.array([complex(float(x), float(y))]))
+    z = np.array([complex(float(x), float(y))])
+    w, dw = _eval(field, z)
     phi_x, phi_y = float(dw[0].real), -float(dw[0].imag)
     return FlowSample(phi=float(w[0].real), psi=float(w[0].imag),
                       grad_phi=np.array([phi_x, phi_y]),
                       grad_psi=np.array([-phi_y, phi_x]),
                       jac_det=phi_x * phi_x + phi_y * phi_y,
-                      unsafe=bool(unsafe[0]))
+                      unsafe=bool(_inside(field, z).any()))
 
 
 def assign_stream_constants(healthy_positions, field):
@@ -237,72 +229,72 @@ def assign_stream_constants(healthy_positions, field):
         return {}
     pts = np.array([np.asarray(healthy_positions[a], dtype=np.float64)[:2]
                     for a in ids])
-    w, _, unsafe = _eval(field, _as_complex(pts))
+    z = _as_complex(pts)
+    unsafe = _inside(field, z).any(axis=1)
     if unsafe.any():
         j = int(np.argmax(unsafe))
         raise ScenarioError(
             f"agent {ids[j]} lies strictly inside an exclusion disk "
             f"at CEM activation: position ({pts[j, 0]:.6g}, {pts[j, 1]:.6g})"
         )
-    return {a: float(psi) for a, psi in zip(ids, w.imag)}
+    return {a: float(psi) for a, psi in zip(ids, _eval(field, z)[0].imag)}
 
 
-def _planar_rk4(field, z, v_phi, dt, floor):
-    """One classical 4th-order step of the planar streamline ODE.
+def _invert(field, target, seed):
+    """Points z (m,) with W(z) = target (m,), and the unconverged indices.
 
-    The rate is v_phi conj(W') / |W'|^2, the planar velocity
-    (v_phi / |J|) (psi_y, -psi_x) along which d(psi)/dt = 0 and
-    d(phi)/dt = v_phi.  z is a complex (m,) array.  Returns (z_next,
-    stagnated): a stage with |W'|^2 below the floor gets zero velocity and
-    marks the agent stagnated.
+    With one doublet zeta = z - z_1 solves u_e zeta^2 - s zeta - c = 0,
+    s = target - u_e z_1.  Its roots are mirror images across the disk
+    circle, so the outer one has the larger |zeta|, from whichever of
+    s +- sqrt(s^2 + 4 u_e c) has the larger modulus.  Otherwise Newton
+    steps on W from seed (m,) run per point until the residual is within
+    _INVERSE_RTOL of the summed term scale, or for _INVERSE_MAX_ITER steps.
     """
-    def rate(p):
-        dw = _derivative(field, _offsets(field, p))
-        jac = dw.real * dw.real + dw.imag * dw.imag
-        bad = jac < floor
-        # where jac >= floor the maximum is jac itself
-        scale = np.where(bad, 0.0, v_phi / np.maximum(jac, floor))
-        return scale * dw.conj(), bad
-
-    k1, b1 = rate(z)
-    k2, b2 = rate(z + 0.5 * dt * k1)
-    k3, b3 = rate(z + 0.5 * dt * k2)
-    k4, b4 = rate(z + dt * k3)
-    z_next = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return z_next, b1 | b2 | b3 | b4
-
-
-def _restore_streamline(field, z, psi_target, floor):
-    """Newton correction along grad_psi bringing psi(z) back to psi_target.
-
-    z and psi_target are (m,) arrays; each point iterates until its own
-    error is within tolerance or its |J| falls below the floor.
-    """
-    z = z.copy()
-    tol = _PROJECTION_RTOL * np.maximum(1.0, np.abs(psi_target))
-    active = np.ones(len(z), dtype=bool)
-    for _ in range(_PROJECTION_MAX_ITER):
-        w, dw, _ = _eval(field, z)
-        err = psi_target - w.imag
-        norm2 = dw.real * dw.real + dw.imag * dw.imag
-        active &= (np.abs(err) > tol) & (norm2 >= floor)
-        if not active.any():
+    ue = field._ue
+    if len(field._centers) == 1:
+        center, radius = field._centers[0], field._radius[0]
+        s = target - ue * center
+        root = np.sqrt(s * s + 4.0 * ue * field._coef[0])
+        plus, minus = s + root, s - root
+        zeta = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / (2 * ue)
+        z = center + zeta
+        # both roots on the circle (the dividing streamline past its
+        # stagnation point): keep to the arc nearer the seed, just outside
+        tie = np.abs(zeta) <= radius * (1.0 + 1e-9)
+        if np.count_nonzero(tie):
+            near, seed = z[tie] - center, seed[tie] - center
+            far = -field._coef[0] / (ue * near)   # roots' product: -c / u_e
+            arc = np.where(np.abs(far - seed) < np.abs(near - seed), far, near)
+            z[tie] = center + arc * (radius * (1.0 + 1e-12) / np.abs(arc))
+        return z, np.zeros(0, dtype=int)
+    z = np.array(seed, dtype=np.complex128)
+    todo = np.arange(len(z))
+    for it in range(_INVERSE_MAX_ITER + 1):
+        w, dw = _eval(field, z[todo])
+        res = w - target[todo]
+        # the summed term scale |u_e z| + sum_i |c_i / (z - z_i)|
+        scale = np.abs(ue * z[todo]) + np.add.reduce(
+            np.abs(field._coef) / np.abs(z[todo, None] - field._centers), 1)
+        left = np.abs(res) > _INVERSE_RTOL * scale
+        todo = todo[left]
+        if not todo.size or it == _INVERSE_MAX_ITER:
             break
-        # grad_psi = (-phi_y, phi_x) = (Im W', Re W') = 1j conj(W')
-        step = err * (1j * dw.conj()) / np.where(active, norm2, 1.0)
-        z[active] += step[active]
-    return z
+        z[todo] -= res[left] / dw[left]
+    return z, todo
 
 
 def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
-    """Vectorized streamline step for the simulation loop.
+    """One streamline step for the simulation loop, by inverting W.
 
-    positions is (m, 3).  Stagnating agents keep their position for the step
-    (velocity clamped to zero) and are reported in the stagnated mask,
-    matching the supervisor's clamp-and-log policy.  Agents
-    drifting strictly into a disk are pushed back out and re-projected onto
-    psi_targets (their stream constants; defaults to the pre-step psi), and
-    reported in the projected mask.  The z column is carried through.
+    positions is (m, 3).  Along a streamline psi is constant and
+    d(phi)/dt = v_phi, so each agent moves to the z+ with W(z+) =
+    phi(z) + v_phi dt + 1j psi_target (_invert); psi_targets are the stream
+    constants, by default the current psi.  An agent where |W'|^2 is below
+    the stagnation floor, or whose solve fails, holds and is flagged
+    stagnated (the supervisor's clamp-and-log policy).  A Newton result
+    strictly inside a disk is flagged projected, pushed radially out and
+    solved again from there; if that fails too, the agent holds stagnated.
+    The z column is carried through.
 
     Returns (next_positions (m, 3), stagnated (m,), projected (m,)).
     """
@@ -312,33 +304,31 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     m = positions.shape[0]
     if m == 0 or dt == 0.0:
         return positions.copy(), np.zeros(m, bool), np.zeros(m, bool)
-    floor = field.stagnation_floor
     z0 = _as_complex(positions)
-    if psi_targets is None:
-        psi_targets = _eval(field, z0)[0].imag
-    else:
-        psi_targets = np.asarray(psi_targets, dtype=np.float64)
+    w, dw = _eval(field, z0)
+    target = w + v_phi * dt
+    if psi_targets is not None:
+        target.imag = psi_targets
+    z1, failed = _invert(field, target, z0)
 
-    z1, stagnated = _planar_rk4(field, z0, v_phi, dt, floor)
-    z1 = np.where(stagnated, z0, z1)
-
-    zeta = z1[:, None] - field._centers
-    rho = np.hypot(zeta.real, zeta.imag)
-    inside = rho < field._radius
+    inside = _inside(field, z1) if len(field._centers) > 1 else ()
     projected = np.zeros(m, dtype=bool)
     if np.count_nonzero(inside):
         projected = inside.any(axis=1)
-        # push radially out of the first disk entered, then back onto psi_0
+        # push radially out of the first disk entered (W has no root on a
+        # center), then solve again from there
         idx = np.flatnonzero(projected)
         j = inside[idx].argmax(axis=1)
-        d, r = zeta[idx, j], rho[idx, j]
-        target = field._radius[j] * (1.0 + 1e-12)
-        # a point exactly on a center goes out along the upstream axis
-        push = np.where(r == 0.0,
-                        -target * np.exp(1j * field.theta_inf),
-                        d * target / np.where(r == 0.0, 1.0, r))
-        z1[idx] = _restore_streamline(field, field._centers[j] + push,
-                                      psi_targets[idx], floor)
+        d = z1[idx] - field._centers[j]
+        pushed = field._centers[j] + d * (field._radius[j] * (1.0 + 1e-12)
+                                          / np.abs(d))
+        z1[idx], failed_here = _invert(field, target[idx], pushed)
+        still = _inside(field, z1[idx]).any(axis=1)
+        failed = np.concatenate((failed, idx[failed_here], idx[still]))
+    stagnated = np.abs(dw) < field.stagnation_floor ** 0.5
+    stagnated[failed] = True
+    if np.count_nonzero(stagnated):
+        z1[stagnated] = z0[stagnated]
 
     out = positions.copy()
     out[:, :2] = z1.view(np.float64).reshape(m, 2)

@@ -27,10 +27,14 @@ order, the containment center and the log rows.  The block keeps the ticks
 up to and including the first one on which the detector flags anyone, and
 each step() call commits one buffered tick; the flagged tick runs the
 supervisor transition (5).  An HDM tick with agents already flagged is a
-block of one tick, and CEM ticks run one at a time.  The buffer is
-dropped, and its uncommitted log rows cleared, when the state it was built
-from changes between steps: a failure added or edited (inject_failure), or
-positions, mode or flagged set edited.
+block of one tick.  The buffer is dropped, and its uncommitted log rows
+cleared, when the state it was built from changes between steps: a
+failure added or edited (inject_failure), or positions, mode or flagged
+set edited.
+
+CEM ticks run one per step(), each with one cem.step_streamline_many call
+for the healthy agents' targets; the failed agents' positions come from
+rows computed for a chunk of ticks, like a block's.
 """
 from __future__ import annotations
 
@@ -250,6 +254,7 @@ class Simulation:
         self.epochs = []
         self._deviating_leaders = set()
         self._ahead = None
+        self._cem_failures = None   # (start tick, failures, indices, rows)
 
         self.failures = {}
         self.failure_anchor = {}   # agent id -> (t_active, anchor position)
@@ -347,8 +352,8 @@ class Simulation:
             agent_ids=self.ids, n=self.n, dt=self.dt,
             times=np.arange(rows) * self.dt,
             actual=np.zeros((rows, n, 3)),
-            local_desired=np.zeros((rows, n, 3)),
-            global_desired=np.zeros((rows, n, 3)),
+            local_desired=np.full((rows, n, 3), np.nan),
+            global_desired=np.full((rows, n, 3), np.nan),
             weights=np.full((rows, n, k), np.nan),
             bounds_lo=np.full((rows, n, k), np.nan),
             bounds_hi=np.full((rows, n, k), np.nan),
@@ -364,10 +369,10 @@ class Simulation:
     def _clear_rows(self, rows):
         """Reset log rows to the values _alloc_log fills them with."""
         log = self.log
-        for arr in (log.actual, log.local_desired, log.global_desired,
-                    log.center):
+        for arr in (log.actual, log.center):
             arr[rows] = 0.0
-        for arr in (log.weights, log.bounds_lo, log.bounds_hi, log.sigma):
+        for arr in (log.local_desired, log.global_desired, log.weights,
+                    log.bounds_lo, log.bounds_hi, log.sigma):
             arr[rows] = np.nan
         log.health[rows] = HEALTH_OK
         log.mode[rows] = MODE_CODE[Mode.HDM]
@@ -388,27 +393,10 @@ class Simulation:
         rd[:, ep.leader_idx] = leader_cmd.swapaxes(0, 1)
         return rd
 
-    def _cem_targets(self):
-        """Advance the healthy agents' streamline targets one step."""
-        idx = self.healthy_idx
-        stepped, stagnated, projected = cem.step_streamline_many(
-            self.cem_targets[idx], self.flow, self.config.cem_v_phi, self.dt,
-            self.psi0)
-        self.cem_targets[idx] = stepped
-        t_next = self.clock + self.dt
-        for flag, kind in ((stagnated, "stagnation"),
-                           (projected, "disk_projection")):
-            for j in np.flatnonzero(flag):
-                agent = self.ids[idx[j]]
-                if agent not in self._cem_event_latch[kind]:
-                    self._cem_event_latch[kind].add(agent)
-                    self.events.append(Event(time=t_next, kind=kind,
-                                             payload={"agent": int(agent)}))
-        return stepped
-
     def _failure_rows(self, size):
-        """Failed agents' indices (A,) and positions (size, A, 3) after each
-        of the next size ticks; one activating now anchors where it is."""
+        """Failed agents' indices (A,) and positions (K, A, 3) after each of
+        the next K <= size ticks, cut at the run end and before the next
+        activation; a failure activating now anchors where it is."""
         t_start = self.clock
         for agent_id, spec in self.failures.items():
             if (agent_id not in self.failure_anchor
@@ -418,6 +406,11 @@ class Simulation:
                 self.events.append(Event(
                     time=t_start, kind="failure_active",
                     payload={"agent": int(agent_id), "kind": spec.kind}))
+        size = min(size, self.total_ticks - self.tick)
+        later = (self.tick + np.arange(1, size)) * self.dt >= min(
+            (spec.time - 1e-12 for a, spec in self.failures.items()
+             if a not in self.failure_anchor), default=math.inf)
+        size = int(later.argmax()) + 1 if later.any() else size
         active = [a for a in self.failures if a in self.failure_anchor]
         rows = np.empty((size, len(active), 3))
         t_end = (self.tick + np.arange(size)) * self.dt + self.dt
@@ -533,10 +526,8 @@ class Simulation:
                                       log.bounds_hi), det):
                 arr[rows, ep.follower_idx] = rows_det.reshape(shape)
         log.local_desired[rows] = local
-        glob = log.global_desired[rows]
-        glob[:] = np.nan
-        glob[:, ep.leader_idx] = cmd
-        glob[:, ep.follower_idx] = ep.network.W_L @ cmd
+        log.global_desired[rows, ep.leader_idx] = cmd
+        log.global_desired[rows, ep.follower_idx] = ep.network.W_L @ cmd
         log.sigma[rows], log.margin_ok[rows] = ep.sigmas(cmd)
         diff = positions[:, ep.leader_idx] - cmd
         lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
@@ -565,18 +556,18 @@ class Simulation:
             self.tick, self.positions[None], local, self.center[None], det,
             None))
 
-    def _write_cem_row(self, row):
+    def _write_cem_row(self, row, targets, entry=False):
+        """Log a CEM row with the healthy agents' targets (H, 3); the rest
+        keep the log's NaN and NA, reset first on the HDM-written entry row."""
         log, idx = self.log, self.healthy_idx
+        if entry:
+            log.local_desired[row] = log.global_desired[row] = np.nan
+            log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
         log.actual[row] = self.positions
         log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
         log.health[row] = self.health
-        targets = self.cem_targets[idx]
-        for desired in (log.local_desired[row], log.global_desired[row]):
-            desired[:] = np.nan
-            desired[idx] = targets
-        log.sigma[row] = np.nan
-        log.margin_ok[row] = MARGIN_NA
+        log.local_desired[row, idx] = log.global_desired[row, idx] = targets
 
     # -- main loop --------------------------------------------------------
 
@@ -616,14 +607,9 @@ class Simulation:
         """Integrate a block of HDM ticks from the current state, evaluate
         and log it in one pass, and buffer it for _commit."""
         ep = self.epoch
-        size = min(1 if self.flagged else self.lookahead_ticks,
-                   self.total_ticks - self.tick)
-        fail_idx, fail_rows = self._failure_rows(size)
-        # the tick on which the next failure activates starts the next block
-        later = (self.tick + np.arange(1, size)) * self.dt >= min(
-            (spec.time - 1e-12 for a, spec in self.failures.items()
-             if a not in self.failure_anchor), default=math.inf)
-        size = int(later.argmax()) + 1 if later.any() else size
+        fail_idx, fail_rows = self._failure_rows(
+            1 if self.flagged else self.lookahead_ticks)
+        size = len(fail_rows)
         base = 2 * (self.tick - self._grid_base_tick)
         cmd = self._leader_cmd[:, base:base + 2 * size + 1]
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
@@ -681,28 +667,52 @@ class Simulation:
         if self.flagged:
             self._supervise(t_end)
         if self.mode is Mode.CEM:   # entered on this tick
-            self._write_cem_row(self.tick)
+            self._write_cem_row(self.tick, self.cem_targets[self.healthy_idx],
+                                entry=True)
         elif ahead.events:
             self._emit(e for e in ahead.events if e[0] == k)
 
+    def _cem_failure_row(self):
+        """Failed agents' indices and positions after this CEM tick, from a
+        chunk of _failure_rows rebuilt once used up or the failures change."""
+        chunk, failures = self._cem_failures, tuple(self.failures.values())
+        k = -1 if chunk is None else self.tick - chunk[0]
+        if not (0 <= k < len(chunk[3]) and chunk[1] == failures):
+            chunk = (self.tick, failures,
+                     *self._failure_rows(self.lookahead_ticks))
+            self._cem_failures, k = chunk, 0
+        return chunk[2], chunk[3][k]
+
     def _cem_step(self):
-        """One CEM tick; the detector is suspended, the flagged set frozen."""
-        t_start = self.clock
-        targets = self._cem_targets()
-        fail_idx, fail_rows = self._failure_rows(1)
+        """One CEM tick; the detector is suspended, the flagged set frozen.
+        Activations are logged before the tick's stagnation and projections."""
+        t_end = self.clock + self.dt
+        fail_idx, fail_row = self._cem_failure_row()
         idx, a0 = self.healthy_idx, self._rk4[0]
+        targets, stagnated, projected = cem.step_streamline_many(
+            self.cem_targets[idx], self.flow, self.config.cem_v_phi, self.dt,
+            self.psi0)
+        self.cem_targets[idx] = targets
+        for flag, kind in ((stagnated, "stagnation"),
+                           (projected, "disk_projection")):
+            latch = self._cem_event_latch[kind]
+            for i in idx[flag] if np.count_nonzero(flag) else ():
+                agent = int(self.ids[i])
+                if agent not in latch:
+                    latch.add(agent)
+                    self.events.append(Event(time=t_end, kind=kind,
+                                             payload={"agent": agent}))
         positions = self.positions.copy()
         positions[idx] = a0 * positions[idx] + (1.0 - a0) * targets
-        positions[fail_idx] = fail_rows[0]
-        finite = np.isfinite(positions).all(axis=1)
-        if not finite.all():
-            raise self._non_finite(finite)
+        positions[fail_idx] = fail_row
+        if not np.isfinite(positions).all():
+            raise self._non_finite(np.isfinite(positions).all(axis=1))
         self.positions = positions
         self.tick += 1
         self._update_center()
-        self._supervise(t_start + self.dt)
+        self._supervise(t_end)
         if self.mode is Mode.CEM:
-            self._write_cem_row(self.tick)
+            self._write_cem_row(self.tick, targets)
         else:   # back to HDM on a rebuilt network
             self._log_epoch_row(None)
 

@@ -2,7 +2,8 @@
 
 Analytic values come from the uniform-plus-doublet closed forms; finite
 difference oracles check the gradients and the Laplace property, and the
-real per-doublet formulas check the complex evaluator and the RK4 step.
+real per-doublet formulas check the complex evaluator and, through a
+test-local Newton solve, the streamline map.
 """
 import numpy as np
 import pytest
@@ -186,19 +187,25 @@ def oracle_eval(field, x, y):
     return phi, psi, phi_x, phi_y
 
 
-def oracle_rk4(field, x, y, v_phi, dt):
-    """One real-arithmetic RK4 step along grad_phi / |grad_phi|^2."""
-    def rate(px, py):
-        _, _, gx, gy = oracle_eval(field, px, py)
-        scale = v_phi / (gx * gx + gy * gy)
-        return scale * gx, scale * gy
+def oracle_newton(field, x, y, phi_target, psi_target, iterations=40):
+    """(x, y) with (phi, psi) = the targets, by real Newton steps from (x, y)
+    on the per-doublet formulas; the Jacobian of (phi, psi) is
+    [[phi_x, phi_y], [-phi_y, phi_x]] (Cauchy-Riemann)."""
+    for _ in range(iterations):
+        phi, psi, gx, gy = oracle_eval(field, x, y)
+        e_phi, e_psi = phi_target - phi, psi_target - psi
+        det = gx * gx + gy * gy
+        x += (gx * e_phi - gy * e_psi) / det
+        y += (gy * e_phi + gx * e_psi) / det
+    return x, y
 
-    k1 = rate(x, y)
-    k2 = rate(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1])
-    k3 = rate(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1])
-    k4 = rate(x + dt * k3[0], y + dt * k3[1])
-    return (x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+def term_scale(field, x, y):
+    """|u_e z| + sum_i |c_i / (z - z_i)|: the magnitude of W's summed
+    terms, against which its rounding is measured."""
+    rho = np.array([np.hypot(x - d.a, y - d.b) for d in field.doublets])
+    delta = np.array([d.delta for d in field.doublets])
+    return field.u_inf * np.hypot(x, y) + np.sum(delta / rho)
 
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
@@ -234,8 +241,8 @@ def step_velocity(field, x, y, v_phi, dt):
 
 
 class TestStreamlineVelocity:
-    """The RK4 rate v_phi conj(W') / |W'|^2, seen through one batched
-    step."""
+    """The streamline velocity v_phi conj(W') / |W'|^2, seen as the mean
+    velocity of one step of the inverse of W."""
 
     def test_uniform_unit_speed(self):
         v, stag = step_velocity(uniform_field(), 5.0, -3.0, 10.0, 0.1)
@@ -300,47 +307,120 @@ class TestStepStreamline:
         assert abs(psi - psi0[0]) <= 1e-6
 
     @ORACLE
-    @given(fields_and_points(), st.floats(1e-4, 1e-2))
-    def test_batch_matches_real_oracle(self, case, dt):
-        """The complex evaluator and one RK4 step against the real
-        per-doublet formulas.  The tolerances scale with the magnitude of
-        the summed terms: psi vanishes on every disk circle and W' at the
-        stagnation points, where a bound relative to the result itself
-        would ask for more than rounding allows."""
+    @given(fields_and_points())
+    def test_batch_matches_real_oracle(self, case):
+        """The complex evaluator against the real per-doublet formulas.
+        The tolerances scale with the magnitude of the summed terms: psi
+        vanishes on every disk circle and W' at the stagnation points,
+        where a bound relative to the result itself would ask for more
+        than rounding allows."""
         field, x, y = case
         phi, psi, phi_x, phi_y = oracle_eval(field, x, y)
         rho = np.array([np.hypot(x - d.a, y - d.b) for d in field.doublets])
         delta = np.array([d.delta for d in field.doublets])
-        pot_scale = field.u_inf * np.hypot(x, y) + np.sum(delta / rho)
+        pot_scale = term_scale(field, x, y)
         grad_scale = field.u_inf + np.sum(delta / rho**2)
         s = cem.eval_flow(field, x, y)
         assert abs(s.phi - phi) <= 1e-12 * pot_scale
         assert abs(s.psi - psi) <= 1e-12 * pot_scale
         np.testing.assert_allclose(s.grad_phi, [phi_x, phi_y], rtol=0,
                                    atol=1e-12 * grad_scale)
-        assume(s.jac_det > 0.01 * field.u_inf**2)
-        want = oracle_rk4(field, x, y, 10.0, dt)
-        out, stag, proj = cem.step_streamline_many(
-            np.array([[x, y, 0.3]]), field, 10.0, dt)
-        assume(not proj[0])
-        assert not stag[0]
-        moved = np.hypot(want[0] - x, want[1] - y)
-        np.testing.assert_allclose(out[0], [want[0], want[1], 0.3], rtol=0,
-                                   atol=1e-12 * (np.hypot(x, y) + moved))
 
-    def test_step_into_disk_is_projected(self):
+    @ORACLE
+    @given(fields_and_points(), st.floats(1e-4, 1e-2),
+           st.floats(-0.05, 0.05))
+    def test_step_inverts_the_potential(self, case, dt, psi_shift):
+        """One step lands where phi has advanced by v_phi dt and psi equals
+        its target (here the current psi shifted), outside every disk, at
+        the root a real Newton solve from the start point finds."""
+        field, x, y = case
+        phi, psi, phi_x, phi_y = oracle_eval(field, x, y)
+        jac = phi_x * phi_x + phi_y * phi_y
+        assume(jac > 0.01 * field.u_inf**2)
+        out, stag, proj = cem.step_streamline_many(
+            np.array([[x, y, 0.3]]), field, 10.0, dt,
+            np.array([psi + psi_shift]))
+        assert not stag[0] and not proj[0]
+        x1, y1 = out[0, 0], out[0, 1]
+        assert out[0, 2] == 0.3
+        phi1, psi1, _, _ = oracle_eval(field, x1, y1)
+        scale = max(term_scale(field, x, y), term_scale(field, x1, y1))
+        assert abs(phi1 - phi - 10.0 * dt) <= 1e-12 * scale
+        assert abs(psi1 - psi - psi_shift) <= 1e-12 * scale
+        for d, radius in zip(field.doublets, field.exclusion_radii):
+            assert np.hypot(x1 - d.a, y1 - d.b) >= radius
+        want = oracle_newton(field, x, y, phi + 10.0 * dt, psi + psi_shift)
+        assert np.hypot(x1 - want[0], y1 - want[1]) \
+            <= 1e-11 * scale / np.sqrt(jac)
+
+    def test_long_step_past_disk_stays_outside(self):
+        """A step of 3 m in phi that grazes the disk: the exact inverse
+        keeps psi and never enters it, so nothing is projected."""
         field = cylinder_field()
         start = np.array([[-4.2, 0.3, 0.5], [-12.0, 6.0, 0.5]])
         psi0 = np.array([cem.eval_flow(field, x, y).psi
                          for x, y, _ in start])
         out, stag, proj = cem.step_streamline_many(start, field, 10.0, 0.3,
                                                    psi0)
-        np.testing.assert_array_equal(proj, [True, False])
-        assert not stag.any()
-        assert np.hypot(out[0, 0], out[0, 1]) >= 4.0
-        assert abs(cem.eval_flow(field, out[0, 0], out[0, 1]).psi
-                   - psi0[0]) <= 1e-9
+        assert not stag.any() and not proj.any()
+        for (x, y, _), (x1, y1, _), target in zip(start, out, psi0):
+            assert np.hypot(x1, y1) >= 4.0
+            after = cem.eval_flow(field, x1, y1)
+            assert abs(after.psi - target) <= 1e-9
+            assert abs(after.phi - cem.eval_flow(field, x, y).phi - 3.0) \
+                <= 1e-9
         np.testing.assert_array_equal(out[:, 2], start[:, 2])
+
+    def test_step_into_disk_is_projected(self):
+        """With two disks a long step sends the Newton solve to a root
+        inside a disk.  The guard flags it, pushes it out and solves
+        again for psi; the result is never strictly inside a disk, and an
+        agent the second solve cannot place outside holds as
+        stagnated."""
+        field = cem.build_flow_from_failures(
+            np.array([[0.0, 0.0], [10.0, 0.0]]), 10.0, radius_override=4.0)
+        start = np.array([[3.941, 1.056, 0.5], [3.533, 2.04, 0.5],
+                          [-12.0, 6.0, 0.5]])
+        out, stag, proj = cem.step_streamline_many(start, field, 10.0, 0.3)
+        np.testing.assert_array_equal(proj, [True, True, False])
+        np.testing.assert_array_equal(out[stag], start[stag])
+        z = out[:, 0] + 1j * out[:, 1]
+        assert np.all(np.abs(z[:, None] - field._centers) >= 4.0)
+        for (x, y, _), (x1, y1, _) in zip(start[~stag], out[~stag]):
+            assert abs(cem.eval_flow(field, x1, y1).psi
+                       - cem.eval_flow(field, x, y).psi) <= 1e-9
+        np.testing.assert_array_equal(out[:, 2], start[:, 2])
+
+    def test_unconverged_solve_holds_as_stagnated(self, monkeypatch):
+        """With two disks and no Newton step allowed the solve cannot
+        converge: the agent holds and is flagged, never returned as is."""
+        monkeypatch.setattr(cem, "_INVERSE_MAX_ITER", 0)
+        field = cem.build_flow_from_failures(
+            np.array([[0.0, 0.0], [30.0, 0.0]]), 10.0, radius_override=4.0)
+        start = np.array([[-12.0, 6.0, 0.5]])
+        out, stag, proj = cem.step_streamline_many(start, field, 10.0, 1e-2)
+        assert stag[0] and not proj[0]
+        np.testing.assert_array_equal(out, start)
+
+    def test_dividing_streamline_keeps_to_one_arc(self):
+        """psi_0 = 0 on the upstream axis and on the circle.  Past the
+        stagnation point both roots lie on the circle; the agent keeps to
+        the arc it is on, just outside the disk, instead of jumping across
+        the disk by rounding."""
+        field = cylinder_field()
+        pos = np.array([[-4.3, 0.0, 0.0], [-4.02, 0.0, 0.0], [0.0, 4.0, 0.0]])
+        ys = []
+        for _ in range(1200):
+            pos, stag, proj = cem.step_streamline_many(pos, field, 10.0, 1e-3,
+                                                       np.zeros(3))
+            assert not stag.any() and not proj.any()
+            assert np.all(np.hypot(pos[:, 0], pos[:, 1]) >= 4.0)
+            ys.append(pos[:, 1].copy())
+        for y in np.array(ys).T:
+            side = np.sign(y[np.abs(y) > 1e-9])
+            assert side.size > 1000 and np.all(side == side[0])
+        for x, y, _ in pos:
+            assert abs(cem.eval_flow(field, x, y).psi) <= 1e-9
 
     def test_upstream_stagnation_point_holds(self):
         field = cylinder_field()

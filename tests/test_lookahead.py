@@ -8,10 +8,11 @@ not change a single logged bit against it.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contiform import anomaly
+from contiform import anomaly, cem
+from contiform.automaton import Mode
 from contiform.errors import NumericError
 from contiform.scenario import load_scenario
 from contiform.simulate import (HEALTH_FLAGGED, HEALTH_OK, Simulation,
@@ -54,11 +55,23 @@ def team7(extra="", gain=None):
     return load_scenario(doc)
 
 
-def failure_doc(agent, time, kind, velocity):
-    spec = f"{{agent: {agent}, time: {time!r}, kind: {kind}"
-    if kind == "drift":
-        spec += f", velocity: [{velocity[0]!r}, {velocity[1]!r}]"
-    return f"failures:\n  - {spec}}}\n"
+def failure_doc(*failures):
+    """The failures block for (agent, time, kind, velocity) specs, given
+    flat for one failure or as tuples for several."""
+    if not isinstance(failures[0], tuple):
+        failures = (failures,)
+    lines = ["failures:"]
+    for agent, time, kind, velocity in failures:
+        spec = f"{{agent: {agent}, time: {time!r}, kind: {kind}"
+        if kind == "drift":
+            spec += f", velocity: [{velocity[0]!r}, {velocity[1]!r}]"
+        lines.append(f"  - {spec}}}")
+    return "\n".join(lines) + "\n"
+
+
+# a drift of follower 4 that is flagged, evaded in CEM from tick 115 to
+# tick 353, then excluded
+CEM_DRIFT = (4, 0.3, "drift", (-6.0, -1.0))
 
 
 def run(sim, before=None, at=0):
@@ -111,6 +124,26 @@ def test_inject_failure_matches_declared_failure(failure, steps):
 
 
 @PROPERTY
+@given(failure=failures, steps=st.integers(0, TICKS - 2))
+@example(failure=(6, 1.001, "freeze", (0.0, 0.0)), steps=200)
+@example(failure=(2, 1.2, "drift", (0.5, 0.0)), steps=240)
+def test_inject_failure_during_cem_matches_declared(failure, steps):
+    """A second failure injected at any step, CEM steps included, gives
+    the log of both failures declared: the failure rows a CEM tick reads
+    from its chunk are rebuilt when the failures change."""
+    agent, time, kind, velocity = failure
+    assume(agent != CEM_DRIFT[0])
+    time = max(time, steps * DT)   # not yet active when injected
+    second = (agent, time, kind, velocity)
+    declared = run(Simulation(team7(failure_doc(CEM_DRIFT, second))))
+    injected = run(Simulation(team7(failure_doc(*CEM_DRIFT))), at=steps,
+                   before=lambda sim: inject_failure(
+                       sim, agent, kind, time,
+                       velocity if kind == "drift" else None))
+    assert injected == declared
+
+
+@PROPERTY
 @given(steps=st.integers(1, TICKS - 2), agent=st.integers(0, 6),
        shift_mm=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
        in_place=st.booleans())
@@ -142,9 +175,33 @@ def test_run_steps_once_per_tick(monkeypatch):
     step = Simulation.step
     monkeypatch.setattr(Simulation, "step",
                         lambda self: calls.append(self.tick) or step(self))
-    sim = Simulation(team7(failure_doc(4, 0.3, "drift", (-6.0, -1.0))))
+    sim = Simulation(team7(failure_doc(*CEM_DRIFT)))
     sim.run()
     assert calls == list(range(TICKS))
+
+
+def test_each_cem_tick_steps_the_streamlines_once(monkeypatch):
+    """Exactly one cem.step_streamline_many call on each CEM tick and none
+    on an HDM tick.  `perfbench/run.py --trace 1` depends on this: it
+    counts a tick as CEM when its Simulation.step span encloses a
+    step_streamline_many span, and fails a run whose count disagrees
+    with the logged modes."""
+    calls = []
+    step_streamline_many = cem.step_streamline_many
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return step_streamline_many(*args, **kwargs)
+
+    monkeypatch.setattr(cem, "step_streamline_many", counted)
+    sim = Simulation(team7(failure_doc(*CEM_DRIFT)))
+    modes = []
+    while sim.tick < sim.total_ticks:
+        modes.append(sim.mode)
+        calls.append(0)
+        sim.step()
+    assert calls == [int(m is Mode.CEM) for m in modes]
+    assert calls.count(1) == np.count_nonzero(sim.log.mode[:-1]) > 0
 
 
 def test_quiet_run_detects_once_per_block(monkeypatch):

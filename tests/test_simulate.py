@@ -220,6 +220,36 @@ agents:
         np.testing.assert_allclose(advance[:, 2], 0.0, atol=1e-12)
         assert sim.mode is Mode.CEM
 
+    def test_activation_is_logged_before_the_tick_end_events(self):
+        # agent 1 sits on the upstream stagnation point (-4, 0) of the
+        # doublet around flagged agent 5; a failure activating at t = 0
+        # is logged before the stagnation at the end of the tick
+        doc = """
+n: 2
+dt: 0.01
+duration: 1.0
+gain: 25.0
+containment: {half_size: 1000}
+agents:
+  - {id: 1, position: [-4, 0]}
+  - {id: 2, position: [20, -10]}
+  - {id: 3, position: [0, 20]}
+  - {id: 4, position: [5, 3]}
+  - {id: 5, position: [0, 0]}
+"""
+        sim = Simulation(load_scenario(doc))
+        sim.flagged = frozenset({5})
+        sim._refresh_healthy()
+        sim._enter_cem(0.0)
+        sim.mode = Mode.CEM
+        inject_failure(sim, 4, "freeze", 0.0)
+        sim.step()
+        assert [(e.time, e.kind, e.payload) for e in sim.events] == [
+            (0.0, "failure_active", {"agent": 4, "kind": "freeze"}),
+            (0.01, "stagnation", {"agent": 1})]
+        times = [e.time for e in sim.events]
+        assert times == sorted(times)
+
 
 class TestFailures:
     def test_freeze_holds_position(self):
