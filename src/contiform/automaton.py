@@ -36,25 +36,30 @@ def transition(mode, anomalous, positions, center, half_size, norm_kind,
 
     anomalous is the sorted flagged ids and positions the (k, 3) array of
     their actual positions; norm_kind is "l1" or "l2".  HDM switches to
-    CEM when any anomalous agent sits inside the containment domain; CEM
-    returns to HDM once every anomalous agent is outside, emitting a
-    reference-reset event so the caller rebuilds the communication network
-    and discards stream constants.  Returns (next_mode, events).
+    CEM when any anomalous agent sits inside the containment domain.  An
+    agent outside the domain needs no evasion, so once every anomalous
+    agent is outside, CEM returns to HDM and HDM stays in HDM, and both
+    emit a reference-reset event so the caller excludes them, rebuilds the
+    communication network and discards stream constants.  Returns
+    (next_mode, events); HDM with nobody anomalous emits nothing.
     """
     diff = positions - center
     dist = np.abs(diff).sum(axis=1) if norm_kind == "l1" \
         else np.sqrt((diff * diff).sum(axis=1))
     inside = dist <= half_size
-    if bool(np.count_nonzero(inside)) is (mode is Mode.CEM):
-        return mode, []   # HDM with nobody inside, or CEM with someone
-    if mode is Mode.HDM:
+    if inside.any():
+        if mode is Mode.CEM:
+            return mode, []
         return Mode.CEM, [Event(time=clock, kind="mode_change", payload={
             "from": "HDM", "to": "CEM",
             "agents": [anomalous[j] for j in np.flatnonzero(inside)]})]
+    reset = Event(time=clock, kind="reference_reset",
+                  payload={"excluded": list(anomalous)})
+    if mode is Mode.HDM:
+        return mode, [reset] if len(anomalous) else []
     return Mode.HDM, [
         Event(time=clock, kind="mode_change",
               payload={"from": "CEM", "to": "HDM",
                        "agents": list(anomalous)}),
-        Event(time=clock, kind="reference_reset",
-              payload={"excluded": list(anomalous)}),
+        reset,
     ]

@@ -85,6 +85,62 @@ def fit_transforms_batch(fit_inv, leader_cmd) -> np.ndarray:
     return sol
 
 
+def reference_edge_inverse(leader_ref) -> np.ndarray:
+    """The per-epoch factor deformation_sigmas needs, from the n + 1
+    reference leaders (n+1, 3).
+
+    With R the reference edges p_k - p_0 as columns, it is R^-1 for n = 3;
+    for n = 2 it is T^-1, where R = U T is the QR factorization of the
+    3 x 2 edge matrix.
+    """
+    ref = np.asarray(leader_ref, dtype=float)
+    edges = (ref[1:] - ref[0]).T
+    if len(ref) == 3:
+        edges = np.linalg.qr(edges)[1]
+    return np.linalg.inv(edges)
+
+
+def deformation_sigmas(edge_inv, leader_cmd) -> np.ndarray:
+    """Singular values (K, 3), descending, of the deformations Q that map
+    the reference leaders onto each of K commanded leader sets (K, n+1, 3).
+
+    edge_inv comes from reference_edge_inverse.  For n = 2, Q maps the
+    reference edges R = U T onto the commanded edges C and the reference
+    unit normal onto the commanded one (see fit_transforms_batch), so its
+    singular values are 1 and those of A = C T^-1.  They come in closed
+    form from A's 2 x 2 Gram matrix: the larger from its eigenvalue, the
+    smaller as |a1 x a2| over it, which keeps both accurate.  A collinear
+    commanded triangle gives a NaN row.  For n = 3, Q = C R^-1 goes
+    through one batched SVD.
+    """
+    cmd = np.asarray(leader_cmd, dtype=float)
+    if cmd.shape[1] == 4:
+        edges = cmd[:, 1:] - cmd[:, :1]        # rows are C's columns
+        return np.linalg.svd(edge_inv.T @ edges, compute_uv=False)
+    x, y, z = cmd[..., 0], cmd[..., 1], cmd[..., 2]
+    ax, ay, az = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0], z[:, 1] - z[:, 0]
+    bx, by, bz = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0], z[:, 2] - z[:, 0]
+    g11 = ax * ax + ay * ay + az * az
+    g22 = bx * bx + by * by + bz * bz
+    g12 = ax * bx + ay * by + az * bz
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    area = np.sqrt(cx * cx + cy * cy + cz * cz)
+    # A's columns are t00 c1 and t01 c1 + t11 c2 (T^-1 is upper triangular)
+    t00, t01, t11 = edge_inv[0, 0], edge_inv[0, 1], edge_inv[1, 1]
+    a = t00 * t00 * g11
+    b = t00 * (t01 * g11 + t11 * g12)
+    d = t01 * t01 * g11 + 2.0 * t01 * t11 * g12 + t11 * t11 * g22
+    big = np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        small = area * abs(t00 * t11) / big
+    sigma = np.empty((len(cmd), 3))
+    sigma[:, 0] = np.maximum(big, 1.0)
+    sigma[:, 1] = np.minimum(np.maximum(small, 1.0), big)
+    sigma[:, 2] = np.minimum(small, 1.0)
+    sigma[area <= RANK_TOLERANCE * np.sqrt(g11 * g22)] = np.nan
+    return sigma
+
+
 def fit_homogeneous_transform(leader_ref, leader_current, n: int = 2):
     """Recover (Q, d) mapping leader reference positions onto current ones.
 
@@ -99,9 +155,8 @@ def fit_homogeneous_transform(leader_ref, leader_current, n: int = 2):
     sol = fit_transforms_batch(leader_fit_system(leader_ref, n), cur[None])[0]
     if np.isnan(sol).any():
         raise DegeneracyError("degenerate current leader simplex")
-    Q = sol[:3].T
-    sv = np.linalg.svd(Q, compute_uv=False)
-    return HomogeneousTransform(Q=Q, d=sol[3], singular_values=sv)
+    sv = deformation_sigmas(reference_edge_inverse(leader_ref), cur[None])[0]
+    return HomogeneousTransform(Q=sol[:3].T, d=sol[3], singular_values=sv)
 
 
 def global_desired_positions(W_L, leader_desired):

@@ -21,18 +21,32 @@ import numpy as np
 _AGENT_COLS = ("x", "y", "z", "xd", "yd", "zd", "xc", "yc", "zc", "health")
 
 
-def _trajectory_matrix(log, stride):
-    rows = log.times[::stride].shape[0]
+# rows per formatted chunk of trajectory.csv
+_CSV_CHUNK_ROWS = 256
+
+
+def _write_trajectory_csv(path, log, stride):
+    """trajectory.csv, written in row chunks straight from the log arrays.
+
+    The bytes are those of np.savetxt(fmt="%.10g", delimiter=",") over the
+    whole trajectory matrix, without building that matrix.
+    """
     n = len(log.agent_ids)
-    mat = np.empty((rows, 1 + 10 * n))
-    mat[:, 0] = log.times[::stride]
-    for i in range(n):
-        base = 1 + 10 * i
-        mat[:, base:base + 3] = log.actual[::stride, i, :]
-        mat[:, base + 3:base + 6] = log.local_desired[::stride, i, :]
-        mat[:, base + 6:base + 9] = log.global_desired[::stride, i, :]
-        mat[:, base + 9] = log.health[::stride, i]
-    return mat
+    rows = log.times[::stride].shape[0]
+    row_fmt = ",".join(["%.10g"] * (1 + 10 * n)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(_trajectory_header(log.agent_ids)) + "\n")
+        for start in range(0, rows, _CSV_CHUNK_ROWS):
+            sel = slice(start * stride, min(start + _CSV_CHUNK_ROWS, rows)
+                        * stride, stride)
+            chunk = np.empty((log.times[sel].shape[0], 1 + 10 * n))
+            chunk[:, 0] = log.times[sel]
+            agents = chunk[:, 1:].reshape(-1, n, 10)
+            agents[..., 0:3] = log.actual[sel]
+            agents[..., 3:6] = log.local_desired[sel]
+            agents[..., 6:9] = log.global_desired[sel]
+            agents[..., 9] = log.health[sel]
+            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _trajectory_header(agent_ids):
@@ -53,10 +67,7 @@ def write_outputs(log, out_dir, fmt="csv", stride=1):
 
     if fmt == "csv":
         traj_path = os.path.join(out_dir, "trajectory.csv")
-        np.savetxt(traj_path, _trajectory_matrix(log, stride),
-                   fmt="%.10g", delimiter=",",
-                   header=",".join(_trajectory_header(log.agent_ids)),
-                   comments="")
+        _write_trajectory_csv(traj_path, log, stride)
         paths.append(traj_path)
         ev_path = os.path.join(out_dir, "events.csv")
         with open(ev_path, "w", newline="") as fh:

@@ -43,6 +43,10 @@ from .refnet import DEFAULT_RHO
 
 FAILURE_KINDS = ("freeze", "drift")
 
+# libyaml's parser when PyYAML was built with it: the same documents, parsed
+# five to eight times faster than by the pure-Python SafeLoader
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 DEFAULTS = {
     "gain": 25.0,
     "xi": 1.0,
@@ -169,7 +173,7 @@ def load_scenario(source):
     else:
         text = source
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario document is not valid YAML/JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -26,7 +26,10 @@ singular values, the leader lag and its leader_deviation events in tick
 order, the containment center and the log rows.  The block keeps the ticks
 up to and including the first one on which the detector flags anyone, and
 each step() call commits one buffered tick; the flagged tick runs the
-supervisor transition (5).  An HDM tick with agents already flagged is a
+supervisor transition (5).  It enters CEM for a flagged agent inside the
+containment domain; flagged agents all outside it are excluded at once,
+the network is rebuilt and the tick's row is rewritten as the new epoch's
+first, as on CEM exit.  An HDM tick with agents already flagged is a
 block of one tick.  The buffer is dropped, and its uncommitted log rows
 cleared, when the state it was built from changes between steps: a
 failure added or edited (inject_failure), or positions, mode or flagged
@@ -95,7 +98,7 @@ class TrajectoryLog:
                     self.global_desired, self.weights, self.bounds_lo,
                     self.bounds_hi, self.health, self.mode, self.center,
                     self.sigma, self.margin_ok):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         h.update(json.dumps(
             [[e.time, e.kind, e.payload] for e in self.events],
             sort_keys=True).encode())
@@ -129,8 +132,8 @@ class _Epoch:
             nbrs = network.in_neighbors[fid]
             self.nbr_idx[j] = [idx[a] for a in nbrs]
             self.static_w[j] = [network.weights[(fid, a)] for a in nbrs]
-        self._fit_inv = hdm.leader_fit_system(
-            [network.ref_positions[a] for a in network.leaders], network.n)
+        self._edge_inv = hdm.reference_edge_inverse(
+            [network.ref_positions[a] for a in network.leaders])
         self.team_matrix = _team_matrix(len(idx), a0, self.follower_idx,
                                         self.order_idx, network.W,
                                         self.leader_idx)
@@ -139,15 +142,10 @@ class _Epoch:
         """Singular values (K, 3), descending, of the deformations the
         leader commands (K, L, 3) impose, and their margin_ok codes (K,).
 
-        A degenerate commanded leader simplex logs NaN and violates the
+        A collinear commanded leader triangle logs NaN and violates the
         margin.
         """
-        sol = hdm.fit_transforms_batch(self._fit_inv, leader_cmd)
-        degenerate = np.isnan(sol).any(axis=(1, 2))
-        # rows [Q^T; d]; sigma(Q^T) = sigma(Q)
-        sigma = np.linalg.svd(np.where(degenerate[:, None, None], 0.0,
-                                       sol[:, :3]), compute_uv=False)
-        sigma[degenerate] = np.nan
+        sigma = hdm.deformation_sigmas(self._edge_inv, leader_cmd)
         ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
                       MARGIN_VIOLATED)
         return sigma, ok
@@ -180,7 +178,7 @@ class _Ahead:
     centers: np.ndarray     # (K, 3) containment centers
     flags: frozenset        # flagged set on the last tick
     events: list            # [(k, leader id, Event)] in tick order
-    failures: tuple         # failure specs it was built under
+    failure_version: int    # Simulation._failure_version it was built under
     committed: int = 0
 
 
@@ -254,9 +252,10 @@ class Simulation:
         self.epochs = []
         self._deviating_leaders = set()
         self._ahead = None
-        self._cem_failures = None   # (start tick, failures, indices, rows)
+        self._cem_failures = None   # (start tick, version, indices, rows)
 
         self.failures = {}
+        self._failure_version = 0   # bumped on every registered failure
         self.failure_anchor = {}   # agent id -> (t_active, anchor position)
         for spec in config.failures:
             self._register_failure(spec)
@@ -291,6 +290,7 @@ class Simulation:
                 payload={"agent": int(spec.agent_id), "time": float(spec.time)}))
             return
         self.failures[spec.agent_id] = spec
+        self._failure_version += 1
 
     def _build_network(self, initial):
         members = {a: self.positions[self.idx[a]]
@@ -434,8 +434,8 @@ class Simulation:
         healthy (K, F)."""
         ep = self.epoch
         w, lo, hi, healthy = anomaly.evaluate_followers_batch(
-            positions[:, ep.nbr_idx].reshape(-1, self.n + 1, 3),
-            positions[:, ep.follower_idx].reshape(-1, 3),
+            np.take(positions, ep.nbr_idx, axis=1).reshape(-1, self.n + 1, 3),
+            np.take(positions, ep.follower_idx, axis=1).reshape(-1, 3),
             np.tile(ep.static_w, (len(positions), 1)), self.delta, self.n)
         return (w, lo, hi), healthy.reshape(len(positions), -1)
 
@@ -467,7 +467,9 @@ class Simulation:
         self.cem_targets = self.positions.copy()
         self._cem_event_latch = {"stagnation": set(), "disk_projection": set()}
 
-    def _exit_cem(self, clock):
+    def _exclude_flagged(self, clock):
+        """Exclude the flagged agents, leave CEM if active and rebuild the
+        network over the rest."""
         self.excluded |= set(self.flagged)
         self.flagged = frozenset()
         self._refresh_healthy()
@@ -479,22 +481,29 @@ class Simulation:
         except (DegeneracyError, SelectionError, ConnectivityError,
                 NetworkError) as exc:
             raise NumericError(
-                f"reference rebuild failed at t={clock:.6f}: {exc}") from exc
+                f"reference rebuild failed at tick {self.tick}, "
+                f"t={clock:.6f}: {exc}") from exc
 
     def _supervise(self, clock):
-        """Supervisor transition at the end of a tick with agents flagged."""
+        """Supervisor transition at the end of a tick with agents flagged.
+
+        Returns whether it acted: entered CEM, or excluded the flagged
+        agents (on CEM exit, or in HDM when all of them are outside the
+        containment domain) and rebuilt the network.
+        """
         mode, events = transition(
             self.mode, self.flagged_ids, self.positions[self.flagged_idx],
             self.center, self.config.containment_half_size,
             self.config.containment_norm, clock)
-        if mode is self.mode:
-            return
+        if not events:
+            return False
         self.mode = mode
         self.events.extend(events)
         if self.mode is Mode.CEM:
             self._enter_cem(clock)
         else:
-            self._exit_cem(clock)
+            self._exclude_flagged(clock)
+        return True
 
     # -- log rows ----------------------------------------------------------
 
@@ -591,9 +600,7 @@ class Simulation:
                 and ahead.committed < len(ahead.positions)
                 and self.tick == ahead.start + ahead.committed
                 and not self.flagged
-                and len(self.failures) == len(ahead.failures)
-                and all(a is b for a, b in zip(self.failures.values(),
-                                               ahead.failures))
+                and self._failure_version == ahead.failure_version
                 and self.positions.tobytes()
                 == ahead.positions[ahead.committed - 1].tobytes())
 
@@ -643,42 +650,45 @@ class Simulation:
         flags = frozenset(ep.network.followers[j]
                           for j in np.flatnonzero(~healthy[-1]))
         self._ahead = _Ahead(self.tick, positions, centers, flags, events,
-                             tuple(self.failures.values()))
+                             self._failure_version)
 
     def _commit(self):
         """Commit the next buffered HDM tick."""
         ahead = self._ahead
         k = ahead.committed
-        ahead.committed += 1
+        ahead.committed = k + 1
         t_end = self.clock + self.dt
         self.positions = ahead.positions[k].copy()
         self.tick += 1
-        flags = ahead.flags if ahead.committed == len(ahead.positions) \
-            else frozenset()
-        if flags != self.flagged:
-            self.flagged = flags
+        # only a block's last tick can flag anyone; HDM with nothing
+        # flagged is a fixed point of the automaton, so a quiet tick skips
+        # the transition
+        if ahead.committed == len(ahead.positions) \
+                and ahead.flags != self.flagged:
+            self.flagged = ahead.flags
             self._refresh_healthy()
             self._update_center()
             self.log.center[self.tick] = self.center
         else:
             self.center = ahead.centers[k]
-        # HDM with nothing flagged is a fixed point of the automaton, so
-        # the transition is skipped on quiet ticks
-        if self.flagged:
-            self._supervise(t_end)
-        if self.mode is Mode.CEM:   # entered on this tick
-            self._write_cem_row(self.tick, self.cem_targets[self.healthy_idx],
-                                entry=True)
+        if self.flagged and self._supervise(t_end):
+            if self.mode is Mode.CEM:   # entered on this tick
+                self._write_cem_row(self.tick,
+                                    self.cem_targets[self.healthy_idx],
+                                    entry=True)
+            else:   # excluded outside the domain: a new epoch starts here
+                self._clear_rows(self.tick)
+                self._log_epoch_row(None)
         elif ahead.events:
             self._emit(e for e in ahead.events if e[0] == k)
 
     def _cem_failure_row(self):
         """Failed agents' indices and positions after this CEM tick, from a
         chunk of _failure_rows rebuilt once used up or the failures change."""
-        chunk, failures = self._cem_failures, tuple(self.failures.values())
+        chunk, version = self._cem_failures, self._failure_version
         k = -1 if chunk is None else self.tick - chunk[0]
-        if not (0 <= k < len(chunk[3]) and chunk[1] == failures):
-            chunk = (self.tick, failures,
+        if not (0 <= k < len(chunk[3]) and chunk[1] == version):
+            chunk = (self.tick, version,
                      *self._failure_rows(self.lookahead_ticks))
             self._cem_failures, k = chunk, 0
         return chunk[2], chunk[3][k]

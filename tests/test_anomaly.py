@@ -10,11 +10,11 @@ geometry.lambda_nd_batch, an independent route to the same values.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contiform import anomaly, geometry, refnet
-from conftest import DECAGON22
+from conftest import DECAGON22, random_network
 
 RNG_SEED = 5150
 
@@ -317,3 +317,163 @@ class TestSoundnessAtBound:
             w, lo, hi, healthy = anomaly.evaluate_followers_batch(
                 actual[nbr_idx], actual[fol_idx], static, delta, 2)
             assert healthy.all()
+
+
+def tilt(angles):
+    """Rotation taking the z = 0 plane to a tilted one."""
+    a, b, c = angles
+    rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0],
+                   [0, 0, 1]])
+    rx = np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)],
+                   [0, np.sin(b), np.cos(b)]])
+    return rz @ rx @ rz.T @ np.array(
+        [[np.cos(c), 0, np.sin(c)], [0, 1, 0], [-np.sin(c), 0, np.cos(c)]])
+
+
+def check_against_routes(vertices, query, static, delta):
+    """The detector's row against the bordered solve (weights) and the
+    per-simplex heights of hand_bounds (bounds, verdict)."""
+    n = len(vertices) - 1
+    w, lo, hi, healthy = evaluate(vertices, query, static, delta, n)
+    solved = geometry.lambda_nd_batch(vertices[None], query[None], n)[0]
+    scale = 1.0 + np.abs(solved).max()
+    np.testing.assert_allclose(w, solved[:n + 1], rtol=0, atol=1e-9 * scale)
+    los, his = hand_bounds(vertices, solved[:n + 1], delta)
+    for got, want in ((lo, los), (hi, his)):
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9,
+                                   atol=1e-9 * scale)
+    gap = np.minimum(np.abs(static - los), np.abs(static - his)).min()
+    assume(gap > 1e-6 * scale)   # a verdict on the edge of a bound is moot
+    assert healthy == bool(np.all((los <= static) & (static <= his)))
+
+
+offsets = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
+
+
+class TestGradientKernel:
+    """The barycentric-gradient detector against the bordered solve and
+    hand_bounds, off the z = 0 plane and beyond the simplex."""
+
+    @PROPERTY
+    @given(corners=st.lists(st.tuples(coords, coords), min_size=3,
+                            max_size=3),
+           turn=st.tuples(angles, angles, angles),
+           lam=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           lift=st.floats(-5.0, 5.0), delta=st.floats(0.0, 1.0),
+           shift=st.tuples(coords, coords, coords), offset=offsets)
+    def test_tilted_triangles(self, corners, turn, lam, lift, delta, shift,
+                              offset):
+        """n = 2 in a tilted plane, with the query lifted off it and
+        weights down to -3."""
+        flat = np.zeros((3, 3))
+        flat[:, :2] = corners
+        assume(well_shaped(flat))
+        rot = tilt(turn)
+        vertices = flat @ rot.T + np.array(shift)
+        weights = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+        query = weights @ vertices + lift * rot[:, 2]
+        check_against_routes(vertices, query, weights + offset[:3], delta)
+
+    @PROPERTY
+    @given(pts=st.lists(st.tuples(coords, coords, coords), min_size=5,
+                        max_size=5),
+           delta=st.floats(0.0, 1.0), offset=offsets)
+    def test_tetrahedra(self, pts, delta, offset):
+        """n = 3, with the query anywhere: weights below -1 included."""
+        pts = np.array(pts)
+        assume(well_shaped(pts[:4]))
+        solved = geometry.lambda_nd_batch(pts[None, :4], pts[None, 4], 3)[0]
+        check_against_routes(pts[:4], pts[4], solved + offset, delta)
+
+    @PROPERTY
+    @given(n=st.sampled_from([2, 3]),
+           base=st.tuples(*[st.integers(-20, 20)] * 3),
+           steps=st.tuples(*[st.integers(-20, 20)] * 3),
+           along=st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+           good=st.lists(st.tuples(coords, coords, coords), min_size=4,
+                         max_size=4),
+           query=st.tuples(coords, coords, coords))
+    def test_degenerate_rows_are_nan_and_unhealthy(self, n, base, steps,
+                                                   along, good, query):
+        """Collinear triangles and coplanar tetrahedra on an integer grid,
+        so exactly degenerate, give NaN rows flagged unhealthy; the good
+        row batched with them is untouched."""
+        base, step = np.array(base, float), np.array(steps, float)
+        flat = base + np.outer(along[:n + 1], step)
+        if n == 3:   # the fourth vertex in the plane of the first three
+            side = np.array([step[1], -step[0], 0.0])
+            flat[3] = base + along[3] * step + along[0] * side
+            flat[2] = base + along[2] * side
+        good = np.array(good)[:n + 1]
+        assume(well_shaped(good))
+        vertices = np.stack([flat, good])
+        queries = np.array([query, query])
+        static = np.full((2, n + 1), 1.0 / (n + 1))
+        w, lo, hi, healthy = anomaly.evaluate_followers_batch(
+            vertices, queries, static, 0.1, n)
+        for row in (w[0], lo[0], hi[0]):
+            assert np.all(np.isnan(row))
+        assert not healthy[0]
+        alone = anomaly.evaluate_followers_batch(
+            vertices[1:], queries[1:], static[1:], 0.1, n)
+        for got, want in zip((w[1:], lo[1:], hi[1:], healthy[1:]), alone):
+            np.testing.assert_array_equal(got, want)
+
+
+def rotation3(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def disturbed_team(seed, n, sigmas, reach):
+    """A random network moved by a homogeneous deformation Q (singular
+    values sigmas, a reflection for odd seeds; for n = 2 it tilts the
+    plane too) and every agent pushed reach * Delta in a random direction.
+    Returns the detector's verdicts."""
+    rng = np.random.default_rng(seed)
+    _, net = random_network(rng, 10 if n == 2 else 12, n)
+    order = list(net.agent_order)
+    idx = {a: k for k, a in enumerate(order)}
+    ref = np.stack([net.ref_positions[a] for a in order])
+    followers = list(net.followers)
+    static = np.array([[net.weights[(f, a)] for a in net.in_neighbors[f]]
+                       for f in followers])
+    nbr_idx = np.array([[idx[a] for a in net.in_neighbors[f]]
+                        for f in followers])
+    Q = rotation3(rng) @ np.diag(sigmas) @ rotation3(rng)
+    if seed % 2:
+        Q[:, 0] *= -1.0
+    actual = ref @ Q.T + rng.uniform(-20.0, 20.0, 3)
+    push = rng.normal(size=actual.shape)
+    actual += reach * DELTA * push / np.linalg.norm(push, axis=1)[:, None]
+    fol_idx = np.array([idx[f] for f in followers])
+    return anomaly.evaluate_followers_batch(
+        actual[nbr_idx], actual[fol_idx], static, DELTA, n)[3]
+
+
+DELTA = 0.3
+team_draws = dict(seed=st.integers(0, 2**32 - 1),
+                  sigmas=st.tuples(*[st.floats(0.5, 2.0)] * 3))
+
+
+class TestNoFalseFlags:
+    """No false flags under homogeneous motion with every agent within
+    Delta of its desired position (ROADMAP item 5)."""
+
+    @PROPERTY
+    @given(**team_draws)
+    def test_planar_teams(self, seed, sigmas):
+        assert disturbed_team(seed, 2, sigmas, 1.0).all()
+
+    @PROPERTY
+    @given(**team_draws)
+    @example(seed=1, sigmas=(0.5, 1.0, 2.0))
+    @pytest.mark.xfail(strict=True, reason=(
+        "unsound for n = 3: a shift of 2 Delta bounds d_k and l_k only "
+        "while the point projects inside the opposite face; the pinned "
+        "example's boundary follower (weights -0.55, 0.81, 0.11, 0.63) "
+        "falls below its lower bound 0.127 on the third neighbor"))
+    def test_spatial_teams(self, seed, sigmas):
+        assert disturbed_team(seed, 3, sigmas, 1.0).all()

@@ -95,7 +95,11 @@ class TestTransition:
                                            "agents": [11]})
 
     def test_hdm_holds_when_anomaly_outside(self):
-        assert step(Mode.HDM, (50.0, 0.0, 0.0), clock=5.0) == (Mode.HDM, [])
+        """An agent flagged outside the domain needs no evasion: HDM holds
+        and the agent is excluded at once, as on CEM exit."""
+        assert step(Mode.HDM, (50.0, 0.0, 0.0), ids=[11], clock=5.0) == (
+            Mode.HDM, [Event(time=5.0, kind="reference_reset",
+                             payload={"excluded": [11]})])
 
     def test_cem_to_hdm_on_exit(self):
         mode, events = step(Mode.CEM, (41.0, 0.0, 0.0), ids=[11],
@@ -170,6 +174,11 @@ class TestProperties:
                 assert events[0].payload["agents"] == inside
         else:
             assert (next_mode is Mode.HDM) == (not inside)
-        assert (events == []) == (next_mode is mode)
+        # with nobody flagged inside, CEM and a flagged HDM exclude them
+        excludes = not inside and (mode is Mode.CEM or bool(ids))
+        resets = [e.payload["excluded"] for e in events
+                  if e.kind == "reference_reset"]
+        assert resets == ([ids] if excludes else [])
+        assert (events == []) == (next_mode is mode and not excludes)
         assert all(e.time == 4.2 for e in events)
         assert transition(*args) == (next_mode, events)   # replay is pure

@@ -7,11 +7,13 @@ tolerances.
 """
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contiform import hdm, refnet
 from contiform.errors import DegeneracyError
 from contiform.scenario import load_scenario
-from contiform.simulate import Simulation
+from contiform.simulate import MARGIN_OK, MARGIN_VIOLATED, Simulation
 from conftest import random_network
 
 RNG_SEED = 3404
@@ -310,3 +312,90 @@ class TestTwoRoutesAgree:
             pts = np.stack([actual[idx[a]] for a in nbrs])
             np.testing.assert_allclose(w @ pts, matrix_route[j],
                                        atol=1e-9)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+points = st.tuples(coords, coords, coords)
+angles = st.floats(0.0, 2.0 * np.pi)
+
+
+def turn(a, b, c):
+    """A rotation by three angles; tilts the z = 0 plane in general."""
+    ca, sa, cb, sb, cc, sc = (np.cos(a), np.sin(a), np.cos(b), np.sin(b),
+                              np.cos(c), np.sin(c))
+    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]])
+            @ np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]]))
+
+
+def well_shaped(pts):
+    sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+    return sv[-1] >= 0.05 * sv[0] > 0.5
+
+
+def fitted_sigmas(ref, cmd):
+    """np.linalg.svd of the Q that fit_transforms_batch fits."""
+    n = len(ref) - 1
+    rows = hdm.fit_transforms_batch(hdm.leader_fit_system(ref, n), cmd[None])
+    return np.linalg.svd(rows[0, :3], compute_uv=False)
+
+
+class TestDeformationSigmas:
+    """The closed-form planar singular values and the n = 3 SVD against
+    np.linalg.svd of the fitted Q."""
+
+    @PROPERTY
+    @given(ref=st.lists(st.tuples(coords, coords), min_size=3, max_size=3),
+           cmd=st.lists(st.tuples(coords, coords), min_size=3, max_size=3),
+           ref_turn=st.tuples(angles, angles, angles),
+           cmd_turn=st.tuples(angles, angles, angles),
+           mirror=st.booleans(), shift=points)
+    def test_tilted_and_mirrored_triangles(self, ref, cmd, ref_turn,
+                                           cmd_turn, mirror, shift):
+        flat_ref, flat_cmd = np.zeros((3, 3)), np.zeros((3, 3))
+        flat_ref[:, :2], flat_cmd[:, :2] = ref, cmd
+        assume(well_shaped(flat_ref) and well_shaped(flat_cmd))
+        ref = flat_ref @ turn(*ref_turn).T
+        cmd = flat_cmd @ turn(*cmd_turn).T + np.array(shift)
+        if mirror:
+            cmd = cmd[[0, 2, 1]]
+        sigma = hdm.deformation_sigmas(hdm.reference_edge_inverse(ref),
+                                       cmd[None])[0]
+        want = fitted_sigmas(ref, cmd)
+        np.testing.assert_allclose(sigma, want, rtol=1e-10,
+                                   atol=1e-12 * want[0])
+        assert 1.0 in sigma   # the planar completion's exact unit value
+        tf = hdm.fit_homogeneous_transform(ref, cmd, n=2)
+        np.testing.assert_array_equal(tf.singular_values, sigma)
+
+    @PROPERTY
+    @given(ref=st.lists(points, min_size=4, max_size=4),
+           cmd=st.lists(points, min_size=4, max_size=4))
+    def test_tetrahedra(self, ref, cmd):
+        ref, cmd = np.array(ref), np.array(cmd)
+        assume(well_shaped(ref) and well_shaped(cmd))
+        sigma = hdm.deformation_sigmas(hdm.reference_edge_inverse(ref),
+                                       cmd[None])[0]
+        want = fitted_sigmas(ref, cmd)
+        np.testing.assert_allclose(sigma, want, rtol=1e-10,
+                                   atol=1e-12 * want[0])
+
+    @PROPERTY
+    @given(base=st.tuples(*[st.integers(-20, 20)] * 3),
+           step=st.tuples(*[st.integers(-20, 20)] * 3),
+           along=st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+    def test_collinear_triangle_is_nan_and_violates_the_margin(
+            self, base, step, along):
+        """A commanded triangle on one line of the integer grid, so
+        exactly collinear, logs NaN and MARGIN_VIOLATED; the reference
+        triangle batched with it keeps sigma = 1 and MARGIN_OK."""
+        epoch = Simulation(load_scenario(
+            LOCAL4.format(x=1.0, y=1.0))).epoch
+        line = np.array(base, float) + np.outer(along, np.array(step, float))
+        cmd = np.stack([line, np.stack(list(LOCAL4_LEADERS.values()))])
+        sigma, ok = epoch.sigmas(cmd)
+        assert np.all(np.isnan(sigma[0])) and ok[0] == MARGIN_VIOLATED
+        np.testing.assert_allclose(sigma[1], 1.0, atol=1e-12)
+        assert ok[1] == MARGIN_OK

@@ -1,5 +1,6 @@
 """Run-artifact writers and the command line front end."""
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from contiform import cli, logio
 from contiform.scenario import load_scenario
-from contiform.simulate import run_scenario
+from contiform.automaton import Mode
+from contiform.simulate import (HEALTH_EXCLUDED, MODE_CODE, Simulation,
+                                run_scenario)
 
 TINY = """
 name: tiny
@@ -120,6 +123,58 @@ class TestWriteOutputs:
             logio.write_outputs(tiny_log, str(tmp_path), fmt="xml")
         with pytest.raises(ValueError, match="stride"):
             logio.write_outputs(tiny_log, str(tmp_path), stride=0)
+
+
+@pytest.fixture(scope="module")
+def cem_log():
+    """A run with CEM rows, whose desired columns of the flagged agent
+    are NaN, and an excluded agent."""
+    from test_lookahead import CEM_DRIFT, failure_doc, team7
+    log = Simulation(team7(failure_doc(*CEM_DRIFT))).run()
+    cem = log.mode == MODE_CODE[Mode.CEM]
+    assert cem.any() and (log.health == HEALTH_EXCLUDED).any()
+    assert np.isnan(log.local_desired[cem]).any()
+    return log
+
+
+def savetxt_oracle(log, path, stride):
+    """trajectory.csv as one np.savetxt over the whole matrix."""
+    mat = np.empty((log.times[::stride].shape[0], 1 + 10 * len(log.agent_ids)))
+    mat[:, 0] = log.times[::stride]
+    for i, a in enumerate(log.agent_ids):
+        base = 1 + 10 * i
+        mat[:, base:base + 3] = log.actual[::stride, i]
+        mat[:, base + 3:base + 6] = log.local_desired[::stride, i]
+        mat[:, base + 6:base + 9] = log.global_desired[::stride, i]
+        mat[:, base + 9] = log.health[::stride, i]
+    header = ",".join(["time"] + [f"{a}_{c}" for a in log.agent_ids
+                                  for c in ("x", "y", "z", "xd", "yd", "zd",
+                                            "xc", "yc", "zc", "health")])
+    np.savetxt(path, mat, fmt="%.10g", delimiter=",", header=header,
+               comments="")
+
+
+class TestStreamedTrajectory:
+    @pytest.mark.parametrize("stride", [1, 3, 100])
+    @pytest.mark.parametrize("chunk_rows", [7, logio._CSV_CHUNK_ROWS])
+    def test_bytes_match_savetxt(self, cem_log, tmp_path, monkeypatch,
+                                 stride, chunk_rows):
+        monkeypatch.setattr(logio, "_CSV_CHUNK_ROWS", chunk_rows)
+        paths = logio.write_outputs(cem_log, str(tmp_path / "run"),
+                                    stride=stride)
+        savetxt_oracle(cem_log, tmp_path / "oracle.csv", stride)
+        assert (tmp_path / "oracle.csv").read_bytes() == \
+            open(paths[0], "rb").read()
+
+    def test_digest_hashes_the_array_bytes(self, cem_log):
+        h = hashlib.sha256()
+        for name in ("times", "actual", "local_desired", "global_desired",
+                     "weights", "bounds_lo", "bounds_hi", "health", "mode",
+                     "center", "sigma", "margin_ok"):
+            h.update(getattr(cem_log, name).tobytes())
+        h.update(json.dumps([[e.time, e.kind, e.payload]
+                             for e in cem_log.events], sort_keys=True).encode())
+        assert cem_log.digest() == h.hexdigest()
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 """Scenario-file loading and validation tests."""
+import dataclasses
 import math
 import re
 
@@ -8,9 +9,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contiform import cli, scenario
 from contiform.errors import ScenarioError
 from contiform.scenario import load_scenario
-from conftest import TEAM22
+from conftest import REPO_ROOT, TEAM22
 
 MINIMAL = """
 n: 2
@@ -211,3 +213,77 @@ class TestProperties:
         message = str(err.value)
         assert message.startswith(path)
         assert message[len(path)] in ":["
+
+
+def same(a, b):
+    """Deep equality over configs: dataclasses, arrays, containers."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b, equal_nan=True))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(same(a[k], b[k]) for k in a))
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(same, a, b)))
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def scenario_documents():
+    """Every shipped scenario and the scenario documents the tests load."""
+    from test_automaton import FIVE
+    from test_hdm import LOCAL4
+    from test_logio_cli import TINY
+    from test_lookahead import CEM_DRIFT, TEAM7, failure_doc
+    from test_simulate import STATIC4
+    docs = {path.name: path.read_text()
+            for path in sorted((REPO_ROOT / "scenarios").glob("*.yaml"))}
+    docs.update(minimal=MINIMAL, five=FIVE, tiny=TINY,
+                local4=LOCAL4.format(x=1.25, y=0.5),
+                team7=TEAM7.format(extra=failure_doc(*CEM_DRIFT)),
+                static4=STATIC4.format(duration=0.1, extra=""),
+                bad_rho=with_value("rho", 0.5),
+                bad_position=with_value("agents[0].position", [math.nan, 1]))
+    return docs
+
+
+LIBYAML = getattr(yaml, "CSafeLoader", None)
+BAD_YAML = ["agents: [1, 2\n", "n: 2\ndt: : 1\n", "{\n", "\t- x\n"]
+
+
+class TestYamlLoaders:
+    def test_libyaml_parses_when_available(self):
+        assert scenario._YAML_LOADER is (LIBYAML or yaml.SafeLoader)
+
+    @pytest.mark.skipif(LIBYAML is None, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", sorted(scenario_documents()))
+    def test_both_loaders_agree(self, name, monkeypatch):
+        """Equal configs, or the same scenario error, under both."""
+        text = scenario_documents()[name]
+        outcomes = []
+        for loader in (yaml.SafeLoader, LIBYAML):
+            monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+            try:
+                outcomes.append(load_scenario(text))
+            except ScenarioError as exc:
+                outcomes.append(str(exc))
+        assert same(*outcomes)
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, LIBYAML],
+                             ids=["SafeLoader", "CSafeLoader"])
+    @pytest.mark.parametrize("text", BAD_YAML)
+    def test_invalid_yaml_is_a_scenario_error(self, loader, text,
+                                              monkeypatch, tmp_path, capsys):
+        if loader is None:
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError, match="not valid YAML"):
+            load_scenario(text)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error:")

@@ -14,11 +14,12 @@ from conftest import REPO_ROOT, TEAM22
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contiform import anomaly
 from contiform.automaton import Mode
 from contiform.errors import NumericError
 from contiform.scenario import load_scenario
-from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK,
-                                MODE_CODE, Simulation, _rk4_coefficients,
+from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_OK, MODE_CODE,
+                                Simulation, _rk4_coefficients,
                                 _stage_commands, _team_matrix,
                                 inject_failure, run_scenario)
 
@@ -453,7 +454,9 @@ class TestKnownLimitations:
 
         The flagged set is frozen while CEM is active, so agent 14 is
         flagged only once 11 has been excluded and the network rebuilt.
-        This pins today's behaviour; flagging both at once will change it.
+        By then 14 lies outside the containment domain, so it is excluded
+        at once, without CEM.  This pins today's behaviour; flagging both
+        at once will change it.
         """
         text = TEAM22.read_text().replace("duration: 125.0", "duration: 11.0")
         text = text.replace("dt: 0.001", "dt: 0.002")
@@ -465,12 +468,55 @@ class TestKnownLimitations:
         assert [(e.payload["to"], e.payload["agents"]) for e in changes] == \
             [("CEM", [11]), ("HDM", [11])]
         resets = log.events_of_kind("reference_reset")
-        assert [e.payload["excluded"] for e in resets] == [[11]]
+        assert [e.payload["excluded"] for e in resets] == [[11], [14]]
         rebuilt = resets[0].time
         assert changes[1].time == rebuilt
         assert 11 not in log.epochs[1]["followers"] + log.epochs[1]["leaders"]
-        # 14 stays unflagged until the rebuild, though frozen since 1 s
+        # 14 stays unflagged until the rebuild, though frozen since 1 s,
+        # and is excluded on the tick it is flagged
         j = log.agent_ids.index(14)
         before = log.times < rebuilt
         assert np.all(log.health[before, j] == HEALTH_OK)
-        assert np.any(log.health[~before, j] == HEALTH_FLAGGED)
+        excluded = log.times >= resets[1].time - 1e-9
+        assert np.all(log.health[~before & ~excluded, j] == HEALTH_OK)
+        assert np.all(log.health[excluded, j] == HEALTH_EXCLUDED)
+        assert log.epochs[2]["start_tick"] == np.flatnonzero(excluded)[0]
+        assert 14 not in log.epochs[2]["followers"] + log.epochs[2]["leaders"]
+
+
+class TestFlaggedOutsideDomain:
+    def test_excluded_at_once_and_blocks_resume(self, monkeypatch):
+        """The paper's exit rule in HDM: an agent flagged outside the
+        containment domain is excluded at once and the network rebuilt.
+
+        In the shipped scenario cut to 30 s with agents 11 and 14 frozen
+        at 5 s, 14 is flagged at 14.101 s, after 11's exclusion, outside
+        the domain.  Had it stayed flagged, every later HDM tick would be
+        a look-ahead block of one (about 16,000 detector calls); excluded,
+        the quiet ticks run in full blocks again.
+        """
+        calls = []
+        detect = anomaly.evaluate_followers_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(anomaly, "evaluate_followers_batch", counted)
+        text = TEAM22.read_text().replace("duration: 125.0", "duration: 30.0")
+        text = text[:text.index("failures:")] + (
+            "failures:\n- {agent: 11, time: 5.0, kind: freeze}\n"
+            "- {agent: 14, time: 5.0, kind: freeze}\n")
+        log = run_scenario(load_scenario(text))
+        resets = log.events_of_kind("reference_reset")
+        assert [e.payload["excluded"] for e in resets] == [[11], [14]]
+        assert resets[1].time == pytest.approx(14.101, abs=1e-9)
+        assert [e.payload["to"] for e in log.mode_changes()] == ["CEM", "HDM"]
+        k = int(round(resets[1].time / log.dt))
+        j = log.agent_ids.index(14)
+        assert np.all(log.health[:k, j] == HEALTH_OK)
+        assert np.all(log.health[k:, j] == HEALTH_EXCLUDED)
+        assert [ep["start_tick"] for ep in log.epochs][2] == k
+        assert np.all(log.mode[k:] == MODE_CODE[Mode.HDM])
+        hdm_ticks = np.count_nonzero(log.mode[1:] == MODE_CODE[Mode.HDM])
+        assert len(calls) <= hdm_ticks // Simulation.lookahead_ticks + 10
