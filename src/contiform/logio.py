@@ -39,8 +39,9 @@ def _write_trajectory_csv(path, log, stride):
         for start in range(0, rows, _CSV_CHUNK_ROWS):
             sel = slice(start * stride, min(start + _CSV_CHUNK_ROWS, rows)
                         * stride, stride)
-            chunk = np.empty((log.times[sel].shape[0], 1 + 10 * n))
-            chunk[:, 0] = log.times[sel]
+            times = log.times[sel]
+            chunk = np.empty((len(times), 1 + 10 * n))
+            chunk[:, 0] = times
             agents = chunk[:, 1:].reshape(-1, n, 10)
             agents[..., 0:3] = log.actual[sel]
             agents[..., 3:6] = log.local_desired[sel]

@@ -74,6 +74,15 @@ def decagon22_network():
     return refnet.build_reference_configuration(DECAGON22, n=2, rho=0.1)
 
 
+def tilt(a, b, c):
+    """A rotation by three angles; it tilts the z = 0 plane in general."""
+    ca, sa, cb, sb, cc, sc = (np.cos(a), np.sin(a), np.cos(b), np.sin(b),
+                              np.cos(c), np.sin(c))
+    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]])
+            @ np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]]))
+
+
 def sample_formation(rng, count, n, box=24.0, min_sep=1.5):
     """Random formation dict with pairwise separation, ids 1..count."""
     pts = []

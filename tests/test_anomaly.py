@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contiform import anomaly, geometry, refnet
-from conftest import DECAGON22, random_network
+from conftest import DECAGON22, random_network, tilt
 
 RNG_SEED = 5150
 
@@ -319,17 +319,6 @@ class TestSoundnessAtBound:
             assert healthy.all()
 
 
-def tilt(angles):
-    """Rotation taking the z = 0 plane to a tilted one."""
-    a, b, c = angles
-    rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0],
-                   [0, 0, 1]])
-    rx = np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)],
-                   [0, np.sin(b), np.cos(b)]])
-    return rz @ rx @ rz.T @ np.array(
-        [[np.cos(c), 0, np.sin(c)], [0, 1, 0], [-np.sin(c), 0, np.cos(c)]])
-
-
 def check_against_routes(vertices, query, static, delta):
     """The detector's row against the bordered solve (weights) and the
     per-simplex heights of hand_bounds (bounds, verdict)."""
@@ -370,7 +359,7 @@ class TestGradientKernel:
         flat = np.zeros((3, 3))
         flat[:, :2] = corners
         assume(well_shaped(flat))
-        rot = tilt(turn)
+        rot = tilt(*turn)
         vertices = flat @ rot.T + np.array(shift)
         weights = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
         query = weights @ vertices + lift * rot[:, 2]

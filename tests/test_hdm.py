@@ -14,7 +14,7 @@ from contiform import hdm, refnet
 from contiform.errors import DegeneracyError
 from contiform.scenario import load_scenario
 from contiform.simulate import MARGIN_OK, MARGIN_VIOLATED, Simulation
-from conftest import random_network
+from conftest import random_network, tilt
 
 RNG_SEED = 3404
 
@@ -321,15 +321,6 @@ points = st.tuples(coords, coords, coords)
 angles = st.floats(0.0, 2.0 * np.pi)
 
 
-def turn(a, b, c):
-    """A rotation by three angles; tilts the z = 0 plane in general."""
-    ca, sa, cb, sb, cc, sc = (np.cos(a), np.sin(a), np.cos(b), np.sin(b),
-                              np.cos(c), np.sin(c))
-    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]])
-            @ np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]]))
-
-
 def well_shaped(pts):
     sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
     return sv[-1] >= 0.05 * sv[0] > 0.5
@@ -357,8 +348,8 @@ class TestDeformationSigmas:
         flat_ref, flat_cmd = np.zeros((3, 3)), np.zeros((3, 3))
         flat_ref[:, :2], flat_cmd[:, :2] = ref, cmd
         assume(well_shaped(flat_ref) and well_shaped(flat_cmd))
-        ref = flat_ref @ turn(*ref_turn).T
-        cmd = flat_cmd @ turn(*cmd_turn).T + np.array(shift)
+        ref = flat_ref @ tilt(*ref_turn).T
+        cmd = flat_cmd @ tilt(*cmd_turn).T + np.array(shift)
         if mirror:
             cmd = cmd[[0, 2, 1]]
         sigma = hdm.deformation_sigmas(hdm.reference_edge_inverse(ref),
