@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -39,13 +40,15 @@ def cmd_simulate(args):
         out_dir = f"{stem}_out"
     paths = logio.write_outputs(log, out_dir, fmt=args.format,
                                 stride=args.stride)
+    with open(paths[-1]) as fh:   # meta.json, which holds the digest
+        digest = json.load(fh)["digest"]
     ticks = log.times.shape[0] - 1
     final_mode = "HDM" if log.mode[-1] == MODE_CODE[Mode.HDM] else "CEM"
     print(f"scenario: {config.name}")
     print(f"ticks: {ticks} (dt={config.dt:g}, t_final={log.times[-1]:g})")
     print(f"events: {len(log.events)}")
     print(f"final mode: {final_mode}")
-    print(f"digest: {log.digest()}")
+    print(f"digest: {digest}")
     for p in paths:
         print(f"wrote {p}")
     return 0

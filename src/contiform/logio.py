@@ -29,11 +29,13 @@ def _write_trajectory_csv(path, log, stride):
     """trajectory.csv, written in row chunks straight from the log arrays.
 
     The bytes are those of np.savetxt(fmt="%.10g", delimiter=",") over the
-    whole trajectory matrix, without building that matrix.
+    whole trajectory matrix, without building that matrix.  A column
+    whose 64-bit patterns are the same in every row of a chunk is
+    formatted once, as a literal in that chunk's row format; bit equality
+    keeps -0.0 apart from 0.0 and lets an all-NaN column merge.
     """
     n = len(log.agent_ids)
     rows = log.times[::stride].shape[0]
-    row_fmt = ",".join(["%.10g"] * (1 + 10 * n)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(_trajectory_header(log.agent_ids)) + "\n")
         for start in range(0, rows, _CSV_CHUNK_ROWS):
@@ -47,7 +49,12 @@ def _write_trajectory_csv(path, log, stride):
             agents[..., 3:6] = log.local_desired[sel]
             agents[..., 6:9] = log.global_desired[sel]
             agents[..., 9] = log.health[sel]
-            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+            bits = chunk.view(np.int64)
+            const = (bits == bits[0]).all(axis=0)
+            row_fmt = ",".join("%.10g" % v if c else "%.10g" for v, c in
+                               zip(chunk[0].tolist(), const)) + "\n"
+            fh.write((row_fmt * len(chunk))
+                     % tuple(chunk[:, ~const].ravel().tolist()))
 
 
 def _trajectory_header(agent_ids):

@@ -2,15 +2,19 @@
 import csv
 import hashlib
 import json
+import tempfile
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contiform import cli, logio
 from contiform.scenario import load_scenario
 from contiform.automaton import Mode
 from contiform.simulate import (HEALTH_EXCLUDED, MODE_CODE, Simulation,
-                                run_scenario)
+                                TrajectoryLog, run_scenario)
 
 TINY = """
 name: tiny
@@ -166,6 +170,21 @@ class TestStreamedTrajectory:
         assert (tmp_path / "oracle.csv").read_bytes() == \
             open(paths[0], "rb").read()
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_constant_columns_match_savetxt(self, stride, chunk_rows, data):
+        log = columns_log(data, stride)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(logio, "_CSV_CHUNK_ROWS", chunk_rows):
+            logio._write_trajectory_csv(f"{tmp}/t.csv", log, stride)
+            savetxt_oracle(log, f"{tmp}/oracle.csv", stride)
+            with open(f"{tmp}/t.csv", "rb") as a, \
+                    open(f"{tmp}/oracle.csv", "rb") as b:
+                assert a.read() == b.read()
+
     def test_digest_hashes_the_array_bytes(self, cem_log):
         h = hashlib.sha256()
         for name in ("times", "actual", "local_desired", "global_desired",
@@ -175,6 +194,43 @@ class TestStreamedTrajectory:
         h.update(json.dumps([[e.time, e.kind, e.payload]
                              for e in cem_log.events], sort_keys=True).encode())
         assert cem_log.digest() == h.hexdigest()
+
+
+POOL = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-5, 1e16,
+        123.456)
+
+
+def columns_log(data, stride):
+    """The trajectory.csv fields of a small log whose columns hold values
+    from POOL and a few drawn floats, each column changing only every
+    `period` rows, so that it is constant over some chunks and varies
+    inside others.  Agent 0 always has a -0.0 in its otherwise-zero z
+    column, an all-NaN zc column and a health change on its third
+    written row."""
+    rows = data.draw(st.integers(3 * stride, 60), label="rows")
+    agents = data.draw(st.integers(1, 3), label="agents")
+    cols = 1 + 10 * agents
+    pool = POOL + tuple(data.draw(st.lists(st.floats(), min_size=3,
+                                           max_size=3), label="floats"))
+    periods = data.draw(st.lists(st.sampled_from([1, 2, 8, 1000]),
+                                 min_size=cols, max_size=cols),
+                        label="periods")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=rows * cols, max_size=rows * cols),
+                      label="picks")
+    mat = np.array([[pool[picks[(r // periods[c]) * cols + c]]
+                     for c in range(cols)] for r in range(rows)])
+    agent = mat[:, 1:].reshape(rows, agents, 10)
+    agent[:, 0, 2] = 0.0
+    agent[stride, 0, 2] = -0.0
+    agent[:, 0, 8] = np.nan
+    health = np.sign(np.nan_to_num(agent[..., 9])).astype(np.int8)
+    health[:, 0] = 1
+    health[2 * stride:, 0] = 0
+    return SimpleNamespace(
+        agent_ids=tuple(range(1, agents + 1)), times=mat[:, 0],
+        actual=agent[..., 0:3], local_desired=agent[..., 3:6],
+        global_desired=agent[..., 6:9], health=health)
 
 
 @pytest.fixture()
@@ -195,6 +251,23 @@ class TestCliSimulate:
         assert "digest: " in text
         with open(out + "/meta.json") as fh:
             assert json.load(fh)["agent_ids"] == [1, 2, 3, 4]
+
+    def test_prints_the_meta_digest_hashed_once(self, tiny_file, tmp_path,
+                                                capsys, monkeypatch):
+        calls = []
+        digest = TrajectoryLog.digest
+
+        def counted(log):
+            calls.append(1)
+            return digest(log)
+
+        monkeypatch.setattr(TrajectoryLog, "digest", counted)
+        out = str(tmp_path / "out")
+        assert cli.main(["simulate", tiny_file, "--out", out]) == 0
+        assert len(calls) == 1
+        with open(out + "/meta.json") as fh:
+            meta_digest = json.load(fh)["digest"]
+        assert f"digest: {meta_digest}\n" in capsys.readouterr().out
 
     def test_json_and_stride_flags(self, tiny_file, tmp_path, capsys):
         out = str(tmp_path / "outj")
