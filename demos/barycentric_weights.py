@@ -2,8 +2,8 @@
 
 Every query point against a simplex yields weights that sum to one and
 reproduce the point; sign of the smallest weight decides containment.
-Planar configurations get a virtual fourth vertex whose weight is zero
-for any in-plane query, so one operator serves n = 2 and n = 3.
+Planar configurations get a virtual fourth vertex whose weight is
+exactly zero for any query, so one operator serves n = 2 and n = 3.
 """
 import numpy as np
 
@@ -24,7 +24,7 @@ for label, point in [("centroid", np.array([4 / 3, 4 / 3, 0.0])),
     print(f"{label:>14}: weights {np.round(lam, 6)} "
           f"sum {lam.sum():.12f} inside={inside}")
 
-# out-of-plane queries are projected onto the triangle plane first
+# a query off the triangle plane gets the weights of its foot in the plane
 raised = np.array([1.0, 1.0, 3.0])
 lam = geometry.lambda_nd(tri[0], tri[1], tri[2], None, raised, n=2)
 recon = lam[0] * tri[0] + lam[1] * tri[1] + lam[2] * tri[2]

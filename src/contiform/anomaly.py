@@ -11,11 +11,14 @@ Each weight lambda_k is an affine function of the query point with a
 constant gradient g_k: it is 1 on in-neighbor k and 0 on the side (n = 2)
 or face (n = 3) opposite it.  So l_k = 1 / |g_k| is the height of neighbor
 k over that side or face, and d_k = lambda_k / |g_k| the signed distance
-of the query from it, positive toward neighbor k.  For n = 2 the gradients
-come from the 2 x 2 Gram matrix of the edges p1 - p0 and p2 - p0 and lie in
-the neighbor plane, so the query's offset from that plane drops out, as in
-the weight operator's projection; for n = 3 they are the cross products of
-the edges p1 - p0, p2 - p0 and p3 - p0 over their triple product.
+of the query from it, positive toward neighbor k.  The weights and |g_k|
+come from the closed-form kernel geometry._barycentric, which the network
+build shares through lambda_nd_batch, so at the reference formation the
+transient weights are the static ones bit for bit.  For n = 2 the
+gradients come from the 2 x 2 Gram matrix of the edges p1 - p0 and
+p2 - p0 and lie in the neighbor plane, so the query's offset from that
+plane drops out; for n = 3 they are the cross products of the edges
+p1 - p0, p2 - p0 and p3 - p0 over their triple product.
 
 The transient weight is d_k / l_k, and a deviation budget Delta on every
 position shifts numerator and denominator by at most 2 Delta.  The
@@ -36,66 +39,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _barycentric
+
 _DEGENERATE_NORM = 1e-12
-
-
-def _gradients(vertices, queries, n):
-    """Weights lam and heights l, (m, n+1) each, of m queries (m, 3) in
-    the simplexes vertices (m, n+1, 3), and the (m,) degenerate mask.
-
-    Works on the coordinate columns: no (m, n+1, 3) temporaries.
-    """
-    x, y, z = vertices[..., 0], vertices[..., 1], vertices[..., 2]
-    x0, y0, z0 = x[:, 0], y[:, 0], z[:, 0]
-    wx, wy, wz = queries[:, 0] - x0, queries[:, 1] - y0, queries[:, 2] - z0
-    ax, ay, az = x[:, 1] - x0, y[:, 1] - y0, z[:, 1] - z0
-    bx, by, bz = x[:, 2] - x0, y[:, 2] - y0, z[:, 2] - z0
-    lam = np.empty((len(x0), n + 1))
-    # |g_k| up to a common factor: squared for n = 2, plain for n = 3
-    norm = np.empty((len(x0), n + 1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if n == 2:
-            g11 = ax * ax + ay * ay + az * az
-            g22 = bx * bx + by * by + bz * bz
-            g12 = ax * bx + ay * by + az * bz
-            w1 = ax * wx + ay * wy + az * wz
-            w2 = bx * wx + by * wy + bz * wz
-            # the Gram determinant as |a x b|^2, free of cancellation
-            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-            det = nx * nx + ny * ny + nz * nz
-            inv = 1.0 / det
-            lam[:, 1] = (g22 * w1 - g12 * w2) * inv
-            lam[:, 2] = (g11 * w2 - g12 * w1) * inv
-            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
-            # |g_1|^2 = g22 / det, |g_2|^2 = g11 / det, |g_0|^2 = |p2-p1|^2 / det
-            norm[:, 0] = g11 + g22 - 2.0 * g12
-            norm[:, 1] = g22
-            norm[:, 2] = g11
-            l = np.sqrt(det[:, None] / norm)
-            degenerate = ~(det >= _DEGENERATE_NORM**2)
-        else:
-            cx, cy, cz = x[:, 3] - x0, y[:, 3] - y0, z[:, 3] - z0
-            # rows of the inverse edge matrix: b x c, c x a, a x b over V
-            k1x, k1y, k1z = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
-            k2x, k2y, k2z = cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax
-            k3x, k3y, k3z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-            vol = ax * k1x + ay * k1y + az * k1z
-            inv = 1.0 / vol
-            lam[:, 1] = (k1x * wx + k1y * wy + k1z * wz) * inv
-            lam[:, 2] = (k2x * wx + k2y * wy + k2z * wz) * inv
-            lam[:, 3] = (k3x * wx + k3y * wy + k3z * wz) * inv
-            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2] - lam[:, 3]
-            k0x, k0y, k0z = k1x + k2x + k3x, k1y + k2y + k3y, k1z + k2z + k3z
-            norm[:, 0] = k0x * k0x + k0y * k0y + k0z * k0z
-            norm[:, 1] = k1x * k1x + k1y * k1y + k1z * k1z
-            norm[:, 2] = k2x * k2x + k2y * k2y + k2z * k2z
-            norm[:, 3] = k3x * k3x + k3y * k3y + k3z * k3z
-            np.sqrt(norm, out=norm)
-            l = np.abs(vol)[:, None] / norm
-            degenerate = ~(norm >= _DEGENERATE_NORM).all(axis=1)
-        degenerate |= ~(l >= _DEGENERATE_NORM).all(axis=1)
-    degenerate |= np.isnan(lam[:, 0])
-    return lam, l, degenerate
 
 
 def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
@@ -112,9 +58,20 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     if vertices.shape[0] == 0:
         empty = np.empty((0, n + 1))
         return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)
-    weights, l, degenerate = _gradients(vertices, queries, n)
+    weights, det, norm, _ = _barycentric(vertices, queries, n)
     two = 2.0 * delta
     with np.errstate(invalid="ignore", divide="ignore"):
+        if n == 2:
+            # |g_k|^2 = norm_k / det
+            l = np.sqrt(det[:, None] / norm)
+            degenerate = ~(det >= _DEGENERATE_NORM**2)
+        else:
+            # |g_k| = |k_k| / |det|
+            np.sqrt(norm, out=norm)
+            l = np.abs(det)[:, None] / norm
+            degenerate = ~(norm >= _DEGENERATE_NORM).all(axis=1)
+        degenerate |= ~(l >= _DEGENERATE_NORM).all(axis=1)
+        degenerate |= np.isnan(weights[:, 0])
         d = weights * l
         low, high = d - two, d + two
         far = l + two

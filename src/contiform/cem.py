@@ -291,10 +291,9 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     phi(z) + v_phi dt + 1j psi_target (_invert); psi_targets are the stream
     constants, by default the current psi.  An agent where |W'|^2 is below
     the stagnation floor, or whose solve fails, holds and is flagged
-    stagnated (the supervisor's clamp-and-log policy).  A Newton result
-    strictly inside a disk is flagged projected, pushed radially out and
-    solved again from there; if that fails too, the agent holds stagnated.
-    The z column is carried through.
+    stagnated (the supervisor's clamp-and-log policy).  An agent whose
+    Newton result lies strictly inside a disk holds too, flagged both
+    projected and stagnated.  The z column is carried through.
 
     Returns (next_positions (m, 3), stagnated (m,), projected (m,)).
     """
@@ -310,23 +309,12 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     if psi_targets is not None:
         target.imag = psi_targets
     z1, failed = _invert(field, target, z0)
-
-    inside = _inside(field, z1) if len(field._centers) > 1 else ()
-    projected = np.zeros(m, dtype=bool)
-    if np.count_nonzero(inside):
-        projected = inside.any(axis=1)
-        # push radially out of the first disk entered (W has no root on a
-        # center), then solve again from there
-        idx = np.flatnonzero(projected)
-        j = inside[idx].argmax(axis=1)
-        d = z1[idx] - field._centers[j]
-        pushed = field._centers[j] + d * (field._radius[j] * (1.0 + 1e-12)
-                                          / np.abs(d))
-        z1[idx], failed_here = _invert(field, target[idx], pushed)
-        still = _inside(field, z1[idx]).any(axis=1)
-        failed = np.concatenate((failed, idx[failed_here], idx[still]))
+    # only a Newton solve (two or more doublets) can land inside a disk
+    projected = (_inside(field, z1).any(axis=1) if len(field._centers) > 1
+                 else np.zeros(m, dtype=bool))
     stagnated = np.abs(dw) < field.stagnation_floor ** 0.5
     stagnated[failed] = True
+    stagnated |= projected
     if np.count_nonzero(stagnated):
         z1[stagnated] = z0[stagnated]
 

@@ -7,9 +7,11 @@ dimensionless 4-vectors that sum to one: the solution of
     [ 1  1  1  1] [..] = [1]
 
 For planar (n = 2) formations the fourth vertex is virtual: p1 plus a
-scaled cross product of the triangle edges. Queries are projected onto
-the triangle plane before solving, which pins the fourth weight to zero
-for any query point.
+nonzero multiple xi of the triangle normal. The query is taken in the
+triangle plane, so the fourth weight is exactly zero and the first three
+do not depend on xi. Every weight comes from one closed-form kernel,
+_barycentric, which the network build (through lambda_nd_batch) and the
+anomaly detector share.
 """
 from __future__ import annotations
 
@@ -22,19 +24,6 @@ RANK_TOLERANCE = 1e-9
 
 # Default scale of the virtual fourth vertex for planar simplexes.
 DEFAULT_XI = 1.0
-
-
-def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross product without np.cross's axis-juggling overhead."""
-    out = np.empty(np.broadcast(u, v).shape)
-    out[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-    out[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-    out[..., 2] = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    return out
-
-
-def _row_norms(u: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...j,...j->...", u, u))
 
 
 def as_position(p) -> np.ndarray:
@@ -90,58 +79,103 @@ def lambda_nd(p1, p2, p3, p4, c, n: int, xi: float = DEFAULT_XI) -> np.ndarray:
     return lambda_nd_batch(np.stack(pts)[None], as_position(c)[None], n, xi)[0]
 
 
+def _barycentric(vertices, queries, n):
+    """Closed-form weights of m queries (m, 3) in the simplexes vertices
+    (m, n+1, 3): (lam (m, n+1), det (m,), norm (m, n+1), scale (m,)).
+
+    Each weight lam_k is affine in the query, with a constant gradient
+    g_k.  For n = 2 the gradients come from the Gram matrix of the edges
+    a = p1 - p0 and b = p2 - p0, its determinant det taken as |a x b|^2,
+    free of cancellation.  They lie in the triangle plane, so the query's
+    offset from that plane drops out.  norm_k = |g_k|^2 det is the squared
+    length of the edge opposite vertex k, and scale = |a|^2 |b|^2.  For
+    n = 3, det is the triple product a . (b x c) and g_k = k_k / det, with
+    k_1 = b x c, k_2 = c x a, k_3 = a x b and k_0 = -(k_1 + k_2 + k_3);
+    norm_k = |k_k|^2, and scale is the cube of the longest of a, b, c.
+    A degenerate simplex yields inf or NaN entries.
+
+    Works on the coordinate columns: no (m, n+1, 3) temporaries.
+    """
+    x, y, z = vertices[..., 0], vertices[..., 1], vertices[..., 2]
+    x0, y0, z0 = x[:, 0], y[:, 0], z[:, 0]
+    wx, wy, wz = queries[:, 0] - x0, queries[:, 1] - y0, queries[:, 2] - z0
+    ax, ay, az = x[:, 1] - x0, y[:, 1] - y0, z[:, 1] - z0
+    bx, by, bz = x[:, 2] - x0, y[:, 2] - y0, z[:, 2] - z0
+    lam = np.empty((len(x0), n + 1))
+    norm = np.empty((len(x0), n + 1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if n == 2:
+            g11 = ax * ax + ay * ay + az * az
+            g22 = bx * bx + by * by + bz * bz
+            g12 = ax * bx + ay * by + az * bz
+            w1 = ax * wx + ay * wy + az * wz
+            w2 = bx * wx + by * wy + bz * wz
+            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            det = nx * nx + ny * ny + nz * nz
+            inv = 1.0 / det
+            lam[:, 1] = (g22 * w1 - g12 * w2) * inv
+            lam[:, 2] = (g11 * w2 - g12 * w1) * inv
+            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
+            norm[:, 0] = g11 + g22 - 2.0 * g12
+            norm[:, 1] = g22
+            norm[:, 2] = g11
+            scale = g11 * g22
+        else:
+            cx, cy, cz = x[:, 3] - x0, y[:, 3] - y0, z[:, 3] - z0
+            k1x, k1y, k1z = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+            k2x, k2y, k2z = cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax
+            k3x, k3y, k3z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            det = ax * k1x + ay * k1y + az * k1z
+            inv = 1.0 / det
+            lam[:, 1] = (k1x * wx + k1y * wy + k1z * wz) * inv
+            lam[:, 2] = (k2x * wx + k2y * wy + k2z * wz) * inv
+            lam[:, 3] = (k3x * wx + k3y * wy + k3z * wz) * inv
+            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2] - lam[:, 3]
+            k0x, k0y, k0z = k1x + k2x + k3x, k1y + k2y + k3y, k1z + k2z + k3z
+            norm[:, 0] = k0x * k0x + k0y * k0y + k0z * k0z
+            norm[:, 1] = k1x * k1x + k1y * k1y + k1z * k1z
+            norm[:, 2] = k2x * k2x + k2y * k2y + k2z * k2z
+            norm[:, 3] = k3x * k3x + k3y * k3y + k3z * k3z
+            scale = np.maximum(np.maximum(ax * ax + ay * ay + az * az,
+                                          bx * bx + by * by + bz * bz),
+                               cx * cx + cy * cy + cz * cz)
+            scale *= np.sqrt(scale)
+    return lam, det, norm, scale
+
+
 def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,
                     xi: float = DEFAULT_XI, on_degenerate: str = "raise") -> np.ndarray:
     """Dimension-aware weight operator over M simplexes.
 
     vertices: (M, n+1, 3) simplex vertices, queries: (M, 3).
-    Returns (M, 4) weight rows. For n = 2 the virtual vertex is
-    p1 + xi (p3 - p1) x (p2 - p1) and the query is projected in
-    p1-centered coordinates, so the first three weights do not depend on
-    the nonzero scale xi. Degenerate simplexes either raise or are filled
-    with NaN rows (on_degenerate = "nan"), which search code uses to
-    discard unusable candidate tuples in bulk.
+    Returns (M, 4) weight rows in closed form (_barycentric). For n = 2
+    the fourth vertex is virtual, p1 + xi (p3 - p1) x (p2 - p1): the
+    query is taken in the triangle plane, so l4 is exactly 0 and xi
+    enters only the check that it is nonzero. A simplex is degenerate
+    when |(p3 - p1) x (p2 - p1)| (n = 2) or the edges' |triple product|
+    (n = 3) is at most RANK_TOLERANCE times the product of the two edge
+    lengths, or the cube of the longest edge. Degenerate simplexes
+    either raise or are filled with NaN rows (on_degenerate = "nan"),
+    which search code uses to discard unusable candidate tuples in bulk.
     """
     if n == 2 and xi == 0.0:
         raise DegeneracyError("xi must be nonzero")
+    if n not in (2, 3):
+        raise ValueError(f"n must be 2 or 3, got {n}")
     vertices = np.asarray(vertices, dtype=float)
     queries = np.asarray(queries, dtype=float)
-    m_count = vertices.shape[0]
-    if m_count == 0:
+    if vertices.shape[0] == 0:
         return np.zeros((0, 4))
+    lam, det, _, scale = _barycentric(vertices, queries, n)
+    out = np.zeros((len(det), 4))
+    out[:, : n + 1] = lam
+    # det is squared for n = 2
     if n == 2:
-        p1 = vertices[:, 0, :]
-        q2 = vertices[:, 1, :] - p1
-        q3 = vertices[:, 2, :] - p1
-        raw = _cross_rows(q3, q2)
-        norm = _row_norms(raw)
-        scale = _row_norms(q3) * _row_norms(q2)
-        good = norm > RANK_TOLERANCE * np.maximum(scale, 1e-300)
-        mats = np.ones((m_count, 4, 4))
-        mats[:, :3, 0] = 0.0
-        mats[:, :3, 1] = q2
-        mats[:, :3, 2] = q3
-        mats[:, :3, 3] = xi * raw
-        cq = queries - p1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nhat = raw / np.where(norm > 0, norm, 1.0)[:, None]
-        cq = cq - np.sum(cq * nhat, axis=1)[:, None] * nhat
-        rhs = np.concatenate([cq, np.ones((m_count, 1))], axis=1)
+        good = det > RANK_TOLERANCE**2 * scale
     else:
-        if n != 3:
-            raise ValueError(f"n must be 2 or 3, got {n}")
-        mats = np.ones((m_count, 4, 4))
-        mats[:, :3, :] = np.swapaxes(vertices, 1, 2)
-        edges = vertices[:, 1:, :] - vertices[:, :1, :]
-        vol = np.abs(np.linalg.det(edges))
-        scale = np.max(_row_norms(edges), axis=1)
-        good = vol > RANK_TOLERANCE * np.maximum(scale, 1e-300) ** 3
-        rhs = np.concatenate([queries, np.ones((m_count, 1))], axis=1)
-    if not np.all(good):
+        good = np.abs(det) > RANK_TOLERANCE * scale
+    if not good.all():
         if on_degenerate == "raise":
             raise DegeneracyError(f"{int(np.sum(~good))} degenerate simplexes in batch")
-        out = np.full((m_count, 4), np.nan)
-        if np.any(good):
-            out[good] = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-        return out
-    return np.linalg.solve(mats, rhs[..., None])[..., 0]
+        out[~good] = np.nan
+    return out

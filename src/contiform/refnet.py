@@ -28,9 +28,6 @@ from .geometry import DEFAULT_XI, as_position, lambda_nd_batch, rank_simplex
 # Inclusion-margin defaults per dimension; must stay below 1/(n+1).
 DEFAULT_RHO = {2: 0.1, 3: 0.05}
 
-# Fourth-weight tolerance for planar admissibility checks.
-LAMBDA4_TOL = 1e-9
-
 # Initial k-nearest candidate pool for the in-neighbor search.
 SEARCH_K0 = 8
 
@@ -84,13 +81,11 @@ def _check_distinct(ids, pos):
 
 
 def _admissible_mask(vertices, query, n, rho, xi):
-    """Admissibility of each candidate simplex: all real weights > rho."""
+    """Admissibility of each candidate simplex: all real weights > rho
+    (a degenerate simplex's NaN weights are not)."""
     queries = np.broadcast_to(query, (vertices.shape[0], 3))
     lam = lambda_nd_batch(vertices, queries, n, xi, on_degenerate="nan")
-    ok = np.all(lam[:, : n + 1] > rho, axis=1) & np.all(np.isfinite(lam), axis=1)
-    if n == 2:
-        ok &= np.abs(lam[:, 3]) <= LAMBDA4_TOL
-    return ok, lam
+    return np.all(lam[:, : n + 1] > rho, axis=1)
 
 
 def _has_enclosing_simplex(own, cand_pos, n, rho, xi):
@@ -103,7 +98,7 @@ def _has_enclosing_simplex(own, cand_pos, n, rho, xi):
         chunk = np.array(list(itertools.islice(combos, _CHUNK)), dtype=int)
         if chunk.size == 0:
             return False
-        ok, _ = _admissible_mask(cand_pos[chunk], own, n, rho, xi)
+        ok = _admissible_mask(cand_pos[chunk], own, n, rho, xi)
         if np.any(ok):
             return True
 
@@ -217,7 +212,7 @@ def find_in_neighbors(agent_id, ref_positions, n: int = 2, rho: float = None,
         combos = [c for c in itertools.combinations(range(k), n + 1) if c[-1] >= evaluated]
         if combos:
             combos = np.array(combos, dtype=int)
-            ok, _ = _admissible_mask(pos[combos], own, n, rho, xi)
+            ok = _admissible_mask(pos[combos], own, n, rho, xi)
             if np.any(ok):
                 sums = dists[combos[ok]].sum(axis=1)
                 for row, s in zip(combos[ok], sums):

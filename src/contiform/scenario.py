@@ -32,6 +32,7 @@ position keeps the two views identical for the initial build.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -120,7 +121,7 @@ def _number(value, path, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ScenarioError(f"{path}: must be finite")
     if positive and not value > 0.0:
         raise ScenarioError(f"{path}: must be positive, got {value}")

@@ -5,16 +5,19 @@ The equilateral bound values were computed by hand from the signed
 point-line distances (d = 2/sqrt(3), l = 2 sqrt(3) for side 4):
 lo = (d - 2*0.1) / (l + 2*0.1), hi = (d + 2*0.1) / (l - 2*0.1).  A
 negative numerator takes the other denominator (see the anomaly module).
-The weights are checked against the bordered solve of
-geometry.lambda_nd_batch, an independent route to the same values.
+The weights are checked against the 4 x 4 bordered solve the weight
+operator used before its closed form (test_geometry.bordered_solve), an
+independent route to the same values: the detector and lambda_nd_batch
+share one kernel.
 """
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contiform import anomaly, geometry, refnet
+from contiform import anomaly, refnet
 from conftest import DECAGON22, random_network, tilt
+from test_geometry import bordered_solve
 
 RNG_SEED = 5150
 
@@ -193,7 +196,7 @@ class TestBatchEvaluation:
             static[k] = rng.uniform(0.1, 0.6, size=3)
         w, lo, hi, healthy = anomaly.evaluate_followers_batch(
             vertices, queries, static, 0.1, 2)
-        solved = geometry.lambda_nd_batch(vertices, queries, 2)[:, :3]
+        solved = bordered_solve(vertices, queries, 2)[:, :3]
         np.testing.assert_allclose(w, solved, atol=1e-9)
         for k in range(m):
             los, his = hand_bounds(vertices[k], solved[k], 0.1)
@@ -210,7 +213,7 @@ class TestBatchEvaluation:
             lam /= lam.sum()
             query = lam @ tet
             w, lo, hi, healthy = evaluate(tet, query, lam, 0.05, 3)
-            solved = geometry.lambda_nd_batch(tet[None], query[None], 3)[0]
+            solved = bordered_solve(tet[None], query[None], 3)[0]
             np.testing.assert_allclose(w, solved, atol=1e-9)
             los, his = hand_bounds(tet, solved, 0.05)
             np.testing.assert_allclose(lo, los, atol=1e-9)
@@ -285,7 +288,7 @@ class TestProperties:
         vertices, query = pts[:n + 1], pts[4]
         assume(well_shaped(vertices))
         w = evaluate(vertices, query, n=n)[0]
-        solved = geometry.lambda_nd_batch(vertices[None], query[None], n)[0]
+        solved = bordered_solve(vertices[None], query[None], n)[0]
         scale = 1.0 + np.abs(solved).max()
         np.testing.assert_allclose(w, solved[:n + 1], atol=1e-9 * scale)
         if n == 2:
@@ -324,7 +327,7 @@ def check_against_routes(vertices, query, static, delta):
     per-simplex heights of hand_bounds (bounds, verdict)."""
     n = len(vertices) - 1
     w, lo, hi, healthy = evaluate(vertices, query, static, delta, n)
-    solved = geometry.lambda_nd_batch(vertices[None], query[None], n)[0]
+    solved = bordered_solve(vertices[None], query[None], n)[0]
     scale = 1.0 + np.abs(solved).max()
     np.testing.assert_allclose(w, solved[:n + 1], rtol=0, atol=1e-9 * scale)
     los, his = hand_bounds(vertices, solved[:n + 1], delta)
@@ -373,7 +376,7 @@ class TestGradientKernel:
         """n = 3, with the query anywhere: weights below -1 included."""
         pts = np.array(pts)
         assume(well_shaped(pts[:4]))
-        solved = geometry.lambda_nd_batch(pts[None, :4], pts[None, 4], 3)[0]
+        solved = bordered_solve(pts[None, :4], pts[None, 4], 3)[0]
         check_against_routes(pts[:4], pts[4], solved + offset, delta)
 
     @PROPERTY

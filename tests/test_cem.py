@@ -373,22 +373,22 @@ class TestStepStreamline:
 
     def test_step_into_disk_is_projected(self):
         """With two disks a long step sends the Newton solve to a root
-        inside a disk.  The guard flags it, pushes it out and solves
-        again for psi; the result is never strictly inside a disk, and an
-        agent the second solve cannot place outside holds as
-        stagnated."""
+        inside a disk.  That agent holds, flagged both projected and
+        stagnated; the agent whose root lies outside moves along its
+        streamline."""
         field = cem.build_flow_from_failures(
             np.array([[0.0, 0.0], [10.0, 0.0]]), 10.0, radius_override=4.0)
         start = np.array([[3.941, 1.056, 0.5], [3.533, 2.04, 0.5],
                           [-12.0, 6.0, 0.5]])
         out, stag, proj = cem.step_streamline_many(start, field, 10.0, 0.3)
         np.testing.assert_array_equal(proj, [True, True, False])
-        np.testing.assert_array_equal(out[stag], start[stag])
-        z = out[:, 0] + 1j * out[:, 1]
-        assert np.all(np.abs(z[:, None] - field._centers) >= 4.0)
-        for (x, y, _), (x1, y1, _) in zip(start[~stag], out[~stag]):
-            assert abs(cem.eval_flow(field, x1, y1).psi
-                       - cem.eval_flow(field, x, y).psi) <= 1e-9
+        np.testing.assert_array_equal(stag, proj)
+        np.testing.assert_array_equal(out[:2], start[:2])
+        (x, y, _), (x1, y1, _) = start[2], out[2]
+        assert np.all(np.abs(complex(x1, y1) - field._centers) >= 4.0)
+        before, after = cem.eval_flow(field, x, y), cem.eval_flow(field, x1, y1)
+        assert abs(after.psi - before.psi) <= 1e-9
+        assert abs(after.phi - before.phi - 3.0) <= 1e-9
         np.testing.assert_array_equal(out[:, 2], start[:, 2])
 
     def test_unconverged_solve_holds_as_stagnated(self, monkeypatch):

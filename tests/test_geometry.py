@@ -6,8 +6,10 @@ containment tests) and frozen here.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contiform import geometry
+from contiform import geometry, refnet
 from contiform.errors import DegeneracyError
 
 RNG_SEED = 9021
@@ -72,7 +74,7 @@ class TestVirtualFourthPoint:
     weight operator."""
 
     def test_random_triangle_gains_rank(self):
-        # any non-collinear triangle gives a solvable bordered system
+        # any non-collinear triangle gives finite weights
         rng = np.random.default_rng(RNG_SEED)
         tris = np.stack([random_triangle(rng) for _ in range(20)])
         queries = rng.uniform(-10, 10, size=(20, 3))
@@ -122,7 +124,7 @@ class TestProjectToPlane:
 
 
 class TestBarycentricLambda:
-    """lambda_nd with n = 3: the bordered solve on a real tetrahedron."""
+    """lambda_nd with n = 3: weights in a real tetrahedron."""
 
     UNIT_TET = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -278,3 +280,172 @@ class TestLambdaBatch:
         assert np.all(np.isnan(out[1]))
         with pytest.raises(DegeneracyError):
             geometry.lambda_nd_batch(tris, queries, 2)
+
+
+def bordered_solve(vertices, queries, n, xi=geometry.DEFAULT_XI,
+                   on_degenerate="raise"):
+    """Oracle: the weights as the solution of the 4 x 4 bordered system
+    [p1 p2 p3 p4; 1 1 1 1] l = [c; 1], with the virtual fourth vertex
+    p1 + xi (p3 - p1) x (p2 - p1) and the query projected onto the
+    triangle plane for n = 2, and the same degeneracy tests as the
+    closed form, taken on the unsquared measures."""
+    vertices = np.asarray(vertices, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    m = len(vertices)
+    mats = np.ones((m, 4, 4))
+    if n == 2:
+        p1 = vertices[:, 0]
+        q2, q3 = vertices[:, 1] - p1, vertices[:, 2] - p1
+        raw = np.cross(q3, q2)
+        norm = np.linalg.norm(raw, axis=1)
+        scale = np.linalg.norm(q3, axis=1) * np.linalg.norm(q2, axis=1)
+        good = norm > geometry.RANK_TOLERANCE * np.maximum(scale, 1e-300)
+        mats[:, :3, 0] = 0.0
+        mats[:, :3, 1], mats[:, :3, 2], mats[:, :3, 3] = q2, q3, xi * raw
+        nhat = raw / np.where(norm > 0, norm, 1.0)[:, None]
+        cq = queries - p1
+        cq = cq - np.sum(cq * nhat, axis=1)[:, None] * nhat
+    else:
+        mats[:, :3, :] = np.swapaxes(vertices, 1, 2)
+        edges = vertices[:, 1:] - vertices[:, :1]
+        vol = np.abs(np.linalg.det(edges))
+        scale = np.linalg.norm(edges, axis=2).max(axis=1)
+        good = vol > geometry.RANK_TOLERANCE * np.maximum(scale, 1e-300) ** 3
+        cq = queries
+    rhs = np.concatenate([cq, np.ones((m, 1))], axis=1)
+    if not good.all() and on_degenerate == "raise":
+        raise DegeneracyError(f"{int(np.sum(~good))} degenerate simplexes")
+    out = np.full((m, 4), np.nan)
+    if good.any():
+        out[good] = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
+    return out
+
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+offsets = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
+
+
+def _frame(turns):
+    """A rotation of space from three angles: the tilt of the plane."""
+    a, b, c = turns
+    rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0],
+                   [0, 0, 1]])
+    rx = np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)],
+                   [0, np.sin(b), np.cos(b)]])
+    ry = np.array([[np.cos(c), 0, np.sin(c)], [0, 1, 0],
+                   [-np.sin(c), 0, np.cos(c)]])
+    return rz @ rx @ ry
+
+
+def _simplex(n, shape, frame, offset):
+    """n + 1 vertices: a unit-ish simplex with jitter `shape`, turned by
+    frame, scaled to 10 m and moved by offset."""
+    base = np.vstack([np.zeros(3), 10.0 * np.eye(3)[:n]])
+    base[:, :n] += 3.0 * np.reshape(shape[:3 * (n + 1)], (n + 1, 3))[:, :n]
+    return base @ frame.T + offset
+
+
+def _near_rank(n, ratio, frame, offset):
+    """A simplex whose degeneracy measure is ratio * RANK_TOLERANCE: the
+    sine of the angle at p1 for n = 2, the volume over the cube of the
+    longest edge for n = 3."""
+    h = ratio * geometry.RANK_TOLERANCE
+    if n == 2:
+        # |a x b| / (|a| |b|) = h / sqrt(1 + h^2) for a = (10, 0), b = (10, 10 h)
+        base = np.array([[0, 0, 0], [10, 0, 0], [10, 10 * h, 0]], float)
+    else:
+        # |det| / 10^3 = h, all edges 10 m long or shorter
+        base = np.array([[0, 0, 0], [10, 0, 0], [0, 10, 0],
+                         [3, 3, 10 * h]], float)
+    return base @ frame.T + offset
+
+
+class TestClosedFormAgainstBorderedSolve:
+    """The closed form (lambda_nd_batch) against the old 4 x 4 solve."""
+
+    @ORACLE
+    @given(n=st.sampled_from([2, 3]), shape=st.lists(unit, min_size=12,
+                                                     max_size=12),
+           turns=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3),
+           offset=offsets, query=st.tuples(*[st.floats(-1.0, 2.0)] * 3),
+           lift=st.floats(-20.0, 20.0))
+    def test_weights_agree(self, n, shape, turns, offset, query, lift):
+        """Tilted triangles with off-plane queries, and tetrahedra: the
+        weights agree within 1e-12 of the coordinate scale, and the
+        virtual weight is exactly zero."""
+        frame = _frame(turns)
+        verts = _simplex(n, shape, frame, offset)
+        q = (np.array(query) * 10.0) @ frame.T + offset
+        if n == 2:
+            q = q + lift * frame[:, 2]   # off the triangle plane
+        got = geometry.lambda_nd_batch(verts[None], q[None], n)[0]
+        want = bordered_solve(verts[None], q[None], n)[0]
+        scale = max(1.0, np.abs(verts).max(), np.abs(q).max())
+        np.testing.assert_allclose(got[:n + 1], want[:n + 1],
+                                   rtol=0, atol=1e-12 * scale)
+        if n == 2:
+            assert got[3] == 0.0
+
+    @ORACLE
+    @given(n=st.sampled_from([2, 3]),
+           ratios=st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.5, 2.0, 10.0,
+                                            1e3, 1e6]),
+                           min_size=1, max_size=6),
+           turns=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3),
+           offset=offsets)
+    def test_degenerate_rows_agree(self, n, ratios, turns, offset):
+        """Rows near RANK_TOLERANCE (within a factor of 2 either side, and
+        farther) are NaN for both kernels, or for neither, and a batch
+        raises for both or for neither."""
+        frame = _frame(turns)
+        verts = np.stack([_near_rank(n, r, frame, offset) for r in ratios])
+        q = np.broadcast_to(verts.mean(axis=1)[:1], (len(ratios), 3))
+        got = geometry.lambda_nd_batch(verts, q, n, on_degenerate="nan")
+        want = bordered_solve(verts, q, n, on_degenerate="nan")
+        np.testing.assert_array_equal(np.isnan(got).all(axis=1),
+                                      np.isnan(want).all(axis=1))
+        np.testing.assert_array_equal(np.isnan(got).any(axis=1),
+                                      np.isnan(got).all(axis=1))
+        raised = []
+        for kernel in (geometry.lambda_nd_batch, bordered_solve):
+            try:
+                kernel(verts, q, n)
+                raised.append(False)
+            except DegeneracyError:
+                raised.append(True)
+        assert raised[0] == raised[1] == bool(np.isnan(want).any())
+
+
+def _jittered(shape, seed):
+    """A 10 m grid or lattice with +-1.5 m jitter, turned and moved."""
+    rng = np.random.default_rng(seed)
+    axes = np.meshgrid(*[np.arange(k) for k in shape], indexing="ij")
+    pts = np.stack([a.ravel() for a in axes], axis=1) * 10.0
+    pts = pts + rng.uniform(-1.5, 1.5, pts.shape)
+    if len(shape) == 2:
+        pts = np.column_stack([pts, np.zeros(len(pts))])
+        frame = _frame((rng.uniform(0, 2 * np.pi), 0.0, 0.0))
+    else:
+        frame = _frame(rng.uniform(0, 2 * np.pi, 3))
+    pts = pts @ frame.T + rng.uniform(-100.0, 100.0, 3) * [1, 1, len(shape) - 2]
+    return {int(i) + 1: p for i, p in enumerate(pts)}
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (3, 3, 3)], ids=["grid49",
+                                                            "lattice27"])
+def test_network_matches_bordered_solve(shape, monkeypatch):
+    """refnet builds the same network with the oracle kernel patched in:
+    boundary, leaders, in-neighbors, and weights within rounding."""
+    formation = _jittered(shape, seed=len(shape))
+    n = len(shape)
+    new = refnet.build_reference_configuration(formation, n=n)
+    monkeypatch.setattr(refnet, "lambda_nd_batch", bordered_solve)
+    old = refnet.build_reference_configuration(formation, n=n)
+    assert new.boundary == old.boundary
+    assert new.leaders == old.leaders
+    assert new.in_neighbors == old.in_neighbors
+    assert new.weights.keys() == old.weights.keys()
+    for key, w in new.weights.items():
+        assert abs(w - old.weights[key]) <= 1e-12 * 200.0

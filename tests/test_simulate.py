@@ -79,6 +79,17 @@ class TestFixedPoint:
         assert np.all(log.mode == MODE_CODE[Mode.HDM])
         assert np.all(log.health == HEALTH_OK)
 
+    @pytest.mark.parametrize("path", [TEAM22, LATTICE27],
+                             ids=["team22", "lattice27"])
+    def test_transient_weights_equal_static_at_reference(self, path):
+        """At the reference formation the detector's transient weights are
+        the network's static weights bit for bit: both come from one
+        weight kernel on the same positions."""
+        sim = Simulation(load_scenario(path))
+        ep = sim.epoch
+        np.testing.assert_array_equal(sim.log.weights[0, ep.follower_idx],
+                                      ep.static_w)
+
     def test_boundary_follower_below_minus_one_stays_healthy(self):
         # follower 5 sits at weight -5/3 toward leader 1; a static team
         # tracks perfectly, so nothing may be flagged
