@@ -14,7 +14,6 @@ from . import geometry, refnet, hdm, cem, anomaly, automaton, scenario, simulate
 from .errors import (
     ContiformError,
     DegeneracyError,
-    ConnectivityError,
     SelectionError,
     NetworkError,
     FlowSingularityError,
@@ -33,7 +32,6 @@ __all__ = [
     "simulate",
     "ContiformError",
     "DegeneracyError",
-    "ConnectivityError",
     "SelectionError",
     "NetworkError",
     "FlowSingularityError",

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import logio, refnet
-from .errors import (ConnectivityError, ContiformError, DegeneracyError,
-                     NetworkError, ScenarioError, SelectionError)
+from .errors import (ContiformError, DegeneracyError, NetworkError,
+                     ScenarioError, SelectionError)
 from .scenario import load_scenario
 from .simulate import MODE_CODE, epoch_bounds, run_scenario
 from .automaton import Mode
@@ -63,8 +63,7 @@ def cmd_check(args):
             positions, n=config.n, rho=config.rho, xi=config.xi,
             leader_override=list(config.leader_override)
             if config.leader_override else None)
-    except (DegeneracyError, SelectionError, ConnectivityError,
-            NetworkError) as exc:
+    except (DegeneracyError, SelectionError, NetworkError) as exc:
         raise ScenarioError(f"network build failed: {exc}") from exc
     delta, d_min, threshold = epoch_bounds(network, config)
     print(f"scenario: {config.name}")

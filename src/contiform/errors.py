@@ -15,14 +15,6 @@ class DegeneracyError(ContiformError, ValueError):
     """Geometric input is rank deficient (collinear, coplanar, coincident)."""
 
 
-class ConnectivityError(ContiformError):
-    """No admissible enclosing simplex exists for an agent."""
-
-    def __init__(self, agent_id, message=None):
-        self.agent_id = agent_id
-        super().__init__(message or f"no admissible enclosing simplex for agent {agent_id}")
-
-
 class SelectionError(ContiformError, ValueError):
     """Leader selection failed (bad override or degenerate boundary)."""
 

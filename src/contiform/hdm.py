@@ -34,57 +34,6 @@ class HomogeneousTransform:
         return out[0] if np.asarray(points).ndim == 1 else out
 
 
-def leader_fit_system(leader_ref, n: int = 2) -> np.ndarray:
-    """Inverse of the leader-fit system [r_0 | 1] of one reference simplex.
-
-    The rows are the n + 1 reference leaders; for n = 2 a fourth row,
-    the reference unit normal placed at p1, completes the out-of-plane
-    direction. One network epoch factors this once and hands it to
-    fit_transforms_batch. Raises DegeneracyError for a degenerate
-    reference simplex.
-    """
-    ref = np.stack([as_position(p) for p in leader_ref])
-    if len(ref) != n + 1:
-        raise ValueError(f"need {n + 1} leader positions for n={n}")
-    if rank_simplex(ref, n) != n:
-        raise DegeneracyError("degenerate leader reference simplex")
-    if n == 2:
-        ref = np.vstack([ref, ref[0] + plane_normal(*ref)])
-    m = np.ones((4, 4))
-    m[:, :3] = ref
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("singular leader system") from exc
-
-
-def fit_transforms_batch(fit_inv, leader_cmd) -> np.ndarray:
-    """Rows [Q^T; d], (K, 4, 3), mapping the reference leaders onto each
-    of K commanded leader sets (K, n+1, 3).
-
-    fit_inv comes from leader_fit_system. Planar sets are completed with
-    their own unit normal at p1, so one singular value of Q is exactly 1;
-    a collinear commanded triangle gives a NaN row.
-    """
-    leader_cmd = np.asarray(leader_cmd, dtype=float)
-    degenerate = np.zeros(len(leader_cmd), dtype=bool)
-    rhs = leader_cmd
-    if leader_cmd.shape[1] == 3:
-        e1 = leader_cmd[:, 1] - leader_cmd[:, 0]
-        e2 = leader_cmd[:, 2] - leader_cmd[:, 0]
-        raw = np.cross(e2, e1)
-        nrm = np.sqrt(np.einsum("ki,ki->k", raw, raw))
-        scale = np.sqrt(np.einsum("ki,ki->k", e1, e1)
-                        * np.einsum("ki,ki->k", e2, e2))
-        degenerate = nrm <= RANK_TOLERANCE * np.maximum(scale, 1e-300)
-        normal = raw / np.where(degenerate, 1.0, nrm)[:, None]
-        rhs = np.concatenate(
-            [leader_cmd, (leader_cmd[:, 0] + normal)[:, None]], axis=1)
-    sol = fit_inv @ rhs
-    sol[degenerate] = np.nan
-    return sol
-
-
 def reference_edge_inverse(leader_ref) -> np.ndarray:
     """The per-epoch factor deformation_sigmas needs, from the n + 1
     reference leaders (n+1, 3).
@@ -106,8 +55,8 @@ def deformation_sigmas(edge_inv, leader_cmd) -> np.ndarray:
 
     edge_inv comes from reference_edge_inverse.  For n = 2, Q maps the
     reference edges R = U T onto the commanded edges C and the reference
-    unit normal onto the commanded one (see fit_transforms_batch), so its
-    singular values are 1 and those of A = C T^-1.  They come in closed
+    unit normal onto the commanded one (see fit_homogeneous_transform), so
+    its singular values are 1 and those of A = C T^-1.  They come in closed
     form from A's 2 x 2 Gram matrix: the larger from its eigenvalue, the
     smaller as |a1 x a2| over it, which keeps both accurate.  A collinear
     commanded triangle gives a NaN row.  For n = 3, Q = C R^-1 goes
@@ -146,16 +95,23 @@ def fit_homogeneous_transform(leader_ref, leader_current, n: int = 2):
 
     n = 3 uses the four leaders directly. n = 2 has only three leaders,
     which pin the in-plane part; the out-of-plane direction is completed
-    by mapping the reference unit normal onto the current unit normal,
-    so one singular value is exactly 1 for planar fits.
+    by mapping the reference unit normal, placed at p1, onto the current
+    one, so one singular value is exactly 1 for planar fits. Raises
+    DegeneracyError for a degenerate reference simplex or a collinear
+    current triangle.
     """
+    ref = np.stack([as_position(p) for p in leader_ref])
     cur = np.stack([as_position(p) for p in leader_current])
-    if len(cur) != n + 1:
+    if len(ref) != n + 1 or len(cur) != n + 1:
         raise ValueError(f"need {n + 1} leader positions for n={n}")
-    sol = fit_transforms_batch(leader_fit_system(leader_ref, n), cur[None])[0]
-    if np.isnan(sol).any():
-        raise DegeneracyError("degenerate current leader simplex")
-    sv = deformation_sigmas(reference_edge_inverse(leader_ref), cur[None])[0]
+    if rank_simplex(ref, n) != n:
+        raise DegeneracyError("degenerate leader reference simplex")
+    sv = deformation_sigmas(reference_edge_inverse(ref), cur[None])[0]
+    if n == 2:
+        ref = np.vstack([ref, ref[0] + plane_normal(*ref)])
+        cur = np.vstack([cur, cur[0] + plane_normal(*cur)])
+    # rows [Q^T; d] solve [r_0 | 1] [Q^T; d] = r
+    sol = np.linalg.solve(np.column_stack([ref, np.ones(4)]), cur)
     return HomogeneousTransform(Q=sol[:3].T, d=sol[3], singular_values=sv)
 
 

@@ -12,8 +12,13 @@ in-neighbors. W_L maps leader positions to follower positions under any
 homogeneous deformation, which is what makes local tracking equal
 global tracking.
 
-Search cost is combinatorial in team size (all (n+1)-tuples in the
-worst case); intended for teams of a few dozen agents.
+One nearest-first search per agent over (n+1)-tuples of the other
+agents answers both questions: it returns the agent's in-neighbor
+simplex, or, having tried every tuple without finding one that encloses
+the agent, marks it boundary. An interior agent's search usually stops
+among its nearest candidates, but a boundary agent's walks all
+C(N-1, n+1) tuples, so the cost is combinatorial in team size; intended
+for teams of a few dozen agents.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConnectivityError, DegeneracyError, NetworkError, SelectionError
+from .errors import DegeneracyError, NetworkError, SelectionError
 from .geometry import DEFAULT_XI, as_position, lambda_nd_batch, rank_simplex
 
 # Inclusion-margin defaults per dimension; must stay below 1/(n+1).
@@ -80,55 +85,47 @@ def _check_distinct(ids, pos):
     return dmin
 
 
-def _admissible_mask(vertices, query, n, rho, xi):
-    """Admissibility of each candidate simplex: all real weights > rho
-    (a degenerate simplex's NaN weights are not)."""
-    queries = np.broadcast_to(query, (vertices.shape[0], 3))
-    lam = lambda_nd_batch(vertices, queries, n, xi, on_degenerate="nan")
-    return np.all(lam[:, : n + 1] > rho, axis=1)
+def _enclosing_simplex(own, ids, pos, n, rho, xi):
+    """Best admissible in-neighbor tuple of the agent at own, or None.
 
-
-def _has_enclosing_simplex(own, cand_pos, n, rho, xi):
-    """True if any (n+1)-tuple of candidates strictly encloses own."""
-    k = cand_pos.shape[0]
-    if k < n + 1:
-        return False
-    combos = itertools.combinations(range(k), n + 1)
-    while True:
-        chunk = np.array(list(itertools.islice(combos, _CHUNK)), dtype=int)
-        if chunk.size == 0:
-            return False
-        ok = _admissible_mask(cand_pos[chunk], own, n, rho, xi)
-        if np.any(ok):
-            return True
-
-
-def classify_boundary_interior(ref_positions, n: int = 2, rho: float = None,
-                               xi: float = DEFAULT_XI):
-    """Split agents into (boundary_set, interior_set).
-
-    An agent is interior exactly when some (n+1)-subset of the other
-    agents encloses it with every weight above rho; everything else is
-    boundary. For planar general-position formations with small rho the
-    boundary set coincides with the convex hull vertices.
+    ids and pos are the other agents. A tuple is admissible when all its
+    weights for own exceed rho; the best minimizes the summed distance to
+    own, ties breaking to the smallest sorted id tuple. Candidates are
+    ordered by (distance, id) and the pool starts at the SEARCH_K0
+    nearest; each round tries the tuples whose farthest member is new,
+    then doubles the pool until no tuple with an unseen candidate can
+    beat the best sum. None means the whole pool was searched and
+    nothing encloses own: a boundary agent.
     """
-    rho = DEFAULT_RHO[n] if rho is None else rho
-    _validate_rho(rho, n)
-    ids, pos = _positions_array(ref_positions)
-    if len(ids) < n + 2:
-        raise DegeneracyError(f"need at least {n + 2} agents for n={n}, got {len(ids)}")
-    _check_distinct(ids, pos)
-    boundary, interior = set(), set()
-    for idx, agent in enumerate(ids):
-        others = np.delete(pos, idx, axis=0)
-        own = pos[idx]
-        # Sort candidates by distance so enclosing tuples are found early.
-        order = np.argsort(np.linalg.norm(others - own, axis=1), kind="stable")
-        if _has_enclosing_simplex(own, others[order], n, rho, xi):
-            interior.add(agent)
-        else:
-            boundary.add(agent)
-    return frozenset(boundary), frozenset(interior)
+    dists = np.linalg.norm(pos - own, axis=1)
+    order = np.lexsort((ids, dists))
+    ids, pos, dists = ids[order], pos[order], dists[order]
+    total = len(ids)
+    k, evaluated = min(SEARCH_K0, total), 0
+    best_sum, best = np.inf, None
+    while True:
+        combos = itertools.chain.from_iterable(
+            (rest + (last,) for rest in itertools.combinations(range(last), n))
+            for last in range(evaluated, k))
+        while rows := list(itertools.islice(combos, _CHUNK)):
+            rows = np.array(rows)
+            lam = lambda_nd_batch(pos[rows], np.broadcast_to(own, (len(rows), 3)),
+                                  n, xi, on_degenerate="nan")
+            rows = rows[np.all(lam[:, : n + 1] > rho, axis=1)]
+            if not len(rows):
+                continue
+            sums = dists[rows].sum(axis=1)
+            low = sums.min()
+            tied = min(tuple(sorted(int(i) for i in ids[r]))
+                       for r in rows[sums == low])
+            if low < best_sum or (low == best_sum and tied < best):
+                best_sum, best = low, tied
+        evaluated = k
+        # A tuple using any unseen candidate costs at least its distance
+        # plus the n smallest distances; stop once that cannot win.
+        if k == total or (best is not None and dists[k] + dists[:n].sum() >= best_sum):
+            return best
+        k = min(2 * k, total)
 
 
 def _validate_rho(rho, n):
@@ -176,60 +173,6 @@ def select_leaders(boundary, ref_positions, n: int = 2, override=None):
     if best is None or best_measure <= 0.0:
         raise SelectionError("boundary simplexes are all degenerate")
     return best
-
-
-def find_in_neighbors(agent_id, ref_positions, n: int = 2, rho: float = None,
-                      xi: float = DEFAULT_XI, leaders=None, interior=None):
-    """In-neighbor tuple of one follower.
-
-    Boundary followers receive the full leader tuple verbatim. Interior
-    followers get the admissible enclosing simplex minimizing the summed
-    distance to the agent; ties break to the lexicographically smallest
-    id tuple. The candidate pool starts at the 8 nearest agents and
-    grows until no farther tuple can beat the best sum found, so the
-    result equals a full enumeration.
-    """
-    rho = DEFAULT_RHO[n] if rho is None else rho
-    _validate_rho(rho, n)
-    if leaders is None or interior is None:
-        boundary_set, interior_set = classify_boundary_interior(ref_positions, n, rho, xi)
-        leaders = select_leaders(boundary_set, ref_positions, n) if leaders is None else leaders
-        interior = interior_set
-    if agent_id not in interior:
-        return tuple(leaders)
-    own = as_position(ref_positions[agent_id])
-    other_ids = np.array(sorted(i for i in ref_positions if i != agent_id))
-    pos = np.stack([as_position(ref_positions[i]) for i in other_ids])
-    dists = np.linalg.norm(pos - own, axis=1)
-    order = np.lexsort((other_ids, dists))
-    other_ids, pos, dists = other_ids[order], pos[order], dists[order]
-    total = len(other_ids)
-
-    k = min(SEARCH_K0, total)
-    evaluated = 0  # combos among the first `evaluated` candidates are done
-    best_sum, best_tuple = np.inf, None
-    while True:
-        combos = [c for c in itertools.combinations(range(k), n + 1) if c[-1] >= evaluated]
-        if combos:
-            combos = np.array(combos, dtype=int)
-            ok = _admissible_mask(pos[combos], own, n, rho, xi)
-            if np.any(ok):
-                sums = dists[combos[ok]].sum(axis=1)
-                for row, s in zip(combos[ok], sums):
-                    ids_tuple = tuple(sorted(int(other_ids[r]) for r in row))
-                    if s < best_sum or (s == best_sum and ids_tuple < best_tuple):
-                        best_sum, best_tuple = s, ids_tuple
-        evaluated = k
-        if k == total:
-            break
-        # A tuple using any unseen candidate costs at least its distance
-        # plus the two (n) smallest distances; stop once that cannot win.
-        if best_tuple is not None and dists[k] + dists[: n].sum() >= best_sum:
-            break
-        k = min(2 * k, total)
-    if best_tuple is None:
-        raise ConnectivityError(agent_id)
-    return best_tuple
 
 
 def build_weight_matrices(leaders, followers, in_neighbors, weights):
@@ -285,7 +228,8 @@ def deviation_bound(D, B, delta_x, delta_y, delta_z):
 
 def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
                                   xi: float = DEFAULT_XI, leader_override=None):
-    """Full network build: classify, select leaders, wire followers.
+    """Full network build: search each agent's enclosing simplex (none
+    means boundary), select leaders, wire followers.
 
     Validates the structural invariants the rest of the library leans
     on: weight rows sum to one, D Hurwitz, -D^-1 entrywise nonnegative,
@@ -298,12 +242,16 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
         raise DegeneracyError(f"need at least {n + 2} agents for n={n}, got {len(ids)}")
     d_min = _check_distinct(ids, pos)
     positions = {i: p for i, p in zip(ids, pos)}
-    boundary, interior = classify_boundary_interior(positions, n, rho, xi)
+    id_arr = np.array(ids)
+    best = {agent: _enclosing_simplex(pos[i], np.delete(id_arr, i),
+                                      np.delete(pos, i, axis=0), n, rho, xi)
+            for i, agent in enumerate(ids)}
+    interior = frozenset(a for a, tup in best.items() if tup is not None)
+    boundary = frozenset(ids) - interior
     leaders = select_leaders(boundary, positions, n, leader_override)
     followers = tuple(i for i in ids if i not in set(leaders))
-    in_neighbors = {fid: find_in_neighbors(fid, positions, n, rho, xi,
-                                           leaders=leaders, interior=interior)
-                    for fid in followers}
+    # boundary followers feed on the leaders directly
+    in_neighbors = {fid: best[fid] or tuple(leaders) for fid in followers}
     # every follower's static weights in one solve
     static = lambda_nd_batch(
         np.array([[positions[a] for a in in_neighbors[fid]]

@@ -51,8 +51,8 @@ import numpy as np
 
 from . import anomaly, cem, hdm, refnet
 from .automaton import Event, Mode, transition
-from .errors import (ConnectivityError, DegeneracyError, NetworkError,
-                     NumericError, ScenarioError, SelectionError)
+from .errors import (DegeneracyError, NetworkError, NumericError,
+                     ScenarioError, SelectionError)
 from .scenario import (FailureSpec, ScenarioConfig, _number, _position,
                        load_scenario)
 
@@ -267,8 +267,7 @@ class Simulation:
 
         try:
             self._build_network(initial=True)
-        except (DegeneracyError, SelectionError, ConnectivityError,
-                NetworkError) as exc:
+        except (DegeneracyError, SelectionError, NetworkError) as exc:
             raise ScenarioError(f"initial network build failed: {exc}") from exc
 
         self._alloc_log()
@@ -478,8 +477,7 @@ class Simulation:
         self.psi0 = None
         try:
             self._build_network(initial=False)
-        except (DegeneracyError, SelectionError, ConnectivityError,
-                NetworkError) as exc:
+        except (DegeneracyError, SelectionError, NetworkError) as exc:
             raise NumericError(
                 f"reference rebuild failed at tick {self.tick}, "
                 f"t={clock:.6f}: {exc}") from exc

@@ -105,50 +105,44 @@ class TestFitHomogeneousTransform:
 
 
 class TestLeaderFitBatch:
+    """fit_homogeneous_transform, one commanded leader set at a time."""
+
     def test_rows_match_hand_built_maps(self):
         rng = np.random.default_rng(RNG_SEED)
-        maps = [random_planar_map(rng) for _ in range(8)]
-        cmd = np.stack([[Q @ p + d for p in LEADER_REF] for Q, d in maps])
-        sol = hdm.fit_transforms_batch(hdm.leader_fit_system(LEADER_REF, 2),
-                                       cmd)
-        assert sol.shape == (8, 4, 3)
-        for (Q, d), rows in zip(maps, sol):
+        for Q, d in [random_planar_map(rng) for _ in range(8)]:
+            tf = hdm.fit_homogeneous_transform(
+                LEADER_REF, [Q @ p + d for p in LEADER_REF], n=2)
             # the normal maps onto the commanded normal, which a
             # reflection turns over
             want = Q.copy()
             want[2, 2] = np.sign(np.linalg.det(Q))
-            np.testing.assert_allclose(rows[:3].T, want, atol=1e-12)
-            np.testing.assert_allclose(rows[3], d, atol=1e-12)
+            np.testing.assert_allclose(tf.Q, want, atol=1e-12)
+            np.testing.assert_allclose(tf.d, d, atol=1e-12)
 
     def test_spatial_rows(self):
         ref = [np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
                np.array([0, 0, 1.0])]
         Q = np.array([[2.0, 0.3, 0], [0.1, 1.5, 0.2], [0, -0.4, 1.2]])
         d = np.array([1.0, -2.0, 3.0])
-        cmd = np.stack([[Q @ p + d for p in ref]] * 2)
-        sol = hdm.fit_transforms_batch(hdm.leader_fit_system(ref, 3), cmd)
-        np.testing.assert_allclose(sol[:, :3].swapaxes(1, 2), [Q, Q],
-                                   atol=1e-12)
-        np.testing.assert_allclose(sol[:, 3], [d, d], atol=1e-12)
+        tf = hdm.fit_homogeneous_transform(ref, [Q @ p + d for p in ref], n=3)
+        np.testing.assert_allclose(tf.Q, Q, atol=1e-12)
+        np.testing.assert_allclose(tf.d, d, atol=1e-12)
 
-    def test_degenerate_commanded_set_is_nan_row(self):
+    def test_degenerate_commanded_set_raises(self):
         flat = [np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 0, 0])]
-        cmd = np.stack([LEADER_REF, flat, LEADER_REF])
-        sol = hdm.fit_transforms_batch(hdm.leader_fit_system(LEADER_REF, 2),
-                                       cmd)
-        assert np.all(np.isnan(sol[1]))
-        np.testing.assert_allclose(sol[[0, 2], :3], [np.eye(3)] * 2,
-                                   atol=1e-12)
         with pytest.raises(DegeneracyError):
             hdm.fit_homogeneous_transform(LEADER_REF, flat, n=2)
+        tf = hdm.fit_homogeneous_transform(LEADER_REF, LEADER_REF, n=2)
+        np.testing.assert_allclose(tf.Q, np.eye(3), atol=1e-12)
 
     def test_degenerate_reference_raises(self):
         flat = [np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 0, 0])]
         with pytest.raises(DegeneracyError):
-            hdm.leader_fit_system(flat, 2)
+            hdm.fit_homogeneous_transform(flat, LEADER_REF, n=2)
         coplanar = LEADER_REF + [np.array([1.0, 1.0, 0.0])]
+        tet = LEADER_REF + [np.array([0.0, 0.0, 4.0])]
         with pytest.raises(DegeneracyError):
-            hdm.leader_fit_system(coplanar, 3)
+            hdm.fit_homogeneous_transform(coplanar, tet, n=3)
 
 
 class TestGlobalDesired:
@@ -327,10 +321,10 @@ def well_shaped(pts):
 
 
 def fitted_sigmas(ref, cmd):
-    """np.linalg.svd of the Q that fit_transforms_batch fits."""
-    n = len(ref) - 1
-    rows = hdm.fit_transforms_batch(hdm.leader_fit_system(ref, n), cmd[None])
-    return np.linalg.svd(rows[0, :3], compute_uv=False)
+    """np.linalg.svd of the Q that fit_homogeneous_transform fits (its
+    Q is solved from the leaders, not taken from deformation_sigmas)."""
+    tf = hdm.fit_homogeneous_transform(ref, cmd, n=len(ref) - 1)
+    return np.linalg.svd(tf.Q, compute_uv=False)
 
 
 class TestDeformationSigmas:

@@ -366,6 +366,20 @@ class TestCliExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("scenario error: rho:")
 
+    @pytest.mark.parametrize("n,agents", [
+        (2, [[2.0 * i, 1.0 * i] for i in range(5)]),
+        (3, [[float(i % 3), float(i // 3) + 0.1 * i, 0.0] for i in range(6)]),
+    ], ids=["collinear-n2", "coplanar-n3"])
+    def test_degenerate_formation_is_two(self, n, agents, tmp_path, capsys):
+        p = tmp_path / "flat.yaml"
+        p.write_text(f"n: {n}\ndt: 0.001\nduration: 0.01\nagents:\n" + "".join(
+            f"  - {{id: {i + 1}, position: {pos}}}\n"
+            for i, pos in enumerate(agents)))
+        assert cli.main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "scenario error: network build failed: "
+            "boundary simplexes are all degenerate\n")
+
     def test_missing_file_is_two(self, capsys):
         rc = cli.main(["simulate", "/nonexistent/path.yaml"])
         assert rc == 2

@@ -4,13 +4,16 @@ The 22-agent decagon formation (conftest) is the worked example: its
 boundary/interior split was cross-checked against scipy's convex hull
 and its matrices against hand-solved small cases.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from contiform import geometry, refnet
-from contiform.errors import (ConnectivityError, DegeneracyError,
-                              NetworkError, SelectionError)
+from contiform.errors import DegeneracyError, NetworkError, SelectionError
 from conftest import random_network, sample_formation
 
 RNG_SEED = 47
@@ -26,21 +29,24 @@ SQUARE5 = {
 }
 
 
+def build(pts, n=2, **kwargs):
+    return refnet.build_reference_configuration(pts, n=n, **kwargs)
+
+
 class TestClassify:
     def test_square_with_center(self):
-        boundary, interior = refnet.classify_boundary_interior(SQUARE5, n=2)
-        assert boundary == frozenset({1, 2, 3, 4})
-        assert interior == frozenset({5})
+        net = build(SQUARE5)
+        assert net.boundary == frozenset({1, 2, 3, 4})
+        assert net.interior == frozenset({5})
 
     def test_too_few_agents(self):
         pts = {1: (0, 0, 0), 2: (1, 0, 0), 3: (0, 1, 0)}
         with pytest.raises(DegeneracyError):
-            refnet.classify_boundary_interior(pts, n=2)
+            build(pts)
 
-    def test_decagon22_split(self, decagon22):
-        boundary, interior = refnet.classify_boundary_interior(decagon22, n=2)
-        assert boundary == frozenset(range(1, 11))
-        assert interior == frozenset(range(11, 23))
+    def test_decagon22_split(self, decagon22_network):
+        assert decagon22_network.boundary == frozenset(range(1, 11))
+        assert decagon22_network.interior == frozenset(range(11, 23))
 
     def test_matches_convex_hull(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -49,31 +55,30 @@ class TestClassify:
             ids = sorted(formation)
             pts = np.stack([formation[i][:2] for i in ids])
             hull_ids = {ids[v] for v in ConvexHull(pts).vertices}
-            boundary, _ = refnet.classify_boundary_interior(formation, n=2)
             # hull vertices can never be enclosed
-            assert hull_ids <= set(boundary)
+            assert hull_ids <= set(build(formation).boundary)
 
 
 class TestSelectLeaders:
     def test_max_area_lowest_ids(self):
-        boundary, _ = refnet.classify_boundary_interior(SQUARE5, n=2)
         # all four corner triples have equal area: lowest id tuple wins
-        assert refnet.select_leaders(boundary, SQUARE5, n=2) == (1, 2, 3)
+        assert build(SQUARE5).leaders == (1, 2, 3)
+        assert refnet.select_leaders(build(SQUARE5).boundary, SQUARE5,
+                                     n=2) == (1, 2, 3)
 
     def test_override_returned_verbatim(self):
-        boundary, _ = refnet.classify_boundary_interior(SQUARE5, n=2)
-        assert refnet.select_leaders(boundary, SQUARE5, n=2,
-                                     override=(2, 4, 1)) == (2, 4, 1)
+        net = build(SQUARE5, leader_override=(2, 4, 1))
+        assert net.leaders == (2, 4, 1)
+        # the boundary follower feeds on the leaders in override order
+        assert net.in_neighbors[3] == (2, 4, 1)
 
     def test_override_interior_id(self):
-        boundary, _ = refnet.classify_boundary_interior(SQUARE5, n=2)
         with pytest.raises(SelectionError):
-            refnet.select_leaders(boundary, SQUARE5, n=2, override=(1, 2, 5))
+            build(SQUARE5, leader_override=(1, 2, 5))
 
     def test_override_wrong_count(self):
-        boundary, _ = refnet.classify_boundary_interior(SQUARE5, n=2)
         with pytest.raises(SelectionError):
-            refnet.select_leaders(boundary, SQUARE5, n=2, override=(1, 2))
+            build(SQUARE5, leader_override=(1, 2))
 
 
 class TestFindInNeighbors:
@@ -86,12 +91,10 @@ class TestFindInNeighbors:
             4: (0.0, 6.0, 0.0),
             5: (2.0, 2.0, 0.0),
         }
-        nbrs = refnet.find_in_neighbors(5, pts, n=2)
-        assert nbrs == (1, 2, 4)
+        assert build(pts).in_neighbors[5] == (1, 2, 4)
 
     def test_boundary_follower_gets_leaders(self):
-        nbrs = refnet.find_in_neighbors(4, SQUARE5, n=2)
-        assert nbrs == (1, 2, 3)
+        assert build(SQUARE5).in_neighbors[4] == (1, 2, 3)
 
     def test_nearest_of_two_candidate_triangles(self):
         # agent 7 is enclosed by both (1,2,3) and (4,5,6); the latter is
@@ -105,12 +108,74 @@ class TestFindInNeighbors:
             6: (0.0, 50.0, 0.0),
             7: (0.0, 0.0, 0.0),
         }
-        nbrs = refnet.find_in_neighbors(7, pts, n=2)
+        nbrs = build(pts).in_neighbors[7]
         assert nbrs == (1, 2, 3)
         # exhaustive oracle: no admissible triple has a smaller distance sum
         own = np.zeros(3)
         best = _exhaustive_best(pts, 7, own, n=2, rho=0.1)
         assert nbrs == best
+
+    def test_equal_sums_break_to_smallest_ids(self):
+        # both (1, 2, 3) and (1, 2, 4) enclose agent 5 with weights
+        # {5/12, 1/4, 1/3} and all four candidates are sqrt(5) away
+        pts = {1: (-2.0, -1.0, 0.0), 2: (2.0, -1.0, 0.0),
+               3: (-1.0, 2.0, 0.0), 4: (1.0, 2.0, 0.0), 5: (0.0, 0.0, 0.0)}
+        assert build(pts).in_neighbors[5] == (1, 2, 3)
+        assert _exhaustive_best(pts, 5, np.zeros(3), n=2, rho=0.1) == (1, 2, 3)
+
+    def test_pool_grows_past_a_first_admissible_tuple(self):
+        # among its 4 nearest, agent 7's best tuple is (1, 4, 5), summing
+        # 8.38 m; the stop bound still admits agent 3, the 5th nearest,
+        # and (2, 3, 5) sums 7.52 m
+        pts = {i + 1: (x, y, 0.0) for i, (x, y) in enumerate(
+            [(-0.4, -3.1), (0.3, 1.0), (0.7, -3.4), (1.0, 2.0),
+             (-2.9, 0.8), (2.6, -2.5), (0.0, 0.0)])}
+        with mock.patch.object(refnet, "SEARCH_K0", 4):
+            nbrs = build(pts).in_neighbors[7]
+        assert nbrs == (2, 3, 5)
+        assert _exhaustive_best(pts, 7, np.zeros(3), n=2, rho=0.1) == nbrs
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+           k0=st.sampled_from([refnet.SEARCH_K0, 2, 3, 4]), data=st.data())
+    def test_search_matches_exhaustive_oracle(self, seed, n, k0, data):
+        """Boundary exactly when no admissible tuple exists; interior
+        followers get the oracle's best tuple, boundary followers the
+        leaders. Smaller initial pools make the search grow and stop
+        early on these small teams."""
+        count = data.draw(st.integers(5, 12) if n == 2 else st.integers(6, 10))
+        pts = sample_formation(np.random.default_rng(seed), count, n)
+        try:
+            with mock.patch.object(refnet, "SEARCH_K0", k0):
+                net = build(pts, n=n)
+        except (SelectionError, NetworkError):
+            assume(False)
+        rho = refnet.DEFAULT_RHO[n]
+        for agent in net.ids:
+            best = _exhaustive_best(pts, agent, np.asarray(pts[agent], float),
+                                    n, rho)
+            assert (best is None) == (agent in net.boundary)
+            if agent not in net.followers:
+                continue
+            want = net.leaders if best is None else best
+            assert net.in_neighbors[agent] == want
+
+
+# a collinear planar team and a coplanar spatial one: no agent is
+# enclosed, and every boundary simplex is flat
+COLLINEAR5 = {i: (2.0 * i, 1.0 * i, 0.0) for i in range(1, 6)}
+COPLANAR6 = {i: (float(i % 3), float(i // 3) + 0.1 * i, 0.0)
+             for i in range(1, 7)}
+
+
+class TestDegenerateFormations:
+    @pytest.mark.parametrize("pts,n", [(COLLINEAR5, 2), (COPLANAR6, 3)],
+                             ids=["collinear-n2", "coplanar-n3"])
+    def test_build_raises_selection_error(self, pts, n):
+        with pytest.raises(SelectionError,
+                           match="boundary simplexes are all degenerate"):
+            build(pts, n=n)
 
 
 def _exhaustive_best(pts, agent_id, own, n, rho):
