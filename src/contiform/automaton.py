@@ -11,9 +11,8 @@ center is maintained by the caller, which either freezes it at CEM entry
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class Mode(enum.Enum):
@@ -43,16 +42,19 @@ def transition(mode, anomalous, positions, center, half_size, norm_kind,
     communication network and discards stream constants.  Returns
     (next_mode, events); HDM with nobody anomalous emits nothing.
     """
-    diff = positions - center
-    dist = np.abs(diff).sum(axis=1) if norm_kind == "l1" \
-        else np.sqrt((diff * diff).sum(axis=1))
-    inside = dist <= half_size
-    if inside.any():
+    # Python floats summed in order, as numpy sums a (k, 3) array's rows:
+    # for the few flagged agents this is cheaper than numpy's calls
+    diff = (positions - center).tolist()
+    if norm_kind == "l1":
+        dist = [abs(x) + abs(y) + abs(z) for x, y, z in diff]
+    else:
+        dist = [math.sqrt(x * x + y * y + z * z) for x, y, z in diff]
+    inside = [a for a, d in zip(anomalous, dist) if d <= half_size]
+    if inside:
         if mode is Mode.CEM:
             return mode, []
         return Mode.CEM, [Event(time=clock, kind="mode_change", payload={
-            "from": "HDM", "to": "CEM",
-            "agents": [anomalous[j] for j in np.flatnonzero(inside)]})]
+            "from": "HDM", "to": "CEM", "agents": inside})]
     reset = Event(time=clock, kind="reference_reset",
                   payload={"excluded": list(anomalous)})
     if mode is Mode.HDM:

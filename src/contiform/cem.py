@@ -24,10 +24,11 @@ the orientation gamma = theta_inf + pi the field is the classical flow
 past a cylinder: stagnation points on the upstream/downstream axis and the
 zero streamline on the circle of radius sqrt(delta / u_inf).
 
-A FlowField caches u_e and the doublet centers, coefficients and disk
-radii; one evaluator sums W and W' over the doublets.  The streamline step
-inverts W: the outer root of a quadratic with one doublet, a batched
-Newton solve with more.  The flow is planar: z is carried through.
+A FlowField caches u_e, the disk radii and the doublet centers and
+coefficients, also as the Python complex pairs that the one evaluator of
+W and W' loops over.  The streamline step inverts W: the outer root of a
+quadratic with one doublet, a batched Newton solve with more.  The flow
+is planar: z is carried through.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class FlowField:
     _coef: np.ndarray = _cached()      # (k,) complex delta e^{i gamma}
     _ue: complex = _cached()           # u_inf e^{-i theta_inf}
     _radius: np.ndarray = _cached()    # (k,) disk radius
+    _terms: tuple = _cached()          # ((z_i, c_i), ...) as Python complex
 
     def __post_init__(self):
         if not (self.u_inf > 0.0 and np.isfinite(self.u_inf)):
@@ -99,6 +101,8 @@ class FlowField:
                                         -np.sin(self.theta_inf)),
             "_radius": np.sqrt(delta / self.u_inf),
         }
+        cached["_terms"] = tuple(zip(cached["_centers"].tolist(),
+                                     cached["_coef"].tolist()))
         for name, value in cached.items():
             object.__setattr__(self, name, value)
         radii = self._radius
@@ -116,10 +120,6 @@ class FlowField:
     def exclusion_radii(self):
         """Disk radius per doublet, as a (k,) array."""
         return self._radius.copy()
-
-    @property
-    def stagnation_floor(self):
-        return STAGNATION_FLOOR_FACTOR * self.u_inf**2
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def _eval(field, z):
     Raises FlowSingularityError if any point coincides with a doublet center.
     """
     w, dw = field._ue * z, field._ue
-    for center, coef in zip(field._centers, field._coef):
+    for center, coef in field._terms:
         zeta = z - center
         if np.count_nonzero(zeta) < len(zeta):
             raise FlowSingularityError(
@@ -256,7 +256,8 @@ def _invert(field, target, seed):
         s = target - ue * center
         root = np.sqrt(s * s + 4.0 * ue * field._coef[0])
         plus, minus = s + root, s - root
-        zeta = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / (2 * ue)
+        np.copyto(minus, plus, where=np.abs(plus) >= np.abs(minus))
+        zeta = minus / (2 * ue)
         z = center + zeta
         # both roots on the circle (the dividing streamline past its
         # stagnation point): keep to the arc nearer the seed, just outside
@@ -309,12 +310,14 @@ def step_streamline_many(positions, field, v_phi, dt, psi_targets=None):
     if psi_targets is not None:
         target.imag = psi_targets
     z1, failed = _invert(field, target, z0)
-    # only a Newton solve (two or more doublets) can land inside a disk
-    projected = (_inside(field, z1).any(axis=1) if len(field._centers) > 1
-                 else np.zeros(m, dtype=bool))
-    stagnated = np.abs(dw) < field.stagnation_floor ** 0.5
-    stagnated[failed] = True
-    stagnated |= projected
+    stagnated = np.abs(dw) < (STAGNATION_FLOOR_FACTOR * field.u_inf**2) ** 0.5
+    if len(field._centers) > 1:
+        # only a Newton solve can fail or land inside a disk
+        projected = _inside(field, z1).any(axis=1)
+        stagnated[failed] = True
+        stagnated |= projected
+    else:
+        projected = np.zeros(m, dtype=bool)
     if np.count_nonzero(stagnated):
         z1[stagnated] = z0[stagnated]
 

@@ -10,9 +10,10 @@ built once per network epoch.  The loop is strictly sequential and free of
 randomness, so identical configurations produce bit-identical logs.
 
 Per tick, in order: (1) desired positions per mode, (2) the affine team
-step, (3) failure kinematics override, (4) anomaly checks (HDM only; the
-flagged set is frozen while CEM is active), (5) supervisor transition,
-(6) one log row.
+step (in CEM, each healthy agent's r+ = a0 r + (1 - a0) c toward its
+target c), (3) failure kinematics override, (4) anomaly checks (HDM only;
+the flagged set is frozen while CEM is active), (5) supervisor
+transition, (6) one log row.
 
 HDM ticks run this order in look-ahead blocks.  The detector reads only
 the actual positions, and until it flags someone neither detection nor
@@ -35,9 +36,13 @@ cleared, when the state it was built from changes between steps: a
 failure added or edited (inject_failure), or positions, mode or flagged
 set edited.
 
-CEM ticks run one per step(), each with one cem.step_streamline_many call
-for the healthy agents' targets; the failed agents' positions come from
-rows computed for a chunk of ticks, like a block's.
+A CEM tick is one step() with one cem.step_streamline_many call, (1) on
+the healthy agents' targets, one (H, 3) array in healthy_idx order from
+CEM entry.  The failed agents' rows (3), computed for a chunk of ticks
+like a block's, log their activations first.  The positions are
+assembled and tested for finiteness once, a tracking center is the
+healthy mean, the transition (5) decides whether CEM ends, and the row
+(6) is final when step() returns.
 """
 from __future__ import annotations
 
@@ -229,7 +234,7 @@ class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
     # longest look-ahead block of quiet HDM ticks (see the module docstring)
-    lookahead_ticks = 64
+    lookahead_ticks = 256
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -451,11 +456,11 @@ class Simulation:
         self.healthy_idx = np.flatnonzero(self.health == HEALTH_OK)
 
     def _update_center(self):
-        if self._tracking_center or self.mode is Mode.HDM:
-            idx = self.healthy_idx   # the mean, without np.mean's overhead
-            self.center = self.positions[idx].sum(axis=0) / len(idx)
+        idx = self.healthy_idx   # the mean, without np.mean's overhead
+        self.center = self.positions[idx].sum(axis=0) / len(idx)
 
     def _enter_cem(self, clock):
+        """Start CEM around the flagged agents; row tick becomes its first."""
         self.flow = cem.build_flow_from_failures(
             self.positions[self.flagged_idx, :2], self.config.cem_u_inf,
             self.config.cem_theta_inf, radius_override=self.config.cem_radius)
@@ -463,8 +468,12 @@ class Simulation:
             {self.ids[i]: self.positions[i] for i in self.healthy_idx},
             self.flow)
         self.psi0 = np.fromiter(psi0.values(), dtype=np.float64)
-        self.cem_targets = self.positions.copy()
+        self.cem_targets = self.positions[self.healthy_idx]
         self._cem_event_latch = {"stagnation": set(), "disk_projection": set()}
+        log, row = self.log, self.tick   # reset the HDM-written row
+        log.local_desired[row] = log.global_desired[row] = np.nan
+        log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
+        self._write_cem_row()
 
     def _exclude_flagged(self, clock):
         """Exclude the flagged agents, leave CEM if active and rebuild the
@@ -483,12 +492,10 @@ class Simulation:
                 f"t={clock:.6f}: {exc}") from exc
 
     def _supervise(self, clock):
-        """Supervisor transition at the end of a tick with agents flagged.
-
-        Returns whether it acted: entered CEM, or excluded the flagged
-        agents (on CEM exit, or in HDM when all of them are outside the
-        containment domain) and rebuilt the network.
-        """
+        """Supervisor transition at the end of a tick with agents flagged;
+        returns whether it acted: entered CEM, or excluded them (on CEM exit,
+        or in HDM with all of them outside the domain) and rebuilt the
+        network."""
         mode, events = transition(
             self.mode, self.flagged_ids, self.positions[self.flagged_idx],
             self.center, self.config.containment_half_size,
@@ -563,18 +570,15 @@ class Simulation:
             self.tick, self.positions[None], local, self.center[None], det,
             None))
 
-    def _write_cem_row(self, row, targets, entry=False):
-        """Log a CEM row with the healthy agents' targets (H, 3); the rest
-        keep the log's NaN and NA, reset first on the HDM-written entry row."""
-        log, idx = self.log, self.healthy_idx
-        if entry:
-            log.local_desired[row] = log.global_desired[row] = np.nan
-            log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
+    def _write_cem_row(self):
+        """Log row tick in CEM, written over the log's NaN and NA."""
+        log, row = self.log, self.tick
         log.actual[row] = self.positions
         log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
         log.health[row] = self.health
-        log.local_desired[row, idx] = log.global_desired[row, idx] = targets
+        log.local_desired[row, self.healthy_idx] = self.cem_targets
+        log.global_desired[row] = log.local_desired[row]
 
     # -- main loop --------------------------------------------------------
 
@@ -670,57 +674,48 @@ class Simulation:
         else:
             self.center = ahead.centers[k]
         if self.flagged and self._supervise(t_end):
-            if self.mode is Mode.CEM:   # entered on this tick
-                self._write_cem_row(self.tick,
-                                    self.cem_targets[self.healthy_idx],
-                                    entry=True)
-            else:   # excluded outside the domain: a new epoch starts here
-                self._clear_rows(self.tick)
+            if self.mode is Mode.HDM:   # excluded outside the domain: a
+                self._clear_rows(self.tick)   # new epoch starts here
                 self._log_epoch_row(None)
         elif ahead.events:
             self._emit(e for e in ahead.events if e[0] == k)
 
-    def _cem_failure_row(self):
-        """Failed agents' indices and positions after this CEM tick, from a
-        chunk of _failure_rows rebuilt once used up or the failures change."""
-        chunk, version = self._cem_failures, self._failure_version
-        k = -1 if chunk is None else self.tick - chunk[0]
-        if not (0 <= k < len(chunk[3]) and chunk[1] == version):
-            chunk = (self.tick, version,
-                     *self._failure_rows(self.lookahead_ticks))
-            self._cem_failures, k = chunk, 0
-        return chunk[2], chunk[3][k]
-
     def _cem_step(self):
-        """One CEM tick; the detector is suspended, the flagged set frozen.
-        Activations are logged before the tick's stagnation and projections."""
-        t_end = self.clock + self.dt
-        fail_idx, fail_row = self._cem_failure_row()
+        """One CEM tick (see the module docstring)."""
+        t_end, chunk = self.clock + self.dt, self._cem_failures
+        k = self.tick - chunk[0] if chunk else -1
+        if not (0 <= k < len(chunk[3]) and chunk[1] == self._failure_version):
+            chunk = self._cem_failures = (
+                self.tick, self._failure_version,
+                *self._failure_rows(self.lookahead_ticks))
+            k = 0
         idx, a0 = self.healthy_idx, self._rk4[0]
         targets, stagnated, projected = cem.step_streamline_many(
-            self.cem_targets[idx], self.flow, self.config.cem_v_phi, self.dt,
+            self.cem_targets, self.flow, self.config.cem_v_phi, self.dt,
             self.psi0)
-        self.cem_targets[idx] = targets
-        for flag, kind in ((stagnated, "stagnation"),
-                           (projected, "disk_projection")):
-            latch = self._cem_event_latch[kind]
-            for i in idx[flag] if np.count_nonzero(flag) else ():
-                agent = int(self.ids[i])
-                if agent not in latch:
-                    latch.add(agent)
-                    self.events.append(Event(time=t_end, kind=kind,
-                                             payload={"agent": agent}))
+        self.cem_targets = targets
+        if np.count_nonzero(stagnated):   # projected agents stagnate too
+            for flag, kind in ((stagnated, "stagnation"),
+                               (projected, "disk_projection")):
+                latch = self._cem_event_latch[kind]
+                for i in idx[flag]:
+                    agent = int(self.ids[i])
+                    if agent not in latch:
+                        latch.add(agent)
+                        self.events.append(Event(time=t_end, kind=kind,
+                                                 payload={"agent": agent}))
         positions = self.positions.copy()
         positions[idx] = a0 * positions[idx] + (1.0 - a0) * targets
-        positions[fail_idx] = fail_row
+        positions[chunk[2]] = chunk[3][k]
         if not np.isfinite(positions).all():
             raise self._non_finite(np.isfinite(positions).all(axis=1))
         self.positions = positions
         self.tick += 1
-        self._update_center()
+        if self._tracking_center:
+            self._update_center()
         self._supervise(t_end)
         if self.mode is Mode.CEM:
-            self._write_cem_row(self.tick, targets)
+            self._write_cem_row()
         else:   # back to HDM on a rebuilt network
             self._log_epoch_row(None)
 

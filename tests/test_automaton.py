@@ -182,3 +182,24 @@ class TestProperties:
         assert (events == []) == (next_mode is mode and not excludes)
         assert all(e.time == 4.2 for e in events)
         assert transition(*args) == (next_mode, events)   # replay is pure
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 3), min_size=1,
+                    max_size=3), points, st.sampled_from(["l1", "l2"]),
+           st.integers(0, 2), st.integers(-1, 1))
+    def test_domain_edge_is_numpys_norm(self, flagged, center, norm, pick,
+                                        ulps):
+        """The containment test decides a distance that lies on the domain
+        edge, or one ulp either side of it, as numpy's row norms of the
+        (k, 3) offsets do, to the last bit."""
+        positions, center = np.array(flagged), np.array(center)
+        diff = positions - center
+        dist = np.abs(diff).sum(axis=1) if norm == "l1" \
+            else np.sqrt((diff * diff).sum(axis=1))
+        half_size = dist[pick % len(dist)]
+        for _ in range(abs(ulps)):
+            half_size = np.nextafter(half_size, ulps * np.inf)
+        mode, _ = transition(Mode.HDM, list(range(len(dist))), positions,
+                             center, float(half_size), norm, 0.0)
+        assert (mode is Mode.CEM) == bool((dist <= half_size).any())

@@ -438,6 +438,167 @@ class TestStepStreamline:
                                      cylinder_field(), 10.0, 1e-2)
 
 
+# -- kernel oracle ------------------------------------------------------------
+# The streamline kernel as it stood before the per-tick work was cut:
+# _eval zipping the numpy arrays of centers and coefficients, the one-doublet
+# root picked with np.where, and the failed and projected masks formed for
+# every field.  The kernel must agree with it bit for bit.
+
+def oracle_kernel_eval(field, z):
+    w, dw = field._ue * z, field._ue
+    for center, coef in zip(field._centers, field._coef):
+        zeta = z - center
+        if np.count_nonzero(zeta) < len(zeta):
+            raise FlowSingularityError("flow evaluated at doublet center")
+        term = coef / zeta
+        w -= term
+        dw = dw + term / zeta
+    return w, dw if len(field._centers) else np.full(len(z), dw)
+
+
+def oracle_kernel_inside(field, z):
+    return np.abs(z[:, None] - field._centers) < field._radius
+
+
+def oracle_kernel_invert(field, target, seed):
+    ue = field._ue
+    if len(field._centers) == 1:
+        center, radius = field._centers[0], field._radius[0]
+        s = target - ue * center
+        root = np.sqrt(s * s + 4.0 * ue * field._coef[0])
+        plus, minus = s + root, s - root
+        zeta = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / (2 * ue)
+        z = center + zeta
+        tie = np.abs(zeta) <= radius * (1.0 + 1e-9)
+        if np.count_nonzero(tie):
+            near, seed = z[tie] - center, seed[tie] - center
+            far = -field._coef[0] / (ue * near)
+            arc = np.where(np.abs(far - seed) < np.abs(near - seed), far, near)
+            z[tie] = center + arc * (radius * (1.0 + 1e-12) / np.abs(arc))
+        return z, np.zeros(0, dtype=int)
+    z = np.array(seed, dtype=np.complex128)
+    todo = np.arange(len(z))
+    for it in range(cem._INVERSE_MAX_ITER + 1):
+        w, dw = oracle_kernel_eval(field, z[todo])
+        res = w - target[todo]
+        scale = np.abs(ue * z[todo]) + np.add.reduce(
+            np.abs(field._coef) / np.abs(z[todo, None] - field._centers), 1)
+        left = np.abs(res) > cem._INVERSE_RTOL * scale
+        todo = todo[left]
+        if not todo.size or it == cem._INVERSE_MAX_ITER:
+            break
+        z[todo] -= res[left] / dw[left]
+    return z, todo
+
+
+def oracle_kernel_step(positions, field, v_phi, dt, psi_targets=None):
+    positions = np.asarray(positions, dtype=np.float64)
+    m = positions.shape[0]
+    z0 = np.ascontiguousarray(positions[:, :2]).view(np.complex128)[:, 0]
+    w, dw = oracle_kernel_eval(field, z0)
+    target = w + v_phi * dt
+    if psi_targets is not None:
+        target.imag = psi_targets
+    z1, failed = oracle_kernel_invert(field, target, z0)
+    projected = (oracle_kernel_inside(field, z1).any(axis=1)
+                 if len(field._centers) > 1 else np.zeros(m, dtype=bool))
+    floor = cem.STAGNATION_FLOOR_FACTOR * field.u_inf**2
+    stagnated = np.abs(dw) < floor ** 0.5
+    stagnated[failed] = True
+    stagnated |= projected
+    if np.count_nonzero(stagnated):
+        z1[stagnated] = z0[stagnated]
+    out = positions.copy()
+    out[:, :2] = z1.view(np.float64).reshape(m, 2)
+    return out, stagnated, projected
+
+
+KERNEL = settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+POINT_KINDS = ("free", "circle", "stagnation", "edge")
+
+
+@st.composite
+def kernel_cases(draw):
+    """A field of 1-3 disjoint disks and points where the kernel's paths
+    part: anywhere outside the disks ("free"), on a disk circle, the
+    dividing streamline, where both roots of a long enough step tie
+    ("circle"), within 1e-9 to 1e-3 m of a cylinder's stagnation points
+    ("stagnation") and just outside a disk ("edge"); with a step length
+    and the stream targets None, the points' own psi or 0."""
+    theta = draw(st.floats(0.0, 2 * np.pi))
+    radius = draw(st.floats(0.5, 5.0))
+    centers = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1,
+                                     max_size=3)))
+    gaps = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
+    assume(np.all(gaps[np.triu_indices(len(centers), 1)] > 2.5 * radius))
+    field = cem.build_flow_from_failures(centers, 10.0, theta,
+                                         radius_override=radius)
+    points = []
+    for kind, j, angle, exponent, x, y in draw(st.lists(st.tuples(
+            st.sampled_from(POINT_KINDS), st.integers(0, 2),
+            st.floats(0.0, 2 * np.pi), st.floats(-9.0, -3.0), coord,
+            coord), min_size=1, max_size=8)):
+        center = complex(*centers[j % len(centers)])
+        if kind == "free":
+            z = complex(x, y)
+            assume(np.all(np.abs(z - field._centers) > radius))
+        elif kind == "circle":
+            z = center + radius * np.exp(1j * angle)
+        elif kind == "stagnation":   # upstream or downstream, by j
+            z = center + radius * np.exp(1j * theta) * (-1) ** j \
+                + 10.0**exponent * np.exp(1j * angle)
+        else:
+            z = center + radius * (1.0 + 10.0**exponent) * np.exp(1j * angle)
+        points.append((z.real, z.imag, x))
+    positions = np.array(points)
+    dt = draw(st.sampled_from([1e-3, 0.05, 0.3, 2.0]))
+    psi = draw(st.sampled_from(["none", "own", "zero"]))
+    if psi == "none":
+        targets = None
+    elif psi == "own":
+        targets = np.array([cem.eval_flow(field, px, py).psi
+                            for px, py, _ in positions])
+    else:
+        targets = np.zeros(len(positions))
+    return field, positions, dt, targets
+
+
+class TestKernelOracle:
+    @KERNEL
+    @given(kernel_cases())
+    def test_step_matches_the_oracle_bit_for_bit(self, case):
+        field, positions, dt, targets = case
+        got = cem.step_streamline_many(positions, field, 10.0, dt, targets)
+        want = oracle_kernel_step(positions, field, 10.0, dt, targets)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_cases_reach_every_path(self):
+        """The strategy's points reach the tie on the circle, the
+        stagnation floor and the projection out of a Newton solve."""
+        hits = {"tie": 0, "stagnated": 0, "projected": 0}
+
+        @KERNEL
+        @given(kernel_cases())
+        def collect(case):
+            field, positions, dt, targets = case
+            out, stag, proj = oracle_kernel_step(positions, field, 10.0, dt,
+                                                 targets)
+            hits["stagnated"] += int(np.count_nonzero(stag & ~proj))
+            hits["projected"] += int(np.count_nonzero(proj))
+            if len(field.doublets) == 1:
+                rho = np.hypot(out[:, 0] - field.doublets[0].a,
+                               out[:, 1] - field.doublets[0].b)
+                radius = field.exclusion_radii[0]
+                hits["tie"] += int(np.count_nonzero(
+                    (np.abs(rho / radius - 1.0) < 1e-11) & ~stag))
+
+        collect()
+        assert all(hits.values()), hits
+
+
 class TestLaplace:
     def test_harmonic_residuals(self):
         rng = np.random.default_rng(RNG_SEED)

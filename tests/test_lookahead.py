@@ -6,6 +6,8 @@ lookahead_ticks = 1, which evaluates every tick on its own: the block
 length, an injected failure and an edit of the state between steps must
 not change a single logged bit against it.
 """
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -180,17 +182,33 @@ def test_run_steps_once_per_tick(monkeypatch):
     assert calls == list(range(TICKS))
 
 
+def public_caller():
+    """Code of the nearest public contiform function or method on the
+    stack above the caller: its module is contiform's and no part of its
+    qualified name is private or a comprehension."""
+    for info in inspect.stack(0)[2:]:
+        code = info.frame.f_code
+        module = info.frame.f_globals.get("__name__", "")
+        name = getattr(code, "co_qualname", code.co_name)
+        if module.split(".")[0] == "contiform" and not any(
+                part.startswith(("_", "<")) for part in name.split(".")):
+            return code
+    return None
+
+
 def test_each_cem_tick_steps_the_streamlines_once(monkeypatch):
     """Exactly one cem.step_streamline_many call on each CEM tick and none
-    on an HDM tick.  `perfbench/run.py --trace 1` depends on this: it
-    counts a tick as CEM when its Simulation.step span encloses a
-    step_streamline_many span, and fails a run whose count disagrees
-    with the logged modes."""
+    on an HDM tick, made from Simulation.step itself or its private
+    methods.  `perfbench/run.py --trace 1` depends on this: it wraps every
+    public function and method, counts a tick as CEM when a
+    Simulation.step span is the direct parent of a step_streamline_many
+    span, and fails a run whose count disagrees with the logged modes."""
     calls = []
     step_streamline_many = cem.step_streamline_many
 
     def counted(*args, **kwargs):
         calls[-1] += 1
+        assert public_caller() is Simulation.step.__code__
         return step_streamline_many(*args, **kwargs)
 
     monkeypatch.setattr(cem, "step_streamline_many", counted)
@@ -202,6 +220,37 @@ def test_each_cem_tick_steps_the_streamlines_once(monkeypatch):
         sim.step()
     assert calls == [int(m is Mode.CEM) for m in modes]
     assert calls.count(1) == np.count_nonzero(sim.log.mode[:-1]) > 0
+
+
+def test_cem_row_is_final_when_step_returns():
+    """After every step that leaves the run in CEM, the entry step
+    included, row tick logs the live state: positions, center, mode and
+    health, with the healthy agents' targets as their local and global
+    desired positions and NaN for everyone else.  Healthy agent 6 freezes
+    during CEM, and the tracking center stays the mean of all healthy
+    agents' positions, its frozen one included."""
+    sim = Simulation(team7(failure_doc(CEM_DRIFT, (6, 1.0, "freeze", None))))
+    log, cem_rows = sim.log, 0
+    while sim.tick < sim.total_ticks:
+        sim.step()
+        if sim.mode is not Mode.CEM:
+            continue
+        cem_rows += 1
+        row, idx = sim.tick, sim.healthy_idx
+        np.testing.assert_array_equal(log.actual[row], sim.positions)
+        np.testing.assert_array_equal(log.center[row], sim.center)
+        np.testing.assert_array_equal(
+            sim.center, sim.positions[idx].sum(axis=0) / len(idx))
+        assert log.mode[row] == 1
+        np.testing.assert_array_equal(log.health[row], sim.health)
+        others = np.setdiff1d(np.arange(sim.n_agents), idx)
+        for desired in (log.local_desired[row], log.global_desired[row]):
+            np.testing.assert_array_equal(desired[idx], sim.cem_targets)
+            assert np.isnan(desired[others]).all()
+        assert np.isnan(log.sigma[row]).all() and log.margin_ok[row] == -1
+    assert cem_rows == np.count_nonzero(log.mode) > 0
+    frozen = log.actual[:, sim.idx[6]]
+    assert np.any(log.mode[1:] & np.all(frozen[1:] == frozen[:-1], axis=1))
 
 
 def test_quiet_run_detects_once_per_block(monkeypatch):

@@ -224,7 +224,7 @@ agents:
         sim.mode = Mode.CEM
         before = sim.cem_targets.copy()
         sim.step()
-        advance = sim.cem_targets[sim.healthy_idx] - before[sim.healthy_idx]
+        advance = sim.cem_targets - before   # (H, 3), in healthy_idx order
         dt = sim.dt
         np.testing.assert_allclose(advance[:, 0], 10.0 / 10.0 * dt,
                                    atol=1e-6)
