@@ -5,7 +5,8 @@ Subcommands:
   check <scenario>
   analyze <log> --series positions|sigma|weight-bounds|cem-paths [--agent ID]
 
-Exit codes: 0 success, 2 scenario errors (parse, schema, infeasible
+Exit codes: 0 success, 2 input errors (bad options, a missing or
+unreadable file) and scenario errors (parse, schema, infeasible
 formation), 3 numeric failures during a run.
 """
 
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -90,69 +92,49 @@ def cmd_check(args):
     return 0
 
 
-def _series_positions(data, writer, agent_filter):
+def _kept(data, agent_filter):
+    """Agent ids and the indices of those the filter keeps."""
     ids = [int(a) for a in data["agent_ids"]]
-    keep = [i for i, a in enumerate(ids)
-            if agent_filter is None or a == agent_filter]
-    header = ["time"]
-    for i in keep:
-        header.extend(f"{ids[i]}_{c}" for c in ("x", "y", "z"))
-    writer.writerow(header)
-    times, actual = data["times"], data["actual"]
-    for r in range(times.shape[0]):
-        row = [f"{times[r]:.10g}"]
-        for i in keep:
-            row.extend(f"{v:.10g}" for v in actual[r, i])
-        writer.writerow(row)
+    return ids, [i for i, a in enumerate(ids)
+                 if agent_filter is None or a == agent_filter]
 
 
-def _series_sigma(data, writer, agent_filter):
-    writer.writerow(["time", "sigma1", "sigma2", "sigma3"])
-    times, sigma = data["times"], data["sigma"]
-    for r in range(times.shape[0]):
-        writer.writerow([f"{times[r]:.10g}"]
-                        + [f"{v:.10g}" for v in sigma[r]])
-
-
-def _series_weight_bounds(data, writer, agent_filter):
-    ids = [int(a) for a in data["agent_ids"]]
-    w = data["weights"]
-    keep = [i for i, a in enumerate(ids)
-            if (agent_filter is None or a == agent_filter)
-            and np.isfinite(w[:, i, :]).any()]
-    slots = w.shape[2]
-    header = ["time"]
-    for i in keep:
-        for k in range(slots):
-            header.extend((f"{ids[i]}_{k}_w", f"{ids[i]}_{k}_lo",
-                           f"{ids[i]}_{k}_hi"))
-    writer.writerow(header)
+def _series_positions(data, agent_filter):
+    ids, keep = _kept(data, agent_filter)
     times = data["times"]
-    lo, hi = data["bounds_lo"], data["bounds_hi"]
-    for r in range(times.shape[0]):
-        row = [f"{times[r]:.10g}"]
-        for i in keep:
-            for k in range(slots):
-                row.extend((f"{w[r, i, k]:.10g}", f"{lo[r, i, k]:.10g}",
-                            f"{hi[r, i, k]:.10g}"))
-        writer.writerow(row)
+    return ([f"{ids[i]}_{c}" for i in keep for c in "xyz"], times,
+            data["actual"][:, keep].reshape(len(times), -1))
 
 
-def _series_cem_paths(data, writer, agent_filter):
-    ids = [int(a) for a in data["agent_ids"]]
-    writer.writerow(["time", "agent", "x", "y", "z"])
-    times, actual = data["times"], data["actual"]
-    mode, health = data["mode"], data["health"]
-    for r in np.flatnonzero(mode == 1):
-        for i, a in enumerate(ids):
-            if agent_filter is not None and a != agent_filter:
-                continue
-            if health[r, i] != 1:
-                continue
-            writer.writerow([f"{times[r]:.10g}", a]
-                            + [f"{v:.10g}" for v in actual[r, i]])
+def _series_sigma(data, agent_filter):
+    return ["sigma1", "sigma2", "sigma3"], data["times"], data["sigma"]
 
 
+def _series_weight_bounds(data, agent_filter):
+    ids, keep = _kept(data, agent_filter)
+    w, times = data["weights"], data["times"]
+    keep = [i for i in keep if np.isfinite(w[:, i]).any()]
+    values = np.stack([data[k][:, keep]
+                       for k in ("weights", "bounds_lo", "bounds_hi")], -1)
+    return ([f"{ids[i]}_{k}_{part}" for i in keep for k in range(w.shape[2])
+             for part in ("w", "lo", "hi")], times,
+            values.reshape(len(times), -1))
+
+
+def _series_cem_paths(data, agent_filter):
+    ids, keep = _kept(data, agent_filter)
+    keep = np.array(keep, dtype=int)
+    rows, cols = np.nonzero((data["mode"] == 1)[:, None]
+                            & (data["health"][:, keep] == 1))
+    agents = keep[cols]
+    # the ids as floats: "%.10g" prints them as integers below 1e10
+    return (["agent", "x", "y", "z"], data["times"][rows],
+            np.column_stack((np.array(ids)[agents],
+                             data["actual"][rows, agents])))
+
+
+# series -> (data, agent filter) -> (header after "time", the rows' times
+# (R,), their values (R, columns))
 _SERIES = {
     "positions": _series_positions,
     "sigma": _series_sigma,
@@ -162,14 +144,26 @@ _SERIES = {
 
 
 def cmd_analyze(args):
-    data = logio.load_outputs(args.log)
+    header, times, values = _SERIES[args.series](
+        logio.load_outputs(args.log), args.agent)
     stream = _out_stream(args.out)
     try:
-        _SERIES[args.series](data, csv.writer(stream), args.agent)
+        writer = csv.writer(stream)
+        writer.writerow(["time"] + header)
+        writer.writerows(["%.10g" % v for v in (t, *row.tolist())]
+                         for t, row in zip(times.tolist(), values))
     finally:
         if stream is not sys.stdout:
             stream.close()
     return 0
+
+
+def _stride(text):
+    """A --stride value: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -179,16 +173,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a scenario file")
-    p_sim.add_argument("scenario", help="scenario YAML/JSON path")
+    p_sim.add_argument("scenario", type=pathlib.Path,
+                       help="scenario YAML/JSON path")
     p_sim.add_argument("--out", default=None, help="output directory")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--stride", type=int, default=1,
+    p_sim.add_argument("--stride", type=_stride, default=1,
                        help="log row subsampling for trajectory export")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_chk = sub.add_parser("check",
                            help="validate a scenario and report bounds")
-    p_chk.add_argument("scenario", help="scenario YAML/JSON path")
+    p_chk.add_argument("scenario", type=pathlib.Path,
+                       help="scenario YAML/JSON path")
     p_chk.set_defaults(func=cmd_check)
 
     p_an = sub.add_parser("analyze", help="export a series from a run")
@@ -207,6 +203,9 @@ def main(argv=None):
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ContiformError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

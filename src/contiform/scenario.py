@@ -159,6 +159,32 @@ def _fields(value, path, known):
     return value
 
 
+def _failure_spec(item, path, agent_ids, taken):
+    """The FailureSpec of one failures entry, a mapping; path names it in
+    errors, and taken holds the agents that already have a failure."""
+    item = _fields(item, path, ("agent", "time", "kind", "velocity"))
+    agent_id = _agent_id(_require(item, "agent", f"{path}."), f"{path}.agent")
+    if agent_id not in agent_ids:
+        raise ScenarioError(f"{path}.agent: unknown id {agent_id}")
+    if agent_id in taken:
+        raise ScenarioError(
+            f"{path}.agent: agent {agent_id} already has a failure")
+    time = _number(_require(item, "time", f"{path}."), f"{path}.time",
+                   nonnegative=True)
+    kind = _require(item, "kind", f"{path}.")
+    if kind not in FAILURE_KINDS:
+        raise ScenarioError(
+            f"{path}.kind: must be one of {FAILURE_KINDS}, got {kind!r}")
+    velocity = None
+    if kind == "drift":
+        velocity = _position(_require(item, "velocity", f"{path}."),
+                             f"{path}.velocity")
+    elif item.get("velocity") is not None:
+        raise ScenarioError(f"{path}.velocity: only valid for drift")
+    return FailureSpec(agent_id=agent_id, time=time, kind=kind,
+                       velocity=velocity)
+
+
 def load_scenario(source):
     """Parse and validate a scenario from a file path or document text.
 
@@ -311,34 +337,9 @@ def load_scenario(source):
     failures_doc = doc.get("failures", [])
     if not isinstance(failures_doc, list):
         raise ScenarioError("failures: expected a list")
-    seen_failed = set()
     for k, item in enumerate(failures_doc):
-        item = _fields(item, f"failures[{k}]",
-                       ("agent", "time", "kind", "velocity"))
-        agent_id = _agent_id(_require(item, "agent", f"failures[{k}]."),
-                             f"failures[{k}].agent")
-        if agent_id not in agent_ids:
-            raise ScenarioError(f"failures[{k}].agent: unknown id {agent_id}")
-        if agent_id in seen_failed:
-            raise ScenarioError(
-                f"failures[{k}].agent: agent {agent_id} already has a failure"
-            )
-        seen_failed.add(agent_id)
-        time = _number(_require(item, "time", f"failures[{k}]."),
-                       f"failures[{k}].time", nonnegative=True)
-        kind = _require(item, "kind", f"failures[{k}].")
-        if kind not in FAILURE_KINDS:
-            raise ScenarioError(
-                f"failures[{k}].kind: must be one of {FAILURE_KINDS}, got {kind!r}"
-            )
-        velocity = None
-        if kind == "drift":
-            velocity = _position(_require(item, "velocity", f"failures[{k}]."),
-                                 f"failures[{k}].velocity")
-        elif item.get("velocity") is not None:
-            raise ScenarioError(f"failures[{k}].velocity: only valid for drift")
-        failures.append(FailureSpec(agent_id=agent_id, time=time, kind=kind,
-                                    velocity=velocity))
+        failures.append(_failure_spec(item, f"failures[{k}]", agent_ids,
+                                      {f.agent_id for f in failures}))
 
     return ScenarioConfig(
         name=name, n=n, dt=dt, duration=duration, gain=gain, rho=rho, xi=xi,

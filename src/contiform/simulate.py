@@ -25,30 +25,34 @@ one vectorized pass: the desired positions from the tick-start snapshots,
 the detector over all K x F follower rows, the commanded deformation's
 singular values, the leader lag and its leader_deviation events in tick
 order, the containment center and the log rows.  The block keeps the ticks
-up to and including the first one on which the detector flags anyone, and
-each step() call commits one buffered tick; the flagged tick runs the
-supervisor transition (5).  It enters CEM for a flagged agent inside the
-containment domain; flagged agents all outside it are excluded at once,
-the network is rebuilt and the tick's row is rewritten as the new epoch's
-first, as on CEM exit.  An HDM tick with agents already flagged is a
-block of one tick.  The buffer is dropped, and its uncommitted log rows
-cleared, when the state it was built from changes between steps: a
-failure added or edited (inject_failure), or positions, mode or flagged
-set edited.
+up to and including the first one on which the detector flags anyone.  Its
+log rows are the only look-ahead buffer: each step() call commits one
+buffered tick, taking the positions and center from its row, and the
+flagged tick runs the supervisor transition (5).  It enters CEM for a
+flagged agent inside the containment domain; flagged agents all outside
+it are excluded at once, the network is rebuilt and the tick's row is
+rewritten as the new epoch's first, as on CEM exit.  An HDM tick with
+agents already flagged is a block of one tick.  The buffer is dropped, and
+its uncommitted log rows cleared, when the state it was built from changes
+between steps: a failure added (inject_failure), or positions, mode or
+flagged set edited.
 
 A CEM tick is one step() with one cem.step_streamline_many call, (1) on
-the healthy agents' targets, one (H, 3) array in healthy_idx order from
-CEM entry.  The failed agents' rows (3), computed for a chunk of ticks
-like a block's, log their activations first.  The positions are
-assembled and tested for finiteness once, a tracking center is the
-healthy mean, the transition (5) decides whether CEM ends, and the row
-(6) is final when step() returns.
+the episode's targets: the healthy agents', one (H, 3) array in
+healthy_idx order from CEM entry.  The episode also holds the flow past
+the flagged agents, the healthy agents' stream constants, the agents whose
+stagnation or disk projection is logged, and the failed agents' rows (3),
+computed for a chunk of ticks like a block's, which log their activations
+first.  The positions are assembled and tested for finiteness once, a
+tracking center is the healthy mean, the transition (5) decides whether
+CEM ends, and the row (6) is final when step() returns.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,8 +62,7 @@ from . import anomaly, cem, hdm, refnet
 from .automaton import Event, Mode, transition
 from .errors import (DegeneracyError, NetworkError, NumericError,
                      ScenarioError, SelectionError)
-from .scenario import (FailureSpec, ScenarioConfig, _number, _position,
-                       load_scenario)
+from .scenario import ScenarioConfig, _failure_spec, load_scenario
 
 MODE_CODE = {Mode.HDM: 0, Mode.CEM: 1}
 HEALTH_OK, HEALTH_FLAGGED, HEALTH_EXCLUDED = 1, 0, -1
@@ -74,8 +77,9 @@ class TrajectoryLog:
 
     Row k holds the state at time k * dt; row 0 is the initial state.
     Arrays indexed [tick, agent] follow the scenario's agent order.  While
-    a run is in progress, the rows past the current tick may already hold
-    the buffered look-ahead block.
+    a run is in progress, the rows after the current tick up to the end of
+    the look-ahead block are that block, written but not yet committed;
+    the rows after it hold the values of an unwritten row.
     """
 
     agent_ids: tuple
@@ -116,14 +120,36 @@ class TrajectoryLog:
         return self.events_of_kind("mode_change")
 
 
-class _Epoch:
-    """Precomputed index caches for one reference-network epoch."""
+def _log_arrays(agents, slots):
+    """(name, row shape, dtype, value of an unwritten row) of each per-tick
+    log array but times, for `agents` agents and `slots` weights each."""
+    return (("actual", (agents, 3), np.float64, 0.0),
+            ("local_desired", (agents, 3), np.float64, np.nan),
+            ("global_desired", (agents, 3), np.float64, np.nan),
+            ("weights", (agents, slots), np.float64, np.nan),
+            ("bounds_lo", (agents, slots), np.float64, np.nan),
+            ("bounds_hi", (agents, slots), np.float64, np.nan),
+            ("health", (agents,), np.int8, HEALTH_OK),
+            ("mode", (), np.int8, MODE_CODE[Mode.HDM]),
+            ("center", (3,), np.float64, 0.0),
+            ("sigma", (3,), np.float64, np.nan),
+            ("margin_ok", (), np.int8, MARGIN_NA))
 
-    def __init__(self, network, idx, start_tick, delta, threshold, a0):
+
+class _Epoch:
+    """What one reference-network build fixes until the next build.
+
+    The network, Delta and the sigma threshold (epoch_bounds), index
+    caches, the team matrix, the leaders' commands on the half-step stage
+    grid from the build's tick on, and the leaders whose deviation has been
+    logged.
+    """
+
+    def __init__(self, network, sim):
+        idx, config = sim.idx, sim.config
         self.network = network
-        self.start_tick = start_tick
-        self.delta = delta
-        self.threshold = threshold
+        self.start_tick = sim.tick
+        self.delta, _, self.threshold = epoch_bounds(network, config)
         self.leader_idx = np.array([idx[a] for a in network.leaders], dtype=int)
         self.follower_idx = np.array([idx[a] for a in network.followers],
                                      dtype=int)
@@ -139,9 +165,46 @@ class _Epoch:
             self.static_w[j] = [network.weights[(fid, a)] for a in nbrs]
         self._edge_inv = hdm.reference_edge_inverse(
             [network.ref_positions[a] for a in network.leaders])
-        self.team_matrix = _team_matrix(len(idx), a0, self.follower_idx,
-                                        self.order_idx, network.W,
-                                        self.leader_idx)
+        self.team_matrix = _team_matrix(len(idx), sim._rk4[0],
+                                        self.follower_idx, self.order_idx,
+                                        network.W, self.leader_idx)
+        # Waypoint profiles are re-anchored at the leader's position now:
+        # r_c(t) = r(t0) + wp(t) - wp(t0).  Leaders without one hold.
+        t0 = sim.clock
+        grid = t0 + 0.5 * sim.dt * np.arange(
+            2 * (sim.total_ticks - sim.tick) + 1)
+        self._cmd = np.empty((len(network.leaders), grid.size, 3))
+        for j, lid in enumerate(network.leaders):
+            anchor = sim.positions[idx[lid]]
+            traj = config.trajectories.get(lid)
+            self._cmd[j] = anchor if traj is None \
+                else anchor + traj.position(grid) - traj.position(t0)
+        self.deviating = set()
+
+    def commands(self, tick, ticks):
+        """Leader commands (L, 2 ticks + 1, 3) on the half-step grid from
+        tick to tick + ticks."""
+        base = 2 * (tick - self.start_tick)
+        return self._cmd[:, base:base + 2 * ticks + 1]
+
+    def targets(self, prev, leader_cmd):
+        """Local desired positions (K, N, 3) from tick-start positions prev
+        (K, N, 3) and leader commands (L, K, 3); excluded agents hold."""
+        rd = prev.copy()
+        rd[:, self.follower_idx] = self.network.W @ prev[:, self.order_idx]
+        rd[:, self.leader_idx] = leader_cmd.swapaxes(0, 1)
+        return rd
+
+    def detect(self, positions):
+        """Condition Psi for every follower on each of K ticks of positions
+        (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1) each, and
+        healthy (K, F)."""
+        k = self.network.n + 1
+        w, lo, hi, healthy = anomaly.evaluate_followers_batch(
+            np.take(positions, self.nbr_idx, axis=1).reshape(-1, k, 3),
+            np.take(positions, self.follower_idx, axis=1).reshape(-1, 3),
+            np.tile(self.static_w, (len(positions), 1)), self.delta, k - 1)
+        return (w, lo, hi), healthy.reshape(len(positions), -1)
 
     def sigmas(self, leader_cmd):
         """Singular values (K, 3), descending, of the deformations the
@@ -171,20 +234,29 @@ class _Epoch:
 
 
 @dataclass
-class _Ahead:
-    """Look-ahead block: HDM ticks integrated and logged, not yet committed.
+class _Episode:
+    """One CEM episode, from entry to the exclusion of the agents it evades."""
 
-    Holds the state after each of its K ticks; only the last tick can have
-    anyone flagged (the block ends on the first such tick).
-    """
+    flow: cem.FlowField     # uniform flow past the flagged agents' doublets
+    psi0: np.ndarray        # (H,) stream constants in healthy_idx order
+    targets: np.ndarray     # (H, 3) streamline targets in healthy_idx order
+    # agents whose stagnation or disk projection is logged, per event kind
+    latch: dict = field(default_factory=lambda: {
+        "stagnation": set(), "disk_projection": set()})
+    failures: tuple = None  # (start tick, failure count, indices, rows)
+
+
+@dataclass
+class _Ahead:
+    """Look-ahead block: HDM ticks integrated and logged in rows start + 1
+    to end, committed up to the current tick.  Only the last tick can have
+    anyone flagged (the block ends on the first such tick)."""
 
     start: int              # tick the block starts from
-    positions: np.ndarray   # (K, N, 3) positions after each tick
-    centers: np.ndarray     # (K, 3) containment centers
+    end: int                # tick of its last row
     flags: frozenset        # flagged set on the last tick
-    events: list            # [(k, leader id, Event)] in tick order
-    failure_version: int    # Simulation._failure_version it was built under
-    committed: int = 0
+    events: list            # [(row, leader id, Event)] in tick order
+    failures: int           # number of failures it was built under
 
 
 def epoch_bounds(network, config: ScenarioConfig):
@@ -255,34 +327,23 @@ class Simulation:
         self.center = self.positions.mean(axis=0)
         self.events = []
         self.epochs = []
-        self._deviating_leaders = set()
         self._ahead = None
-        self._cem_failures = None   # (start tick, version, indices, rows)
+        self.episode = None   # the CEM episode while in CEM
 
-        self.failures = {}
-        self._failure_version = 0   # bumped on every registered failure
+        self.failures = {}   # agent id -> FailureSpec; only ever added to
         self.failure_anchor = {}   # agent id -> (t_active, anchor position)
         for spec in config.failures:
             self._register_failure(spec)
 
-        # CEM machinery, populated at mode entry
-        self.flow = None
-        self.cem_targets = None
-        self.psi0 = None
-
-        try:
-            self._build_network(initial=True)
-        except (DegeneracyError, SelectionError, NetworkError) as exc:
-            raise ScenarioError(f"initial network build failed: {exc}") from exc
-
+        self._build_network()
         self._alloc_log()
         # the first row logs the detector's weights; nothing is flagged yet
-        det, _ = self._detect(self.positions[None])
+        det, _ = self.epoch.detect(self.positions[None])
         self._log_epoch_row(det)
 
     # -- construction helpers -------------------------------------------
 
-    def _register_failure(self, spec: FailureSpec):
+    def _register_failure(self, spec):
         if spec.agent_id not in self.idx:
             raise ValueError(f"unknown agent {spec.agent_id} in failure spec")
         if spec.time >= self.total_ticks * self.dt:
@@ -294,108 +355,65 @@ class Simulation:
                 payload={"agent": int(spec.agent_id), "time": float(spec.time)}))
             return
         self.failures[spec.agent_id] = spec
-        self._failure_version += 1
 
-    def _build_network(self, initial):
+    def _build_network(self):
+        """Build the network over the agents not excluded and start its
+        epoch at tick.  A failed build raises ScenarioError for the run's
+        first network and NumericError for a rebuild."""
         members = {a: self.positions[self.idx[a]]
                    for a in self.ids if a not in self.excluded}
         override = self.config.leader_override
         if override is not None and any(a not in members for a in override):
             override = None
-        network = None
-        if override is not None:
-            try:
+        try:
+            network = None
+            if override is not None:
+                try:
+                    network = refnet.build_reference_configuration(
+                        members, n=self.n, rho=self.config.rho,
+                        xi=self.config.xi, leader_override=list(override))
+                except SelectionError as exc:
+                    if not self.epochs:
+                        raise
+                    self.events.append(Event(
+                        time=self.clock, kind="leader_fallback",
+                        payload={"reason": str(exc)}))
+            if network is None:
                 network = refnet.build_reference_configuration(
-                    members, n=self.n, rho=self.config.rho, xi=self.config.xi,
-                    leader_override=list(override))
-            except SelectionError as exc:
-                if initial:
-                    raise
-                self.events.append(Event(
-                    time=self.clock, kind="leader_fallback",
-                    payload={"reason": str(exc)}))
-        if network is None:
-            network = refnet.build_reference_configuration(
-                members, n=self.n, rho=self.config.rho, xi=self.config.xi)
-        delta, _, threshold = epoch_bounds(network, self.config)
-        self.network = network
-        self.epoch = _Epoch(network, self.idx, self.tick, delta, threshold,
-                            self._rk4[0])
+                    members, n=self.n, rho=self.config.rho, xi=self.config.xi)
+            self.epoch = _Epoch(network, self)
+        except (DegeneracyError, SelectionError, NetworkError) as exc:
+            if not self.epochs:
+                raise ScenarioError(
+                    f"initial network build failed: {exc}") from exc
+            raise NumericError(
+                f"reference rebuild failed at tick {self.tick}, "
+                f"t={self.clock:.6f}: {exc}") from exc
         self.epochs.append(self.epoch)
-        self.delta = delta
-        self._deviating_leaders = set()
-        self._anchor_trajectories()
-
-    def _anchor_trajectories(self):
-        """Precompute leader commands on the half-step stage grid.
-
-        Waypoint profiles are re-anchored at the leader's position when the
-        network is built: r_c(t) = r(t_anchor) + wp(t) - wp(t_anchor).
-        Leaders without a waypoint list hold their anchor position.
-        """
-        t0 = self.tick * self.dt
-        remaining = self.total_ticks - self.tick
-        grid = t0 + 0.5 * self.dt * np.arange(2 * remaining + 1)
-        leaders = self.network.leaders
-        cmd = np.empty((len(leaders), grid.size, 3))
-        for j, lid in enumerate(leaders):
-            anchor = self.positions[self.idx[lid]]
-            traj = self.config.trajectories.get(lid)
-            if traj is None:
-                cmd[j] = anchor
-            else:
-                wp0 = traj.position(t0)
-                cmd[j] = anchor + traj.position(grid) - wp0
-        self._leader_cmd = cmd
-        self._grid_base_tick = self.tick
 
     def _alloc_log(self):
         rows = self.total_ticks + 1
-        n, k = self.n_agents, self.n + 1
+        arrays = {
+            # np.zeros leaves a zero-filled array's pages untouched
+            name: np.zeros((rows, *shape), dtype) if value == 0
+            else np.full((rows, *shape), value, dtype)
+            for name, shape, dtype, value in _log_arrays(self.n_agents,
+                                                         self.n + 1)}
         self.log = TrajectoryLog(
             agent_ids=self.ids, n=self.n, dt=self.dt,
-            times=np.arange(rows) * self.dt,
-            actual=np.zeros((rows, n, 3)),
-            local_desired=np.full((rows, n, 3), np.nan),
-            global_desired=np.full((rows, n, 3), np.nan),
-            weights=np.full((rows, n, k), np.nan),
-            bounds_lo=np.full((rows, n, k), np.nan),
-            bounds_hi=np.full((rows, n, k), np.nan),
-            health=np.full((rows, n), HEALTH_OK, dtype=np.int8),
-            mode=np.zeros(rows, dtype=np.int8),
-            center=np.zeros((rows, 3)),
-            sigma=np.full((rows, 3), np.nan),
-            margin_ok=np.full(rows, MARGIN_NA, dtype=np.int8),
-            events=self.events,
-            epochs=[],
-        )
+            times=np.arange(rows) * self.dt, events=self.events, epochs=[],
+            **arrays)
 
     def _clear_rows(self, rows):
         """Reset log rows to the values _alloc_log fills them with."""
-        log = self.log
-        for arr in (log.actual, log.center):
-            arr[rows] = 0.0
-        for arr in (log.local_desired, log.global_desired, log.weights,
-                    log.bounds_lo, log.bounds_hi, log.sigma):
-            arr[rows] = np.nan
-        log.health[rows] = HEALTH_OK
-        log.mode[rows] = MODE_CODE[Mode.HDM]
-        log.margin_ok[rows] = MARGIN_NA
+        for name, _, _, value in _log_arrays(self.n_agents, self.n + 1):
+            getattr(self.log, name)[rows] = value
 
     # -- tick pieces -----------------------------------------------------
 
     @property
     def clock(self):
         return self.tick * self.dt
-
-    def _hdm_targets(self, prev, leader_cmd):
-        """Local desired positions (K, N, 3) from tick-start positions prev
-        (K, N, 3) and leader commands (L, K, 3); excluded agents hold."""
-        ep = self.epoch
-        rd = prev.copy()
-        rd[:, ep.follower_idx] = ep.network.W @ prev[:, ep.order_idx]
-        rd[:, ep.leader_idx] = leader_cmd.swapaxes(0, 1)
-        return rd
 
     def _failure_rows(self, size):
         """Failed agents' indices (A,) and positions (K, A, 3) after each of
@@ -432,17 +450,6 @@ class Simulation:
             f"non-finite position for agents {bad} at tick {self.tick}, "
             f"t={self.clock + self.dt:.6f}")
 
-    def _detect(self, positions):
-        """Condition Psi for every follower on each of K ticks of positions
-        (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1) each, and
-        healthy (K, F)."""
-        ep = self.epoch
-        w, lo, hi, healthy = anomaly.evaluate_followers_batch(
-            np.take(positions, ep.nbr_idx, axis=1).reshape(-1, self.n + 1, 3),
-            np.take(positions, ep.follower_idx, axis=1).reshape(-1, 3),
-            np.tile(ep.static_w, (len(positions), 1)), self.delta, self.n)
-        return (w, lo, hi), healthy.reshape(len(positions), -1)
-
     def _refresh_healthy(self):
         """Derive the health partition from the excluded and flagged sets:
         the healthy agents' indices, the flagged ids (sorted) and their
@@ -459,37 +466,32 @@ class Simulation:
         idx = self.healthy_idx   # the mean, without np.mean's overhead
         self.center = self.positions[idx].sum(axis=0) / len(idx)
 
-    def _enter_cem(self, clock):
-        """Start CEM around the flagged agents; row tick becomes its first."""
-        self.flow = cem.build_flow_from_failures(
+    def _enter_cem(self):
+        """Start a CEM episode around the flagged agents; row tick becomes
+        its first."""
+        flow = cem.build_flow_from_failures(
             self.positions[self.flagged_idx, :2], self.config.cem_u_inf,
             self.config.cem_theta_inf, radius_override=self.config.cem_radius)
         psi0 = cem.assign_stream_constants(
-            {self.ids[i]: self.positions[i] for i in self.healthy_idx},
-            self.flow)
-        self.psi0 = np.fromiter(psi0.values(), dtype=np.float64)
-        self.cem_targets = self.positions[self.healthy_idx]
-        self._cem_event_latch = {"stagnation": set(), "disk_projection": set()}
+            {self.ids[i]: self.positions[i] for i in self.healthy_idx}, flow)
+        self.episode = _Episode(flow,
+                                np.fromiter(psi0.values(), dtype=np.float64),
+                                self.positions[self.healthy_idx])
         log, row = self.log, self.tick   # reset the HDM-written row
         log.local_desired[row] = log.global_desired[row] = np.nan
         log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
         self._write_cem_row()
 
-    def _exclude_flagged(self, clock):
-        """Exclude the flagged agents, leave CEM if active and rebuild the
-        network over the rest."""
+    def _exclude_flagged(self):
+        """Exclude the flagged agents, end the CEM episode if any, rebuild
+        the network over the rest and log row tick as its epoch's first."""
         self.excluded |= set(self.flagged)
         self.flagged = frozenset()
         self._refresh_healthy()
-        self.flow = None
-        self.cem_targets = None
-        self.psi0 = None
-        try:
-            self._build_network(initial=False)
-        except (DegeneracyError, SelectionError, NetworkError) as exc:
-            raise NumericError(
-                f"reference rebuild failed at tick {self.tick}, "
-                f"t={clock:.6f}: {exc}") from exc
+        self.episode = None
+        self._build_network()
+        self._clear_rows(self.tick)
+        self._log_epoch_row(None)
 
     def _supervise(self, clock):
         """Supervisor transition at the end of a tick with agents flagged;
@@ -505,9 +507,9 @@ class Simulation:
         self.mode = mode
         self.events.extend(events)
         if self.mode is Mode.CEM:
-            self._enter_cem(clock)
+            self._enter_cem()
         else:
-            self._exclude_flagged(clock)
+            self._exclude_flagged()
         return True
 
     # -- log rows ----------------------------------------------------------
@@ -519,14 +521,13 @@ class Simulation:
         positions and local are (K, N, 3), centers (K, 3); det holds the
         detector's (weights, lo, hi) rows or None, healthy its (K, F)
         verdicts or None (nothing flagged).  Returns the leader_deviation
-        events the rows raise, as (k, leader id, Event) in tick order, for
+        events the rows raise, as (row, leader id, Event) in tick order, for
         the caller to emit as each tick commits.
         """
         ep, log = self.epoch, self.log
         count = len(positions)
         rows = slice(row0, row0 + count)
-        base = 2 * (row0 - self._grid_base_tick)
-        cmd = self._leader_cmd[:, base:base + 2 * count:2].swapaxes(0, 1)
+        cmd = ep.commands(row0, count - 1)[:, ::2].swapaxes(0, 1)
         log.actual[rows] = positions
         log.mode[rows] = MODE_CODE[Mode.HDM]
         log.center[rows] = centers
@@ -545,27 +546,26 @@ class Simulation:
         log.sigma[rows], log.margin_ok[rows] = ep.sigmas(cmd)
         diff = positions[:, ep.leader_idx] - cmd
         lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
-        events, seen = [], set(self._deviating_leaders)
-        for k, j in np.argwhere(lag > self.delta).tolist():
+        events, seen = [], set(ep.deviating)
+        for k, j in np.argwhere(lag > ep.delta).tolist():
             lid = ep.network.leaders[j]
             if lid not in seen:
                 seen.add(lid)
-                events.append((k, lid, Event(
+                events.append((row0 + k, lid, Event(
                     time=(row0 + k) * self.dt, kind="leader_deviation",
                     payload={"agent": int(lid), "error": float(lag[k, j])})))
         return events
 
     def _emit(self, events):
         for _, lid, event in events:
-            self._deviating_leaders.add(lid)
+            self.epoch.deviating.add(lid)
             self.events.append(event)
 
     def _log_epoch_row(self, det):
         """Log the row on which a network epoch starts (the first row and
         the row of a rebuild), which no HDM integration produced."""
-        base = 2 * (self.tick - self._grid_base_tick)
-        local = self._hdm_targets(self.positions[None],
-                                  self._leader_cmd[:, base:base + 1])
+        local = self.epoch.targets(self.positions[None],
+                                   self.epoch.commands(self.tick, 0))
         self._emit(self._write_hdm_rows(
             self.tick, self.positions[None], local, self.center[None], det,
             None))
@@ -577,7 +577,7 @@ class Simulation:
         log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
         log.health[row] = self.health
-        log.local_desired[row, self.healthy_idx] = self.cem_targets
+        log.local_desired[row, self.healthy_idx] = self.episode.targets
         log.global_desired[row] = log.local_desired[row]
 
     # -- main loop --------------------------------------------------------
@@ -599,28 +599,25 @@ class Simulation:
         is unchanged."""
         ahead = self._ahead
         return (ahead is not None
-                and ahead.committed < len(ahead.positions)
-                and self.tick == ahead.start + ahead.committed
+                and ahead.start < self.tick < ahead.end
                 and not self.flagged
-                and self._failure_version == ahead.failure_version
+                and len(self.failures) == ahead.failures
                 and self.positions.tobytes()
-                == ahead.positions[ahead.committed - 1].tobytes())
+                == self.log.actual[self.tick].tobytes())
 
     def _drop_ahead(self):
         ahead, self._ahead = self._ahead, None
         if ahead is not None:
-            self._clear_rows(slice(ahead.start + ahead.committed + 1,
-                                   ahead.start + len(ahead.positions) + 1))
+            self._clear_rows(slice(self.tick + 1, ahead.end + 1))
 
     def _look_ahead(self):
         """Integrate a block of HDM ticks from the current state, evaluate
-        and log it in one pass, and buffer it for _commit."""
+        it in one pass and log it as the buffer _commit reads."""
         ep = self.epoch
         fail_idx, fail_rows = self._failure_rows(
             1 if self.flagged else self.lookahead_ticks)
         size = len(fail_rows)
-        base = 2 * (self.tick - self._grid_base_tick)
-        cmd = self._leader_cmd[:, base:base + 2 * size + 1]
+        cmd = ep.commands(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
         U[:, ep.leader_idx] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
         positions = np.empty((size, self.n_agents, 3))
@@ -638,66 +635,63 @@ class Simulation:
         if bad_ticks.size:   # starts the next block, which raises
             size = int(bad_ticks[0])
         positions = positions[:size]
-        det, healthy = self._detect(positions)
+        det, healthy = ep.detect(positions)
         flagged_ticks = np.flatnonzero(~healthy.all(axis=1))
         if flagged_ticks.size:
             size = int(flagged_ticks[0]) + 1
             positions, healthy = positions[:size], healthy[:size]
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
         prev = np.concatenate((self.positions[None], positions[:-1]))
-        local = self._hdm_targets(prev, cmd[:, 2:2 * size + 1:2])
+        local = ep.targets(prev, cmd[:, 2:2 * size + 1:2])
         centers = positions[:, self.healthy_idx].mean(axis=1)
         events = self._write_hdm_rows(self.tick + 1, positions, local,
                                       centers, det, healthy)
         flags = frozenset(ep.network.followers[j]
                           for j in np.flatnonzero(~healthy[-1]))
-        self._ahead = _Ahead(self.tick, positions, centers, flags, events,
-                             self._failure_version)
+        self._ahead = _Ahead(self.tick, self.tick + size, flags, events,
+                             len(self.failures))
 
     def _commit(self):
-        """Commit the next buffered HDM tick."""
-        ahead = self._ahead
-        k = ahead.committed
-        ahead.committed = k + 1
+        """Commit the next buffered HDM tick: its log row becomes the live
+        state."""
+        ahead, log = self._ahead, self.log
         t_end = self.clock + self.dt
-        self.positions = ahead.positions[k].copy()
         self.tick += 1
+        self.positions = log.actual[self.tick].copy()
         # only a block's last tick can flag anyone; HDM with nothing
         # flagged is a fixed point of the automaton, so a quiet tick skips
         # the transition
-        if ahead.committed == len(ahead.positions) \
-                and ahead.flags != self.flagged:
+        if self.tick == ahead.end and ahead.flags != self.flagged:
             self.flagged = ahead.flags
             self._refresh_healthy()
             self._update_center()
-            self.log.center[self.tick] = self.center
-        else:
-            self.center = ahead.centers[k]
+            log.center[self.tick] = self.center
+        else:   # a copy: the row is cleared if this tick starts an epoch
+            self.center = log.center[self.tick].copy()
         if self.flagged and self._supervise(t_end):
-            if self.mode is Mode.HDM:   # excluded outside the domain: a
-                self._clear_rows(self.tick)   # new epoch starts here
-                self._log_epoch_row(None)
-        elif ahead.events:
-            self._emit(e for e in ahead.events if e[0] == k)
+            return
+        if ahead.events:
+            self._emit(e for e in ahead.events if e[0] == self.tick)
 
     def _cem_step(self):
         """One CEM tick (see the module docstring)."""
-        t_end, chunk = self.clock + self.dt, self._cem_failures
+        episode, t_end = self.episode, self.clock + self.dt
+        chunk = episode.failures
         k = self.tick - chunk[0] if chunk else -1
-        if not (0 <= k < len(chunk[3]) and chunk[1] == self._failure_version):
-            chunk = self._cem_failures = (
-                self.tick, self._failure_version,
+        if not (0 <= k < len(chunk[3]) and chunk[1] == len(self.failures)):
+            chunk = episode.failures = (
+                self.tick, len(self.failures),
                 *self._failure_rows(self.lookahead_ticks))
             k = 0
         idx, a0 = self.healthy_idx, self._rk4[0]
         targets, stagnated, projected = cem.step_streamline_many(
-            self.cem_targets, self.flow, self.config.cem_v_phi, self.dt,
-            self.psi0)
-        self.cem_targets = targets
+            episode.targets, episode.flow, self.config.cem_v_phi, self.dt,
+            episode.psi0)
+        episode.targets = targets
         if np.count_nonzero(stagnated):   # projected agents stagnate too
             for flag, kind in ((stagnated, "stagnation"),
                                (projected, "disk_projection")):
-                latch = self._cem_event_latch[kind]
+                latch = episode.latch[kind]
                 for i in idx[flag]:
                     agent = int(self.ids[i])
                     if agent not in latch:
@@ -714,10 +708,8 @@ class Simulation:
         if self._tracking_center:
             self._update_center()
         self._supervise(t_end)
-        if self.mode is Mode.CEM:
+        if self.mode is Mode.CEM:   # else the rebuild logged the row
             self._write_cem_row()
-        else:   # back to HDM on a rebuilt network
-            self._log_epoch_row(None)
 
     def run(self):
         while self.tick < self.total_ticks:
@@ -731,24 +723,16 @@ def inject_failure(sim: Simulation, agent_id, kind, time, velocity=None):
 
     kind "freeze" holds the agent's position from the given time;
     "drift" moves it at the constant velocity.  A time at or beyond the
-    run's end warns and has no effect.  A non-finite or negative time and
-    a non-finite or malformed velocity raise ScenarioError (a ValueError)
-    naming the field, as in a scenario file.
+    run's end warns and has no effect.  The failure is checked as a
+    scenario file's failures entry is: a bad one raises ScenarioError (a
+    ValueError) naming the field.
     """
-    if agent_id not in sim.idx:
-        raise ValueError(f"unknown agent {agent_id}")
-    if kind not in ("freeze", "drift"):
-        raise ValueError(f"failure kind must be freeze or drift, got {kind!r}")
-    time = _number(float(time), "time", nonnegative=True)
-    if kind == "drift":
-        if velocity is None:
-            raise ValueError("drift failure requires a velocity")
-        velocity = _position(np.asarray(velocity, dtype=np.float64).tolist(),
-                             "velocity")
-    if agent_id in sim.failures:
-        raise ValueError(f"agent {agent_id} already has a failure")
-    sim._register_failure(FailureSpec(agent_id=agent_id, time=time,
-                                      kind=kind, velocity=velocity))
+    if velocity is not None:
+        velocity = np.asarray(velocity, dtype=np.float64).tolist()
+    sim._register_failure(_failure_spec(
+        {"agent": operator.index(agent_id), "time": float(time),
+         "kind": kind, "velocity": velocity},
+        "failure", sim.ids, sim.failures))
     return sim
 
 

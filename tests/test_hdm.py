@@ -193,7 +193,7 @@ class TestLocalDesired:
 
     def _check_follower(self, follower_xy, weights):
         sim, before = self._one_tick(follower_xy)
-        net = sim.network
+        net = sim.epoch.network
         nbrs = net.in_neighbors[4]
         np.testing.assert_allclose(
             [net.weights[(4, a)] for a in nbrs], weights, atol=1e-12)

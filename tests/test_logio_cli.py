@@ -1,6 +1,7 @@
 """Run-artifact writers and the command line front end."""
 import csv
 import hashlib
+import io
 import json
 import tempfile
 from types import SimpleNamespace
@@ -349,6 +350,101 @@ class TestCliAnalyze:
         assert lines == ["time,agent,x,y,z"]
 
 
+# The f-string series writers `contiform analyze` had before it had one
+# row writer: the oracle for the bytes it writes.
+def _oracle_positions(data, writer, agent_filter):
+    ids = [int(a) for a in data["agent_ids"]]
+    keep = [i for i, a in enumerate(ids)
+            if agent_filter is None or a == agent_filter]
+    header = ["time"]
+    for i in keep:
+        header.extend(f"{ids[i]}_{c}" for c in ("x", "y", "z"))
+    writer.writerow(header)
+    times, actual = data["times"], data["actual"]
+    for r in range(times.shape[0]):
+        row = [f"{times[r]:.10g}"]
+        for i in keep:
+            row.extend(f"{v:.10g}" for v in actual[r, i])
+        writer.writerow(row)
+
+
+def _oracle_sigma(data, writer, agent_filter):
+    writer.writerow(["time", "sigma1", "sigma2", "sigma3"])
+    times, sigma = data["times"], data["sigma"]
+    for r in range(times.shape[0]):
+        writer.writerow([f"{times[r]:.10g}"]
+                        + [f"{v:.10g}" for v in sigma[r]])
+
+
+def _oracle_weight_bounds(data, writer, agent_filter):
+    ids = [int(a) for a in data["agent_ids"]]
+    w = data["weights"]
+    keep = [i for i, a in enumerate(ids)
+            if (agent_filter is None or a == agent_filter)
+            and np.isfinite(w[:, i, :]).any()]
+    slots = w.shape[2]
+    header = ["time"]
+    for i in keep:
+        for k in range(slots):
+            header.extend((f"{ids[i]}_{k}_w", f"{ids[i]}_{k}_lo",
+                           f"{ids[i]}_{k}_hi"))
+    writer.writerow(header)
+    times = data["times"]
+    lo, hi = data["bounds_lo"], data["bounds_hi"]
+    for r in range(times.shape[0]):
+        row = [f"{times[r]:.10g}"]
+        for i in keep:
+            for k in range(slots):
+                row.extend((f"{w[r, i, k]:.10g}", f"{lo[r, i, k]:.10g}",
+                            f"{hi[r, i, k]:.10g}"))
+        writer.writerow(row)
+
+
+def _oracle_cem_paths(data, writer, agent_filter):
+    ids = [int(a) for a in data["agent_ids"]]
+    writer.writerow(["time", "agent", "x", "y", "z"])
+    times, actual = data["times"], data["actual"]
+    mode, health = data["mode"], data["health"]
+    for r in np.flatnonzero(mode == 1):
+        for i, a in enumerate(ids):
+            if agent_filter is not None and a != agent_filter:
+                continue
+            if health[r, i] != 1:
+                continue
+            writer.writerow([f"{times[r]:.10g}", a]
+                            + [f"{v:.10g}" for v in actual[r, i]])
+
+
+ORACLE_SERIES = {"positions": _oracle_positions, "sigma": _oracle_sigma,
+                 "weight-bounds": _oracle_weight_bounds,
+                 "cem-paths": _oracle_cem_paths}
+
+
+class TestAnalyzeBytes:
+    @pytest.fixture(scope="class")
+    def cem_dir(self, cem_log, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("analyze") / "run")
+        logio.write_outputs(cem_log, out)
+        return out
+
+    @pytest.mark.parametrize("agent", [None, 4, 5, 99],
+                             ids=["all", "excluded", "healthy", "unknown"])
+    @pytest.mark.parametrize("series", sorted(ORACLE_SERIES))
+    def test_bytes_match_the_oracle(self, cem_dir, tmp_path, series, agent):
+        """A run with CEM rows, NaN weights and an excluded agent: each
+        series, whole and filtered to an excluded, a healthy and an
+        unknown agent, has the oracle's bytes."""
+        dest = tmp_path / "series.csv"
+        argv = ["analyze", cem_dir, "--series", series, "--out", str(dest)]
+        if agent is not None:
+            argv += ["--agent", str(agent)]
+        assert cli.main(argv) == 0
+        expect = io.StringIO(newline="")
+        ORACLE_SERIES[series](logio.load_outputs(cem_dir),
+                              csv.writer(expect), agent)
+        assert dest.read_bytes() == expect.getvalue().encode()
+
+
 class TestCliExitCodes:
     def test_scenario_error_is_two(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
@@ -380,9 +476,32 @@ class TestCliExitCodes:
             "scenario error: network build failed: "
             "boundary simplexes are all degenerate\n")
 
-    def test_missing_file_is_two(self, capsys):
-        rc = cli.main(["simulate", "/nonexistent/path.yaml"])
-        assert rc == 2
+    def test_missing_file_is_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.yaml")
+        for command in ("simulate", "check"):
+            assert cli.main([command, missing]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and missing in err
+            assert err.count("\n") == 1
+
+    def test_analyze_without_series_is_two(self, tmp_path, capsys):
+        assert cli.main(["analyze", str(tmp_path), "--series", "sigma"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: no series.npz under ")
+        assert str(tmp_path) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("stride", ["0", "-3", "two"])
+    def test_bad_stride_is_two_before_any_work(self, stride, tiny_file,
+                                               tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", mock.Mock(
+            side_effect=AssertionError("the run started")))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", tiny_file, "--out", str(tmp_path / "run"),
+                      "--stride", stride])
+        assert info.value.code == 2
+        assert "--stride: expected an integer of at least 1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_numeric_error_is_three(self, tmp_path, capsys):
         p = tmp_path / "unstable.yaml"

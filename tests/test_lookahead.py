@@ -11,6 +11,7 @@ import inspect
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from conftest import TEAM22
 from hypothesis import strategies as st
 
 from contiform import anomaly, cem
@@ -245,12 +246,87 @@ def test_cem_row_is_final_when_step_returns():
         np.testing.assert_array_equal(log.health[row], sim.health)
         others = np.setdiff1d(np.arange(sim.n_agents), idx)
         for desired in (log.local_desired[row], log.global_desired[row]):
-            np.testing.assert_array_equal(desired[idx], sim.cem_targets)
+            np.testing.assert_array_equal(desired[idx], sim.episode.targets)
             assert np.isnan(desired[others]).all()
         assert np.isnan(log.sigma[row]).all() and log.margin_ok[row] == -1
     assert cem_rows == np.count_nonzero(log.mode) > 0
     frozen = log.actual[:, sim.idx[6]]
     assert np.any(log.mode[1:] & np.all(frozen[1:] == frozen[:-1], axis=1))
+
+
+def step_checking_hdm_rows(sim):
+    """Step sim, whose center policy is tracking, to the end.  After every
+    step that leaves the run in HDM, the CEM episode is gone and row tick
+    holds the live positions, center, health and mode; on a step that
+    starts a network epoch the center is the mean of the agents left.
+    Returns (tick, mode before the step) for each such step."""
+    log, starts = sim.log, []
+    while sim.tick < sim.total_ticks:
+        mode, epochs = sim.mode, len(sim.epochs)
+        sim.step()
+        if sim.mode is not Mode.HDM:
+            continue
+        row, idx = sim.tick, sim.healthy_idx
+        assert sim.episode is None
+        assert np.array_equal(log.actual[row], sim.positions)
+        assert np.array_equal(log.center[row], sim.center)
+        assert np.array_equal(log.health[row], sim.health)
+        assert log.mode[row] == 0
+        if len(sim.epochs) > epochs:
+            starts.append((row, mode))
+            np.testing.assert_array_equal(
+                sim.center, sim.positions[idx].sum(axis=0) / len(idx))
+    return starts
+
+
+def test_hdm_row_is_live_when_step_returns():
+    sim = Simulation(team7(failure_doc(*CEM_DRIFT)))
+    assert step_checking_hdm_rows(sim) == [(354, Mode.CEM)]
+
+
+def test_exclusion_in_hdm_logs_the_live_center():
+    """TestFlaggedOutsideDomain's run, cut after 14's exclusion in HDM at
+    14.101 s: the new epoch's row logs the center, not a row the rebuild
+    cleared."""
+    text = TEAM22.read_text().replace("duration: 125.0", "duration: 14.2")
+    text = text[:text.index("failures:")] + (
+        "failures:\n- {agent: 11, time: 5.0, kind: freeze}\n"
+        "- {agent: 14, time: 5.0, kind: freeze}\n")
+    sim = Simulation(load_scenario(text))
+    starts = step_checking_hdm_rows(sim)
+    assert [mode for _, mode in starts] == [Mode.CEM, Mode.HDM]
+    assert starts[1][0] == 14101 and sim.excluded == {11, 14}
+
+
+def test_each_cem_episode_is_its_own():
+    """Two CEM episodes: the second, made at its entry, evades only the
+    second failed agent, with a fresh latch and failure rows of its own."""
+    sim = Simulation(team7(failure_doc(CEM_DRIFT, (6, 2.0, "drift",
+                                                   (-10.0, 6.0)))))
+    episodes = []
+    step = Simulation.step
+
+    def recorded(self):
+        mode = self.mode
+        step(self)
+        if mode is Mode.HDM and self.mode is Mode.CEM:
+            ep = self.episode
+            episodes.append((self.tick, ep, self.positions[self.idx[6], :2],
+                             ep.failures, {k: set(v)
+                                           for k, v in ep.latch.items()}))
+
+    sim.step = recorded.__get__(sim)
+    assert step_checking_hdm_rows(sim) == [(354, Mode.CEM), (488, Mode.CEM)]
+    assert [e[0] for e in episodes] == [115, 415]
+    (_, first, *_), (entry, second, at, chunk, latch) = episodes
+    assert second is not first and second.latch is not first.latch
+    assert latch == {"stagnation": set(), "disk_projection": set()}
+    assert chunk is None and second.failures[0] >= entry
+    assert len(second.flow.doublets) == 1
+    doublet = second.flow.doublets[0]
+    assert (doublet.a, doublet.b) == tuple(at)
+    assert len(second.psi0) == len(second.targets) == 5
+    assert sim.excluded == {4, 6}
 
 
 def test_quiet_run_detects_once_per_block(monkeypatch):
@@ -276,7 +352,7 @@ def test_block_stops_at_the_first_flagged_tick():
     flagged_at = sim.tick
     # the flagged tick was the last buffered one, and its row is the
     # first to log the flag
-    assert sim._ahead.committed == len(sim._ahead.positions)
+    assert sim.tick == sim._ahead.end
     col = sim.idx[7]
     assert np.all(sim.log.health[:flagged_at, col] == HEALTH_OK)
     assert sim.log.health[flagged_at, col] == HEALTH_FLAGGED

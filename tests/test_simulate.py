@@ -106,7 +106,7 @@ agents:
 leader_override: [1, 2, 3]
 """
         sim = Simulation(load_scenario(doc))
-        assert sim.network.weights[(5, 1)] == pytest.approx(-5.0 / 3.0)
+        assert sim.epoch.network.weights[(5, 1)] == pytest.approx(-5.0 / 3.0)
         log = sim.run()
         assert log.mode_changes() == []
         assert np.all(log.health == HEALTH_OK)
@@ -220,11 +220,11 @@ agents:
         sim = Simulation(load_scenario(doc))
         sim.flagged = frozenset({5})
         sim._refresh_healthy()
-        sim._enter_cem(0.0)
+        sim._enter_cem()
         sim.mode = Mode.CEM
-        before = sim.cem_targets.copy()
+        before = sim.episode.targets.copy()
         sim.step()
-        advance = sim.cem_targets - before   # (H, 3), in healthy_idx order
+        advance = sim.episode.targets - before   # (H, 3), in healthy_idx order
         dt = sim.dt
         np.testing.assert_allclose(advance[:, 0], 10.0 / 10.0 * dt,
                                    atol=1e-6)
@@ -252,7 +252,7 @@ agents:
         sim = Simulation(load_scenario(doc))
         sim.flagged = frozenset({5})
         sim._refresh_healthy()
-        sim._enter_cem(0.0)
+        sim._enter_cem()
         sim.mode = Mode.CEM
         inject_failure(sim, 4, "freeze", 0.0)
         sim.step()
@@ -317,6 +317,21 @@ failures:
             inject_failure(sim, 99, "freeze", time=0.01)
         with pytest.raises(ValueError):
             inject_failure(sim, 4, "teleport", time=0.01)
+
+    def test_checked_as_a_scenario_entry(self):
+        """A numpy integer id is an agent id; a freeze given a velocity
+        and a second failure of one agent are rejected as in a file."""
+        sim = Simulation(static4(duration=0.1))
+        with pytest.raises(ValueError, match="velocity: only valid for drift"):
+            inject_failure(sim, 4, "freeze", time=0.01, velocity=[1.0, 0.0])
+        assert sim.failures == {}
+        inject_failure(sim, np.int64(4), "drift", time=0.01,
+                       velocity=np.array([1.0, 0.0]))
+        spec = sim.failures[4]
+        assert type(spec.agent_id) is int
+        np.testing.assert_array_equal(spec.velocity, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="already has a failure"):
+            inject_failure(sim, 4, "freeze", time=0.02)
 
     @pytest.mark.parametrize("time, velocity, field", [
         (float("nan"), None, "time"),
