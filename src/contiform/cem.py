@@ -158,8 +158,6 @@ def build_flow_from_failures(failed_positions, u_inf, theta_inf=0.0,
     combined stream function vanishes on the circle of that radius.
     Overlapping disks trigger a warning but are not fatal.
     """
-    if not u_inf > 0.0:
-        raise ValueError(f"u_inf must be positive, got {u_inf}")
     radius = DEFAULT_EXCLUSION_RADIUS if radius_override is None else float(radius_override)
     if not radius > 0.0:
         raise ValueError(f"exclusion radius must be positive, got {radius}")
@@ -169,7 +167,7 @@ def build_flow_from_failures(failed_positions, u_inf, theta_inf=0.0,
     if pts.shape[-1] not in (2, 3):
         raise ValueError(f"failed positions must be (k, 2) or (k, 3), got {pts.shape}")
     delta = radius**2 * u_inf
-    doublets = tuple(
+    doublets = (   # a generator: FlowField checks u_inf before any Doublet
         Doublet(a=float(p[0]), b=float(p[1]), delta=delta, gamma=theta_inf + np.pi)
         for p in pts
     )

@@ -49,6 +49,9 @@ def cmd_simulate(args):
     print(f"scenario: {config.name}")
     print(f"ticks: {ticks} (dt={config.dt:g}, t_final={log.times[-1]:g})")
     print(f"events: {len(log.events)}")
+    for e in log.events_of_kind("failure_ignored"):
+        print(f"ignored: failure of agent {e.payload['agent']} at "
+              f"t={e.payload['time']:g} is beyond the run's end")
     print(f"final mode: {final_mode}")
     print(f"digest: {digest}")
     for p in paths:

@@ -18,6 +18,8 @@ import os
 
 import numpy as np
 
+from .simulate import _log_arrays
+
 _AGENT_COLS = ("x", "y", "z", "xd", "yd", "zd", "xc", "yc", "zc", "health")
 
 
@@ -105,14 +107,8 @@ def write_outputs(log, out_dir, fmt="csv", stride=1):
         paths.append(ev_path)
 
     npz_path = os.path.join(out_dir, "series.npz")
-    np.savez(npz_path,
-             agent_ids=np.array(log.agent_ids),
-             times=log.times, actual=log.actual,
-             local_desired=log.local_desired,
-             global_desired=log.global_desired,
-             weights=log.weights, bounds_lo=log.bounds_lo,
-             bounds_hi=log.bounds_hi, health=log.health, mode=log.mode,
-             center=log.center, sigma=log.sigma, margin_ok=log.margin_ok)
+    np.savez(npz_path, agent_ids=np.array(log.agent_ids), times=log.times,
+             **{spec[0]: getattr(log, spec[0]) for spec in _log_arrays(0, 0)})
     paths.append(npz_path)
 
     meta_path = os.path.join(out_dir, "meta.json")
@@ -131,20 +127,30 @@ def write_outputs(log, out_dir, fmt="csv", stride=1):
     return paths
 
 
+class _RunData(dict):
+    """meta.json's document under "meta" and the series.npz arrays read so
+    far; indexing an array not read yet reads it, and only it, from disk."""
+
+    def __init__(self, npz_path, meta):
+        super().__init__(meta=meta)
+        self._path = npz_path
+
+    def __missing__(self, name):
+        with np.load(self._path) as npz:
+            self[name] = npz[name]
+        return self[name]
+
+
 def load_outputs(path):
-    """Load a run directory (or its meta.json / series.npz) for analysis."""
-    if os.path.isdir(path):
-        base = path
-    else:
-        base = os.path.dirname(path) or "."
+    """Load a run directory (or its meta.json / series.npz) for analysis;
+    each array is read from series.npz when it is first indexed."""
+    base = path if os.path.isdir(path) else os.path.dirname(path) or "."
     npz_path = os.path.join(base, "series.npz")
     meta_path = os.path.join(base, "meta.json")
     if not os.path.exists(npz_path):
         raise FileNotFoundError(f"no series.npz under {base!r}")
-    data = dict(np.load(npz_path))
+    meta = {}
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
-            data["meta"] = json.load(fh)
-    else:
-        data["meta"] = {}
-    return data
+            meta = json.load(fh)
+    return _RunData(npz_path, meta)

@@ -55,7 +55,6 @@ class ReferenceConfiguration:
     in_neighbors: dict              # follower id -> tuple of n+1 ids
     weights: dict                   # (follower id, neighbor id) -> float
     W: np.ndarray                   # (F, N) rows = followers, cols = leaders then followers
-    A: np.ndarray                   # (F, F) follower columns of W
     B: np.ndarray                   # (F, n+1) leader columns of W
     D: np.ndarray                   # -I + A, Hurwitz
     W_L: np.ndarray                 # (F, n+1) leader-to-follower map
@@ -260,7 +259,7 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     weights = {(fid, nid): float(w)
                for fid, row in zip(followers, static)
                for nid, w in zip(in_neighbors[fid], row)}
-    W, A, B, D, W_L = build_weight_matrices(leaders, followers, in_neighbors, weights)
+    W, _, B, D, W_L = build_weight_matrices(leaders, followers, in_neighbors, weights)
     row_err = np.abs(W.sum(axis=1) - 1.0)
     if np.any(row_err > 1e-9):
         raise NetworkError(f"weight row sum off by {row_err.max():.3e}")
@@ -274,5 +273,5 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
         n=n, rho=rho, xi=xi, ids=tuple(ids), ref_positions=positions,
         boundary=boundary, interior=interior, leaders=tuple(leaders),
         followers=followers, in_neighbors=in_neighbors, weights=weights,
-        W=W, A=A, B=B, D=D, W_L=W_L, Xi_max=xi_max, d_min=d_min,
+        W=W, B=B, D=D, W_L=W_L, Xi_max=xi_max, d_min=d_min,
     )

@@ -193,10 +193,11 @@ def load_scenario(source):
     text).  Raises ScenarioError naming the offending field on any schema
     violation.
     """
-    if isinstance(source, os.PathLike):
-        text = open(os.fspath(source), "r", encoding="utf-8").read()
-    elif isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        text = open(source, "r", encoding="utf-8").read()
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and "\n" not in source
+            and os.path.exists(source)):
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = source
     try:

@@ -31,11 +31,10 @@ buffered tick, taking the positions and center from its row, and the
 flagged tick runs the supervisor transition (5).  It enters CEM for a
 flagged agent inside the containment domain; flagged agents all outside
 it are excluded at once, the network is rebuilt and the tick's row is
-rewritten as the new epoch's first, as on CEM exit.  An HDM tick with
-agents already flagged is a block of one tick.  The buffer is dropped, and
-its uncommitted log rows cleared, when the state it was built from changes
-between steps: a failure added (inject_failure), or positions, mode or
-flagged set edited.
+rewritten as the new epoch's first, as on CEM exit.  The buffer is
+dropped, and its uncommitted log rows cleared, when the state it was built
+from changes: a failure added (inject_failure), or positions, mode or
+flagged set edited between steps.
 
 A CEM tick is one step() with one cem.step_streamline_many call, (1) on
 the episode's targets: the healthy agents', one (H, 3) array in
@@ -103,11 +102,8 @@ class TrajectoryLog:
     def digest(self):
         """SHA-256 over every logged array and the serialized events."""
         h = hashlib.sha256()
-        for arr in (self.times, self.actual, self.local_desired,
-                    self.global_desired, self.weights, self.bounds_lo,
-                    self.bounds_hi, self.health, self.mode, self.center,
-                    self.sigma, self.margin_ok):
-            h.update(np.ascontiguousarray(arr))
+        for name in ("times", *(spec[0] for spec in _log_arrays(0, 0))):
+            h.update(np.ascontiguousarray(getattr(self, name)))
         h.update(json.dumps(
             [[e.time, e.kind, e.payload] for e in self.events],
             sort_keys=True).encode())
@@ -149,20 +145,16 @@ class _Epoch:
         idx, config = sim.idx, sim.config
         self.network = network
         self.start_tick = sim.tick
-        self.delta, _, self.threshold = epoch_bounds(network, config)
+        self.delta, self.d_min, self.threshold = epoch_bounds(network, config)
         self.leader_idx = np.array([idx[a] for a in network.leaders], dtype=int)
         self.follower_idx = np.array([idx[a] for a in network.followers],
                                      dtype=int)
-        self.order_idx = np.array([idx[a] for a in network.agent_order],
-                                  dtype=int)
-        k = network.n + 1
-        f_count = len(network.followers)
-        self.nbr_idx = np.zeros((f_count, k), dtype=int)
-        self.static_w = np.zeros((f_count, k))
-        for j, fid in enumerate(network.followers):
-            nbrs = network.in_neighbors[fid]
-            self.nbr_idx[j] = [idx[a] for a in nbrs]
-            self.static_w[j] = [network.weights[(fid, a)] for a in nbrs]
+        self.order_idx = np.concatenate((self.leader_idx, self.follower_idx))
+        nbrs = [(f, network.in_neighbors[f]) for f in network.followers]
+        self.nbr_idx = np.array([[idx[a] for a in row] for _, row in nbrs],
+                                dtype=int)
+        self.static_w = np.array([[network.weights[(f, a)] for a in row]
+                                  for f, row in nbrs])
         self._edge_inv = hdm.reference_edge_inverse(
             [network.ref_positions[a] for a in network.leaders])
         self.team_matrix = _team_matrix(len(idx), sim._rk4[0],
@@ -228,7 +220,7 @@ class _Epoch:
                              for f, nbrs in net.in_neighbors.items()},
             "Xi_max": float(net.Xi_max),
             "delta": float(self.delta),
-            "d_min": float(net.d_min),
+            "d_min": float(self.d_min),
             "sigma_threshold": float(self.threshold),
         }
 
@@ -243,7 +235,7 @@ class _Episode:
     # agents whose stagnation or disk projection is logged, per event kind
     latch: dict = field(default_factory=lambda: {
         "stagnation": set(), "disk_projection": set()})
-    failures: tuple = None  # (start tick, failure count, indices, rows)
+    failures: tuple = None  # (start tick, indices, rows)
 
 
 @dataclass
@@ -256,19 +248,18 @@ class _Ahead:
     end: int                # tick of its last row
     flags: frozenset        # flagged set on the last tick
     events: list            # [(row, leader id, Event)] in tick order
-    failures: int           # number of failures it was built under
 
 
 def epoch_bounds(network, config: ScenarioConfig):
     """(Delta, d_min, sigma threshold) of one network epoch.
 
-    Delta is the deviation bound for the scenario's tolerances, d_min the
-    scenario's override or else the network's smallest reference
-    separation, and the threshold the collision-safety bound on the
-    smallest singular value of the commanded deformation.
+    Delta is the tolerances' deviation bound, refnet.deviation_bound's
+    expression on the network's Xi_max; d_min the scenario's override or
+    else the network's smallest reference separation; the threshold the
+    collision-safety bound on the commanded deformation's smallest sigma.
     """
-    _, delta = refnet.deviation_bound(network.D, network.B,
-                                      *config.tolerances)
+    dx, dy, dz = config.tolerances
+    delta = network.Xi_max * float(np.sqrt(dx ** 2 + dy ** 2 + dz ** 2))
     d_min = network.d_min if config.d_min_override is None \
         else config.d_min_override
     threshold, _ = hdm.collision_safety_margin(
@@ -326,7 +317,7 @@ class Simulation:
         self._refresh_healthy()
         self.center = self.positions.mean(axis=0)
         self.events = []
-        self.epochs = []
+        self.epochs = []   # each network epoch's meta(), as it is built
         self._ahead = None
         self.episode = None   # the CEM episode while in CEM
 
@@ -344,17 +335,19 @@ class Simulation:
     # -- construction helpers -------------------------------------------
 
     def _register_failure(self, spec):
+        """Add a failure (True), or log one the run never reaches (False)."""
         if spec.agent_id not in self.idx:
             raise ValueError(f"unknown agent {spec.agent_id} in failure spec")
         if spec.time >= self.total_ticks * self.dt:
-            warnings.warn(
-                f"failure of agent {spec.agent_id} at t={spec.time} is beyond "
-                f"the run duration and has no effect", stacklevel=3)
             self.events.append(Event(
                 time=self.clock, kind="failure_ignored",
                 payload={"agent": int(spec.agent_id), "time": float(spec.time)}))
-            return
+            return False
         self.failures[spec.agent_id] = spec
+        self._drop_ahead()
+        if self.episode is not None:
+            self.episode.failures = None
+        return True
 
     def _build_network(self):
         """Build the network over the agents not excluded and start its
@@ -389,7 +382,7 @@ class Simulation:
             raise NumericError(
                 f"reference rebuild failed at tick {self.tick}, "
                 f"t={self.clock:.6f}: {exc}") from exc
-        self.epochs.append(self.epoch)
+        self.epochs.append(self.epoch.meta())
 
     def _alloc_log(self):
         rows = self.total_ticks + 1
@@ -401,8 +394,8 @@ class Simulation:
                                                          self.n + 1)}
         self.log = TrajectoryLog(
             agent_ids=self.ids, n=self.n, dt=self.dt,
-            times=np.arange(rows) * self.dt, events=self.events, epochs=[],
-            **arrays)
+            times=np.arange(rows) * self.dt, events=self.events,
+            epochs=self.epochs, **arrays)
 
     def _clear_rows(self, rows):
         """Reset log rows to the values _alloc_log fills them with."""
@@ -489,6 +482,7 @@ class Simulation:
         self.flagged = frozenset()
         self._refresh_healthy()
         self.episode = None
+        self._drop_ahead()   # a block built before the rebuild is stale
         self._build_network()
         self._clear_rows(self.tick)
         self._log_epoch_row(None)
@@ -601,7 +595,6 @@ class Simulation:
         return (ahead is not None
                 and ahead.start < self.tick < ahead.end
                 and not self.flagged
-                and len(self.failures) == ahead.failures
                 and self.positions.tobytes()
                 == self.log.actual[self.tick].tobytes())
 
@@ -614,8 +607,7 @@ class Simulation:
         """Integrate a block of HDM ticks from the current state, evaluate
         it in one pass and log it as the buffer _commit reads."""
         ep = self.epoch
-        fail_idx, fail_rows = self._failure_rows(
-            1 if self.flagged else self.lookahead_ticks)
+        fail_idx, fail_rows = self._failure_rows(self.lookahead_ticks)
         size = len(fail_rows)
         cmd = ep.commands(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
@@ -648,8 +640,7 @@ class Simulation:
                                       centers, det, healthy)
         flags = frozenset(ep.network.followers[j]
                           for j in np.flatnonzero(~healthy[-1]))
-        self._ahead = _Ahead(self.tick, self.tick + size, flags, events,
-                             len(self.failures))
+        self._ahead = _Ahead(self.tick, self.tick + size, flags, events)
 
     def _commit(self):
         """Commit the next buffered HDM tick: its log row becomes the live
@@ -660,9 +651,9 @@ class Simulation:
         self.positions = log.actual[self.tick].copy()
         # only a block's last tick can flag anyone; HDM with nothing
         # flagged is a fixed point of the automaton, so a quiet tick skips
-        # the transition
-        if self.tick == ahead.end and ahead.flags != self.flagged:
-            self.flagged = ahead.flags
+        # the transition.  A flagged set edited between steps is kept.
+        if self.tick == ahead.end and ahead.flags:
+            self.flagged |= ahead.flags
             self._refresh_healthy()
             self._update_center()
             log.center[self.tick] = self.center
@@ -678,10 +669,9 @@ class Simulation:
         episode, t_end = self.episode, self.clock + self.dt
         chunk = episode.failures
         k = self.tick - chunk[0] if chunk else -1
-        if not (0 <= k < len(chunk[3]) and chunk[1] == len(self.failures)):
+        if not 0 <= k < len(chunk[2]):
             chunk = episode.failures = (
-                self.tick, len(self.failures),
-                *self._failure_rows(self.lookahead_ticks))
+                self.tick, *self._failure_rows(self.lookahead_ticks))
             k = 0
         idx, a0 = self.healthy_idx, self._rk4[0]
         targets, stagnated, projected = cem.step_streamline_many(
@@ -700,7 +690,7 @@ class Simulation:
                                                  payload={"agent": agent}))
         positions = self.positions.copy()
         positions[idx] = a0 * positions[idx] + (1.0 - a0) * targets
-        positions[chunk[2]] = chunk[3][k]
+        positions[chunk[1]] = chunk[2][k]
         if not np.isfinite(positions).all():
             raise self._non_finite(np.isfinite(positions).all(axis=1))
         self.positions = positions
@@ -714,7 +704,6 @@ class Simulation:
     def run(self):
         while self.tick < self.total_ticks:
             self.step()
-        self.log.epochs = [ep.meta() for ep in self.epochs]
         return self.log
 
 
@@ -723,16 +712,19 @@ def inject_failure(sim: Simulation, agent_id, kind, time, velocity=None):
 
     kind "freeze" holds the agent's position from the given time;
     "drift" moves it at the constant velocity.  A time at or beyond the
-    run's end warns and has no effect.  The failure is checked as a
-    scenario file's failures entry is: a bad one raises ScenarioError (a
-    ValueError) naming the field.
+    run's end warns at the caller's line and only logs failure_ignored.
+    The failure is checked as a scenario file's failures entry is: a bad
+    one raises ScenarioError (a ValueError) naming the field.
     """
     if velocity is not None:
         velocity = np.asarray(velocity, dtype=np.float64).tolist()
-    sim._register_failure(_failure_spec(
+    spec = _failure_spec(
         {"agent": operator.index(agent_id), "time": float(time),
-         "kind": kind, "velocity": velocity},
-        "failure", sim.ids, sim.failures))
+         "kind": kind, "velocity": velocity}, "failure", sim.ids, sim.failures)
+    if not sim._register_failure(spec):
+        warnings.warn(f"failure of agent {spec.agent_id} at t={spec.time} is "
+                      f"beyond the run duration and has no effect",
+                      stacklevel=2)
     return sim
 
 

@@ -60,6 +60,11 @@ class TestBuildFlow:
         assert d.gamma == pytest.approx(np.pi, abs=1e-12)
         np.testing.assert_allclose(field.exclusion_radii, [4.0], atol=1e-12)
 
+    @pytest.mark.parametrize("u_inf", [0.0, -10.0, np.nan, np.inf])
+    def test_bad_u_inf_is_named(self, u_inf):
+        with pytest.raises(ValueError, match="u_inf must be positive"):
+            cem.build_flow_from_failures(np.array([[0.0, 0.0]]), u_inf)
+
     def test_no_failures_uniform(self):
         field = cem.build_flow_from_failures(np.zeros((0, 2)), 10.0)
         assert field.doublets == ()

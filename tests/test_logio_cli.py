@@ -3,13 +3,19 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import REPO_ROOT, TEAM22
 
 from contiform import cli, logio
 from contiform.scenario import load_scenario
@@ -286,8 +292,35 @@ class TestCliSimulate:
         assert rc == 0
         assert (tmp_path / "tiny_out" / "series.npz").exists()
 
+    def test_failure_beyond_the_end_is_one_summary_line(self, tmp_path,
+                                                        capsys):
+        """A declared failure the run never reaches is reported on stdout,
+        naming the agent and the time, and raises no warning."""
+        path = tmp_path / "late.yaml"
+        path.write_text(TINY + "failures:\n"
+                        "  - {agent: 4, time: 7.5, kind: freeze}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", str(path), "--out",
+                           str(tmp_path / "out")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert [line for line in out.splitlines() if "ignored" in line] == [
+            "ignored: failure of agent 4 at t=7.5 is beyond the run's end"]
+        assert err == ""
+
 
 class TestCliCheck:
+    def test_closes_the_scenario_file(self):
+        """check reads the scenario file without leaking its handle."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m",
+             "contiform", "check", str(TEAM22)],
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+        assert done.returncode == 0
+        assert done.stderr == ""
+
     def test_reports_bounds(self, tiny_file, capsys):
         rc = cli.main(["check", tiny_file])
         assert rc == 0
@@ -303,6 +336,20 @@ class TestCliCheck:
                      for line in capsys.readouterr().out.splitlines())
         epoch = tiny_log.epochs[0]
         assert lines["deviation bound"].startswith(f"{epoch['delta']:.6g} ")
+        assert lines["d_min"] == f"{epoch['d_min']:.6g}"
+        assert lines["sigma threshold"].startswith(
+            f"{epoch['sigma_threshold']:.6g} ")
+
+    def test_d_min_override_is_the_epochs(self, tmp_path, capsys):
+        """An epoch logs the d_min its sigma threshold used, the
+        scenario's override, as check prints it."""
+        path = tmp_path / "dmin.yaml"
+        path.write_text(TINY + "d_min: 1.5\n")
+        assert cli.main(["check", str(path)]) == 0
+        lines = dict(line.split(": ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        [epoch] = Simulation(load_scenario(path)).log.epochs
+        assert epoch["d_min"] == 1.5
         assert lines["d_min"] == f"{epoch['d_min']:.6g}"
         assert lines["sigma threshold"].startswith(
             f"{epoch['sigma_threshold']:.6g} ")
@@ -443,6 +490,30 @@ class TestAnalyzeBytes:
         ORACLE_SERIES[series](logio.load_outputs(cem_dir),
                               csv.writer(expect), agent)
         assert dest.read_bytes() == expect.getvalue().encode()
+
+    @pytest.mark.parametrize("series, arrays", [
+        ("positions", {"agent_ids", "times", "actual"}),
+        ("sigma", {"times", "sigma"}),
+        ("weight-bounds", {"agent_ids", "times", "weights", "bounds_lo",
+                           "bounds_hi"}),
+        ("cem-paths", {"agent_ids", "times", "mode", "health", "actual"}),
+    ])
+    def test_reads_only_the_arrays_it_exports(self, cem_dir, tmp_path,
+                                              monkeypatch, series, arrays):
+        """An export reads each array it needs from series.npz once, and
+        no other."""
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recorded(npz, name):
+            read.append(name)
+            return getitem(npz, name)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recorded)
+        argv = ["analyze", cem_dir, "--series", series,
+                "--out", str(tmp_path / "series.csv")]
+        assert cli.main(argv) == 0
+        assert sorted(read) == sorted(arrays)
 
 
 class TestCliExitCodes:

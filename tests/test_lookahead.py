@@ -173,6 +173,29 @@ def test_position_edit_takes_effect_on_next_step(steps, agent, shift_mm,
                                   plain.log.actual[steps + 1, agent])
 
 
+@pytest.mark.parametrize("agent, mode", [(7, Mode.CEM), (2, Mode.HDM)],
+                         ids=["inside", "outside"])
+def test_flagged_edit_is_supervised_on_next_step(agent, mode):
+    """A flagged set edited in HDM is kept and supervised on the next
+    tick, whatever the block length: follower 7, inside a 3 m domain, is
+    evaded; leader 2, outside it, is excluded at once and the network
+    rebuilt, and no row of a block built before the rebuild survives."""
+    config = load_scenario(TEAM7.format(extra="").replace(
+        "half_size: 14.0", "half_size: 3.0"))
+    digests = []
+    for lookahead in (1, 64):
+        sim = sim_with(config, lookahead)
+        for _ in range(3):
+            sim.step()
+        sim.flagged = frozenset({agent})
+        sim._refresh_healthy()
+        sim.step()
+        assert sim.mode is mode
+        assert (sim.excluded == {agent}) is (mode is Mode.HDM)
+        digests.append(run(sim))
+    assert digests[0] == digests[1]
+
+
 def test_run_steps_once_per_tick(monkeypatch):
     calls = []
     step = Simulation.step

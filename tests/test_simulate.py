@@ -7,6 +7,7 @@ The oracle for the affine team step r+ = M r + U is the classical RK4
 step it is the closed form of, written out stage by stage.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from contiform import anomaly
 from contiform.automaton import Mode
 from contiform.errors import NumericError
 from contiform.scenario import load_scenario
-from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_OK, MODE_CODE,
-                                Simulation, _rk4_coefficients,
+from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK,
+                                MODE_CODE, Simulation, _rk4_coefficients,
                                 _stage_commands, _team_matrix,
                                 inject_failure, run_scenario)
 
@@ -302,6 +303,25 @@ failures:
         kinds = [e.kind for e in sim.events]
         assert "failure_ignored" in kinds
 
+    def test_declared_failure_beyond_duration_is_only_logged(self):
+        """Library code does not warn about the scenario's own failure;
+        the run logs it (the CLI prints it)."""
+        extra = """
+failures:
+  - {agent: 4, time: 5.0, kind: freeze}
+"""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = run_scenario(static4(duration=0.1, extra=extra))
+        assert [(e.time, e.kind, e.payload) for e in log.events] == [
+            (0.0, "failure_ignored", {"agent": 4, "time": 5.0})]
+
+    def test_injected_failure_beyond_duration_warns_at_the_caller(self):
+        sim = Simulation(static4(duration=0.1))
+        with pytest.warns(UserWarning, match="agent 4 at t=5.0") as caught:
+            inject_failure(sim, 4, "freeze", time=5)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_inject_on_running_sim(self):
         sim = Simulation(static4(duration=0.1))
         inject_failure(sim, 4, "freeze", time=0.02)
@@ -453,6 +473,32 @@ class TestLattice27:
         assert one.run().digest() == log.digest()
 
 
+def team22_two_freezes():
+    """team22 cut to 11 s at dt = 2 ms, agents 11 and 14 frozen at 1 s."""
+    text = TEAM22.read_text().replace("duration: 125.0", "duration: 11.0")
+    text = text.replace("dt: 0.001", "dt: 0.002")
+    return load_scenario(text[:text.index("failures:")] + (
+        "failures:\n- {agent: 11, time: 1.0, kind: freeze}\n"
+        "- {agent: 14, time: 1.0, kind: freeze}\n"))
+
+
+class TestEpochs:
+    @pytest.mark.parametrize("config", [
+        lambda: load_scenario(LATTICE27), team22_two_freezes],
+        ids=["lattice27", "team22-two-freezes"])
+    def test_step_loop_logs_the_epochs_of_run(self, config):
+        """Each network epoch is logged as it is built, so a run driven
+        by step() logs the epochs run() does."""
+        stepped = Simulation(config())
+        assert len(stepped.log.epochs) == 1
+        while stepped.tick < stepped.total_ticks:
+            stepped.step()
+        ran = Simulation(config()).run()
+        assert len(ran.epochs) >= 2
+        assert stepped.log.epochs == ran.epochs
+        assert stepped.log.digest() == ran.digest()
+
+
 class TestKnownLimitations:
     def test_frozen_leader_is_never_flagged(self):
         """A failed leader is not detected (README, Known limitations).
@@ -508,6 +554,37 @@ class TestKnownLimitations:
         assert np.all(log.health[excluded, j] == HEALTH_EXCLUDED)
         assert log.epochs[2]["start_tick"] == np.flatnonzero(excluded)[0]
         assert 14 not in log.epochs[2]["followers"] + log.epochs[2]["leaders"]
+
+    def test_blind_follower_is_flagged_late(self):
+        """A follower whose bounds are all infinite is flagged late
+        (README, Known limitations).
+
+        In lattice27, Delta is 0.578 m and every in-neighbor of follower
+        14 lies within 2 Delta of the opposite face, so all four of its
+        reference bounds are infinite; no other follower has one.  It
+        drifts from 0.5 s and is flagged only at 1.93 s, more than 4 m
+        on, once two bounds turn finite.  This pins today's behaviour; a
+        detector that sees blind followers will change it.
+        """
+        sim = Simulation(load_scenario(LATTICE27))
+        network = sim.epoch.network
+        assert network.in_neighbors[14] == (5, 13, 15, 23)
+        assert sim.epoch.delta == pytest.approx(0.578, abs=5e-4)
+        log = sim.run()
+        ids = np.array(log.agent_ids)
+        infinite = (np.isinf(log.bounds_lo[0]) & np.isinf(log.bounds_hi[0]))
+        follower = np.isin(ids, network.followers)
+        assert ids[follower & infinite.any(axis=1)].tolist() == [14]
+        assert infinite[log.agent_ids.index(14)].all()
+        [active] = log.events_of_kind("failure_active")
+        assert (active.time, active.payload["agent"]) == (0.5, 14)
+        j = log.agent_ids.index(14)
+        flagged = np.flatnonzero(log.health[:, j] == HEALTH_FLAGGED)[0]
+        assert log.times[flagged] == pytest.approx(1.93)
+        assert log.times[flagged] - active.time == pytest.approx(1.43)
+        start = round(active.time / log.dt)
+        assert np.linalg.norm(log.actual[flagged, j]
+                              - log.actual[start, j]) > 4.0
 
 
 class TestFlaggedOutsideDomain:
