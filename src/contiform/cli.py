@@ -25,7 +25,7 @@ from . import logio, refnet
 from .errors import (ContiformError, DegeneracyError, NetworkError,
                      ScenarioError, SelectionError)
 from .scenario import load_scenario
-from .simulate import MODE_CODE, epoch_bounds, run_scenario
+from .simulate import HEALTH_OK, MODE_CODE, epoch_bounds, run_scenario
 from .automaton import Mode
 
 
@@ -104,9 +104,10 @@ def _kept(data, agent_filter):
 
 def _series_positions(data, agent_filter):
     ids, keep = _kept(data, agent_filter)
-    times = data["times"]
+    times, actual = data["times"], data["actual"]
+    values = actual if agent_filter is None else actual[:, keep]  # all kept: a view
     return ([f"{ids[i]}_{c}" for i in keep for c in "xyz"], times,
-            data["actual"][:, keep].reshape(len(times), -1))
+            values.reshape(len(times), -1))
 
 
 def _series_sigma(data, agent_filter):
@@ -127,8 +128,8 @@ def _series_weight_bounds(data, agent_filter):
 def _series_cem_paths(data, agent_filter):
     ids, keep = _kept(data, agent_filter)
     keep = np.array(keep, dtype=int)
-    rows, cols = np.nonzero((data["mode"] == 1)[:, None]
-                            & (data["health"][:, keep] == 1))
+    rows, cols = np.nonzero((data["mode"] == MODE_CODE[Mode.CEM])[:, None]
+                            & (data["health"][:, keep] == HEALTH_OK))
     agents = keep[cols]
     # the ids as floats: "%.10g" prints them as integers below 1e10
     return (["agent", "x", "y", "z"], data["times"][rows],

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .simulate import _log_arrays
+from .simulate import HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK, MODE_CODE, _log_arrays
 
 _AGENT_COLS = ("x", "y", "z", "xd", "yd", "zd", "xc", "yc", "zc", "health")
 
@@ -120,8 +120,9 @@ def write_outputs(log, out_dir, fmt="csv", stride=1):
             "stride": stride,
             "epochs": log.epochs,
             "digest": log.digest(),
-            "mode_codes": {"0": "HDM", "1": "CEM"},
-            "health_codes": {"1": "healthy", "0": "flagged", "-1": "excluded"},
+            "mode_codes": {str(code): mode.value for mode, code in MODE_CODE.items()},
+            "health_codes": {str(HEALTH_OK): "healthy", str(HEALTH_FLAGGED): "flagged",
+                             str(HEALTH_EXCLUDED): "excluded"},
         }, fh, indent=2)
     paths.append(meta_path)
     return paths

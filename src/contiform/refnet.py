@@ -23,12 +23,14 @@ for teams of a few dozen agents.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneracyError, NetworkError, SelectionError
-from .geometry import DEFAULT_XI, as_position, lambda_nd_batch, rank_simplex
+from .geometry import (DEFAULT_XI, _barycentric, as_position, lambda_nd_batch,
+                       rank_simplex)
 
 # Inclusion-margin defaults per dimension; must stay below 1/(n+1).
 DEFAULT_RHO = {2: 0.1, 3: 0.05}
@@ -67,47 +69,32 @@ class ReferenceConfiguration:
         return tuple(self.leaders) + tuple(self.followers)
 
 
-def _positions_array(ref_positions):
-    ids = sorted(ref_positions)
-    pos = np.stack([as_position(ref_positions[i]) for i in ids])
-    return ids, pos
+def _enclosing_simplex(i, ids, pos, dists, n, rho, xi):
+    """Best admissible in-neighbor tuple of agent i, or None.
 
-
-def _check_distinct(ids, pos):
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    dmin = float(dist.min())
-    if dmin <= 1e-12:
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        raise DegeneracyError(f"agents {ids[i]} and {ids[j]} are coincident")
-    return dmin
-
-
-def _enclosing_simplex(own, ids, pos, n, rho, xi):
-    """Best admissible in-neighbor tuple of the agent at own, or None.
-
-    ids and pos are the other agents. A tuple is admissible when all its
-    weights for own exceed rho; the best minimizes the summed distance to
-    own, ties breaking to the smallest sorted id tuple. Candidates are
+    ids and pos are all agents and dists is agent i's row of the distance
+    table, infinite at i itself. A tuple is admissible when all its
+    weights for agent i exceed rho; the best minimizes the summed distance
+    to it, ties breaking to the smallest sorted id tuple. Candidates are
     ordered by (distance, id) and the pool starts at the SEARCH_K0
     nearest; each round tries the tuples whose farthest member is new,
     then doubles the pool until no tuple with an unseen candidate can
     beat the best sum. None means the whole pool was searched and
-    nothing encloses own: a boundary agent.
+    nothing encloses agent i: a boundary agent.
     """
-    dists = np.linalg.norm(pos - own, axis=1)
-    order = np.lexsort((ids, dists))
-    ids, pos, dists = ids[order], pos[order], dists[order]
+    # agent i itself, at infinity, sorts last
+    order = np.lexsort((ids, dists))[:-1]
+    own, ids, pos, dists = pos[i], ids[order], pos[order], dists[order]
     total = len(ids)
     k, evaluated = min(SEARCH_K0, total), 0
     best_sum, best = np.inf, None
     while True:
-        combos = itertools.chain.from_iterable(
-            (rest + (last,) for rest in itertools.combinations(range(last), n))
-            for last in range(evaluated, k))
-        while rows := list(itertools.islice(combos, _CHUNK)):
-            rows = np.array(rows)
+        # tuples with a new candidate come first, descending; flip to ascend
+        combos = itertools.islice(
+            itertools.combinations(range(k - 1, -1, -1), n + 1),
+            math.comb(k, n + 1) - math.comb(evaluated, n + 1))
+        for rows in _index_chunks(combos, n + 1):
+            rows = rows[:, ::-1]
             lam = lambda_nd_batch(pos[rows], np.broadcast_to(own, (len(rows), 3)),
                                   n, xi, on_degenerate="nan")
             rows = rows[np.all(lam[:, : n + 1] > rho, axis=1)]
@@ -127,9 +114,11 @@ def _enclosing_simplex(own, ids, pos, n, rho, xi):
         k = min(2 * k, total)
 
 
-def _validate_rho(rho, n):
-    if not (0.0 < rho < 1.0 / (n + 1)):
-        raise ValueError(f"rho must lie in (0, 1/{n + 1}) for n={n}, got {rho}")
+def _index_chunks(combos, width):
+    """The index tuples of combos as (<= _CHUNK, width) arrays."""
+    flat = itertools.chain.from_iterable(combos)
+    while len(rows := np.fromiter(itertools.islice(flat, _CHUNK * width), np.intp)):
+        yield rows.reshape(-1, width)
 
 
 def select_leaders(boundary, ref_positions, n: int = 2, override=None):
@@ -139,7 +128,8 @@ def select_leaders(boundary, ref_positions, n: int = 2, override=None):
     return it unchanged (order preserved). Otherwise choose the tuple of
     boundary agents maximizing simplex measure (triangle area for n=2,
     tetrahedron volume for n=3), ties broken by lexicographically
-    smallest id tuple.
+    smallest id tuple. The measure is the weight kernel's |det|, which
+    grows with it: |a x b|^2 for n = 2, the triple product for n = 3.
     """
     boundary = set(boundary)
     if override is not None:
@@ -158,20 +148,16 @@ def select_leaders(boundary, ref_positions, n: int = 2, override=None):
     cands = sorted(boundary)
     if len(cands) < n + 1:
         raise SelectionError(f"boundary has {len(cands)} agents, need {n + 1}")
-    pos = {i: as_position(ref_positions[i]) for i in cands}
-    best, best_measure = None, -1.0
-    for combo in itertools.combinations(cands, n + 1):
-        pts = [pos[i] for i in combo]
-        if n == 2:
-            measure = 0.5 * np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
-        else:
-            edges = np.stack([pts[k] - pts[0] for k in range(1, 4)])
-            measure = abs(np.linalg.det(edges)) / 6.0
-        if measure > best_measure:
-            best, best_measure = combo, measure
-    if best is None or best_measure <= 0.0:
+    pos = np.stack([as_position(ref_positions[i]) for i in cands])
+    best, best_measure = None, 0.0
+    for rows in _index_chunks(itertools.combinations(range(len(cands)), n + 1), n + 1):
+        measure = np.abs(_barycentric(pos[rows], pos[rows[:, 0]], n)[1])
+        top = int(np.argmax(measure))
+        if measure[top] > best_measure:
+            best, best_measure = rows[top], measure[top]
+    if best is None:
         raise SelectionError("boundary simplexes are all degenerate")
-    return best
+    return tuple(cands[k] for k in best)
 
 
 def build_weight_matrices(leaders, followers, in_neighbors, weights):
@@ -205,6 +191,11 @@ def build_weight_matrices(leaders, followers, in_neighbors, weights):
     return W, A, B, D, W_L
 
 
+def _xi_max(Dinv, B):
+    """Xi_max = max over follower rows of (-sum_j D^-1_lj + sum_j B_lj)."""
+    return float(np.max(-Dinv.sum(axis=1) + np.asarray(B, dtype=float).sum(axis=1)))
+
+
 def deviation_bound(D, B, delta_x, delta_y, delta_z):
     """(Xi_max, Delta): worst-case amplification and 3-D deviation bound.
 
@@ -220,7 +211,7 @@ def deviation_bound(D, B, delta_x, delta_y, delta_z):
         Dinv = np.linalg.inv(np.asarray(D, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NetworkError("singular D in deviation_bound") from exc
-    xi_max = float(np.max(-Dinv.sum(axis=1) + np.asarray(B, dtype=float).sum(axis=1)))
+    xi_max = _xi_max(Dinv, B)
     delta = xi_max * float(np.sqrt(delta_x ** 2 + delta_y ** 2 + delta_z ** 2))
     return xi_max, delta
 
@@ -235,15 +226,22 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     W_L rows sum to one.
     """
     rho = DEFAULT_RHO[n] if rho is None else rho
-    _validate_rho(rho, n)
-    ids, pos = _positions_array(ref_positions)
+    if not (0.0 < rho < 1.0 / (n + 1)):
+        raise ValueError(f"rho must lie in (0, 1/{n + 1}) for n={n}, got {rho}")
+    ids = sorted(ref_positions)
+    pos = np.stack([as_position(ref_positions[i]) for i in ids])
     if len(ids) < n + 2:
         raise DegeneracyError(f"need at least {n + 2} agents for n={n}, got {len(ids)}")
-    d_min = _check_distinct(ids, pos)
-    positions = {i: p for i, p in zip(ids, pos)}
+    # one distance table: d_min, the coincidence check, each search's order
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    d_min = float(dist.min())
+    if d_min <= 1e-12:
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        raise DegeneracyError(f"agents {ids[i]} and {ids[j]} are coincident")
+    positions = dict(zip(ids, pos))
     id_arr = np.array(ids)
-    best = {agent: _enclosing_simplex(pos[i], np.delete(id_arr, i),
-                                      np.delete(pos, i, axis=0), n, rho, xi)
+    best = {agent: _enclosing_simplex(i, id_arr, pos, dist[i], n, rho, xi)
             for i, agent in enumerate(ids)}
     interior = frozenset(a for a, tup in best.items() if tup is not None)
     boundary = frozenset(ids) - interior
@@ -263,15 +261,15 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     row_err = np.abs(W.sum(axis=1) - 1.0)
     if np.any(row_err > 1e-9):
         raise NetworkError(f"weight row sum off by {row_err.max():.3e}")
-    if np.any(-np.linalg.inv(D) < -1e-12):
+    Dinv = np.linalg.inv(D)
+    if np.any(-Dinv < -1e-12):
         raise NetworkError("-D^-1 has negative entries")
     wl_err = np.abs(W_L.sum(axis=1) - 1.0)
     if np.any(wl_err > 1e-9):
         raise NetworkError(f"W_L row sum off by {wl_err.max():.3e}")
-    xi_max, _ = deviation_bound(D, B, 1.0, 0.0, 0.0)
     return ReferenceConfiguration(
         n=n, rho=rho, xi=xi, ids=tuple(ids), ref_positions=positions,
         boundary=boundary, interior=interior, leaders=tuple(leaders),
         followers=followers, in_neighbors=in_neighbors, weights=weights,
-        W=W, B=B, D=D, W_L=W_L, Xi_max=xi_max, d_min=d_min,
+        W=W, B=B, D=D, W_L=W_L, Xi_max=_xi_max(Dinv, B), d_min=d_min,
     )

@@ -216,7 +216,7 @@ def load_scenario(source):
 
     name = str(doc.get("name", "scenario"))
     n = _require(doc, "n", "")
-    if n not in (2, 3):
+    if type(n) is not int or n not in (2, 3):
         raise ScenarioError(f"n: must be 2 or 3, got {n!r}")
     dt = _number(_require(doc, "dt", ""), "dt", positive=True)
     # duration 0 is allowed: such a run logs only the initial state
@@ -309,12 +309,10 @@ def load_scenario(source):
     trajectories = {}
     traj_doc = _mapping(doc.get("leader_trajectories", {}), "leader_trajectories")
     for raw_id, waypoints in traj_doc.items():
-        try:
-            agent_id = int(raw_id)
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"leader_trajectories.{raw_id}: keys must be agent ids"
-            ) from None
+        # 1 or "1" (JSON keys are strings), not 1.5 or true
+        if not str(raw_id).removeprefix("-").isdecimal():
+            raise ScenarioError(f"leader_trajectories.{raw_id}: keys must be agent ids")
+        agent_id = int(raw_id)
         path = f"leader_trajectories.{agent_id}"
         if agent_id not in agent_ids:
             raise ScenarioError(f"{path}: unknown id {agent_id}")

@@ -110,6 +110,15 @@ class TestWriteOutputs:
         assert len(meta["epochs"]) == 1
         assert meta["epochs"][0]["leaders"] == [1, 2, 3]
 
+    def test_meta_codes(self, tiny_log, tmp_path):
+        """The code tables, in their order: meta.json's bytes pin them."""
+        paths = logio.write_outputs(tiny_log, str(tmp_path / "run"))
+        with open(paths[3]) as fh:
+            meta = json.load(fh)
+        assert list(meta["mode_codes"].items()) == [("0", "HDM"), ("1", "CEM")]
+        assert list(meta["health_codes"].items()) == [
+            ("1", "healthy"), ("0", "flagged"), ("-1", "excluded")]
+
     def test_npz_is_exact(self, tiny_log, tmp_path):
         paths = logio.write_outputs(tiny_log, str(tmp_path / "run"))
         data = np.load(paths[2])
@@ -373,6 +382,14 @@ class TestCliAnalyze:
         assert rows[0][:4] == ["time", "1_x", "1_y", "1_z"]
         assert len(rows) == 1 + 201
 
+    def test_positions_without_filter_view_the_log(self, run_dir):
+        """All agents kept: the values are the logged array, not a copy."""
+        data = logio.load_outputs(run_dir)
+        _, _, values = cli._series_positions(data, None)
+        assert np.shares_memory(values, data["actual"])
+        _, _, one = cli._series_positions(data, 4)
+        np.testing.assert_array_equal(one, data["actual"][:, 3])
+
     def test_sigma_to_stdout(self, run_dir, capsys):
         capsys.readouterr()
         rc = cli.main(["analyze", run_dir, "--series", "sigma"])
@@ -546,6 +563,15 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == (
             "scenario error: network build failed: "
             "boundary simplexes are all degenerate\n")
+
+    def test_float_n_is_two(self, tmp_path, capsys):
+        p = tmp_path / "n.yaml"
+        text = TEAM22.read_text().replace("\nn: 2\n", "\nn: 2.0\n")
+        assert "\nn: 2.0\n" in text
+        p.write_text(text)
+        assert cli.main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == \
+            "scenario error: n: must be 2 or 3, got 2.0\n"
 
     def test_missing_file_is_two(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")

@@ -4,6 +4,7 @@ The 22-agent decagon formation (conftest) is the worked example: its
 boundary/interior split was cross-checked against scipy's convex hull
 and its matrices against hand-solved small cases.
 """
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -79,6 +80,64 @@ class TestSelectLeaders:
     def test_override_wrong_count(self):
         with pytest.raises(SelectionError):
             build(SQUARE5, leader_override=(1, 2))
+
+
+def _per_tuple_leaders(boundary, ref_positions, n):
+    """select_leaders' measure as a loop over tuples: the triangle area
+    from a cross product, the tetrahedron volume from a determinant."""
+    best, best_measure = None, -1.0
+    for combo in itertools.combinations(sorted(boundary), n + 1):
+        pts = [np.asarray(ref_positions[i], dtype=float) for i in combo]
+        if n == 2:
+            measure = 0.5 * np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
+        else:
+            edges = np.stack([pts[k] - pts[0] for k in range(1, 4)])
+            measure = abs(np.linalg.det(edges)) / 6.0
+        if measure > best_measure:
+            best, best_measure = combo, measure
+    if best is None or best_measure <= 0.0:
+        raise SelectionError("boundary simplexes are all degenerate")
+    return best
+
+
+def _box_corners(data, n):
+    """The 2^n corners of an integer rectangle (n = 2) or box (n = 3) under
+    drawn distinct ids: many simplexes tie on the largest measure."""
+    sides = [data.draw(st.integers(1, 40)) for _ in range(n)]
+    corner = np.array([data.draw(st.integers(-50, 50)) for _ in range(3)])
+    offsets = itertools.product(*[(0, s) for s in sides], *[(0,)] * (3 - n))
+    ids = data.draw(st.lists(st.integers(1, 99), min_size=2 ** n,
+                             max_size=2 ** n, unique=True))
+    return {a: (corner + off).astype(float) for a, off in zip(ids, offsets)}
+
+
+class TestLeaderMeasure:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.sampled_from([2, 3]), ties=st.booleans(), data=st.data())
+    def test_matches_per_tuple_loop(self, n, ties, data):
+        """The batched kernel measure picks the loop's leaders, ties
+        included; both reject the same all-degenerate boundaries."""
+        if ties:
+            pts = _box_corners(data, n)
+        else:
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+            count = data.draw(st.integers(n + 1, 12))
+            pts = sample_formation(np.random.default_rng(seed), count, n)
+        try:
+            want = _per_tuple_leaders(set(pts), pts, n)
+        except SelectionError:
+            with pytest.raises(SelectionError):
+                refnet.select_leaders(set(pts), pts, n)
+            return
+        assert refnet.select_leaders(set(pts), pts, n) == want
+
+    def test_cube_corners_tie_to_smallest_ids(self):
+        # the two regular tetrahedra inscribed in a cube tie on volume
+        pts = {i + 1: np.array(c, dtype=float) for i, c in
+               enumerate(itertools.product((0, 2), repeat=3))}
+        assert refnet.select_leaders(set(pts), pts, 3) == (1, 4, 6, 7)
+        assert _per_tuple_leaders(set(pts), pts, 3) == (1, 4, 6, 7)
 
 
 class TestFindInNeighbors:
@@ -314,6 +373,21 @@ class TestBuildReferenceConfiguration:
                                          lpos[3] if n == 3 else None,
                                          net.ref_positions[fid], n)
                 np.testing.assert_allclose(net.W_L[j], lam[:k], atol=1e-9)
+
+    def test_one_inverse_of_d_per_build(self, decagon22, monkeypatch):
+        """The -D^-1 >= 0 check and Xi_max share one inverse."""
+        shapes = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        net = refnet.build_reference_configuration(decagon22, n=2)
+        assert shapes == [net.D.shape]
+        monkeypatch.undo()
+        assert net.Xi_max == refnet.deviation_bound(net.D, net.B, 1.0, 0.0, 0.0)[0]
 
     def test_coincident_agents_raise(self):
         pts = dict(SQUARE5)

@@ -116,6 +116,26 @@ leader_trajectories:
         with pytest.raises(ScenarioError, match="unknown id 77"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("key", ["1.5", "true", "'x'", "null"])
+    def test_trajectory_key_not_an_id(self, key):
+        doc = MINIMAL + f"""
+leader_trajectories:
+  {key}:
+    - {{time: 0.0, position: [0, 0]}}
+"""
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert str(err.value).startswith("leader_trajectories.")
+        assert str(err.value).endswith(": keys must be agent ids")
+
+    def test_trajectory_key_digit_string(self):
+        doc = MINIMAL + """
+leader_trajectories:
+  "1":
+    - {time: 0.0, position: [0, 0]}
+"""
+        assert list(load_scenario(doc).trajectories) == [1]
+
     def test_bad_failure_kind(self):
         doc = MINIMAL + """
 failures:
@@ -180,7 +200,8 @@ BAD_FIELDS = (
            lambda v: v not in ("l1", "l2"))),
        ("containment.center_policy", st.one_of(st.text(max_size=4),
                                                st.integers())),
-       ("n", st.integers().filter(lambda v: v not in (2, 3))),
+       ("n", st.one_of(st.integers().filter(lambda v: v not in (2, 3)),
+                       st.sampled_from([2.0, 3.0]))),
        ("agents[0].id", st.one_of(st.floats(), st.text(max_size=3))),
        ("agents[0].position", st.one_of(
            st.lists(st.floats(-5.0, 5.0), max_size=1),
