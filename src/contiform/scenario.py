@@ -7,23 +7,22 @@ meters, times in seconds, angles in radians):
     n: 2 or 3                      spatial dimension of the formation
     dt: required step size
     duration: required run length
-    gain: tracking gain g (default 25)
+    gain: tracking gain g
     rho: interior margin in (0, 1/(n+1)) (default 0.1 for n=2,
          0.05 for n=3)
-    xi: virtual-vertex scale (default 1)
-    tolerances: {dx, dy, dz}       per-axis tracking bounds (default 0.1)
-    vehicle_radius: collision radius epsilon (default 0.5)
+    xi: virtual-vertex scale
+    tolerances: {dx, dy, dz}       per-axis tracking bounds
+    vehicle_radius: collision radius epsilon
     d_min: optional reference minimum-separation override
-    containment: {half_size (default 40), norm l1|l2 (default l1),
-                  center_policy frozen|tracking (default frozen)}
-    cem: {u_inf (default 10), theta_inf (default 0),
-          exclusion_radius (default 4), v_phi (default 10)}
+    containment: {half_size, norm l1|l2, center_policy frozen|tracking}
+    cem: {u_inf, theta_inf, exclusion_radius, v_phi}
     agents: list of {id, position [x, y] or [x, y, z]}
     leader_override: optional list of n+1 agent ids
     leader_trajectories: mapping id -> list of {time, position}
     failures: list of {agent, time, kind freeze|drift, velocity for drift}
 
-Leader waypoints are linearly interpolated and clamped beyond the ends.
+OPTIONAL holds each optional field's default and check.  Leader
+waypoints are linearly interpolated and clamped beyond the ends.
 The simulator anchors each trajectory at the leader's position when a
 reference network is (re)built, so waypoint lists act as displacement
 profiles; writing absolute positions that start at the agent's reference
@@ -39,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .cem import DEFAULT_EXCLUSION_RADIUS
 from .errors import ScenarioError
+from .geometry import DEFAULT_XI
 from .refnet import DEFAULT_RHO
 
 FAILURE_KINDS = ("freeze", "drift")
@@ -48,15 +49,23 @@ FAILURE_KINDS = ("freeze", "drift")
 # five to eight times faster than by the pure-Python SafeLoader
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-DEFAULTS = {
-    "gain": 25.0,
-    "xi": 1.0,
-    "tolerances": {"dx": 0.1, "dy": 0.1, "dz": 0.1},
-    "vehicle_radius": 0.5,
-    "containment": {"half_size": 40.0, "norm": "l1", "center_policy": "frozen"},
-    "cem": {"u_inf": 10.0, "theta_inf": 0.0, "exclusion_radius": 4.0,
-            "v_phi": 10.0},
+# section ("" for the document) -> field -> (default, check); a check is
+# a _number keyword ("" for any finite number) or the allowed strings
+OPTIONAL = {
+    "": {"gain": (25.0, "positive"), "xi": (DEFAULT_XI, ""),
+         "vehicle_radius": (0.5, "positive")},
+    "tolerances": {k: (0.1, "nonnegative") for k in ("dx", "dy", "dz")},
+    "containment": {"half_size": (40.0, "positive"),
+                    "norm": ("l1", ("l1", "l2")),
+                    "center_policy": ("frozen", ("frozen", "tracking"))},
+    "cem": {"u_inf": (10.0, "positive"), "theta_inf": (0.0, ""),
+            "exclusion_radius": (DEFAULT_EXCLUSION_RADIUS, "positive"),
+            "v_phi": (10.0, "positive")},
 }
+# the document's fields outside OPTIONAL[""]
+_DOCUMENT = ("name", "n", "dt", "duration", "rho", "tolerances", "d_min",
+             "containment", "cem", "agents", "leader_override",
+             "leader_trajectories", "failures")
 
 
 @dataclass(frozen=True)
@@ -139,9 +148,12 @@ def _position(value, path):
     return np.array(coords)
 
 
-def _agent_id(value, path):
+def _agent_id(value, path, known=None):
+    """value as an agent id, one of known unless known is None."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: agent ids must be integers, got {value!r}")
+    if known is not None and value not in known:
+        raise ScenarioError(f"{path}: unknown id {value}")
     return value
 
 
@@ -152,20 +164,40 @@ def _mapping(value, path):
 
 
 def _fields(value, path, known):
-    """value as a mapping whose keys all lie in known."""
+    """value as a mapping whose keys all lie in known; path "" is the
+    document's."""
     for key in _mapping(value, path):
         if key not in known:
-            raise ScenarioError(f"{path}.{key}: unknown field")
+            raise ScenarioError(
+                f"{path}.{key}".removeprefix(".") + ": unknown field")
     return value
+
+
+def _section(value, path, others=()):
+    """The values of OPTIONAL[path]'s fields in value, in the table's
+    order, defaults filled in; value's other keys must lie in others."""
+    table = OPTIONAL[path]
+    _fields(value, path, (*table, *others))
+    values = []
+    for key, (default, check) in table.items():
+        field = f"{path}.{key}".removeprefix(".")
+        item = value.get(key, default)
+        if isinstance(check, tuple):
+            if item not in check:
+                raise ScenarioError(f"{field}: must be {' or '.join(check)}, "
+                                    f"got {item!r}")
+        else:
+            item = _number(item, field, **({check: True} if check else {}))
+        values.append(item)
+    return values
 
 
 def _failure_spec(item, path, agent_ids, taken):
     """The FailureSpec of one failures entry, a mapping; path names it in
     errors, and taken holds the agents that already have a failure."""
     item = _fields(item, path, ("agent", "time", "kind", "velocity"))
-    agent_id = _agent_id(_require(item, "agent", f"{path}."), f"{path}.agent")
-    if agent_id not in agent_ids:
-        raise ScenarioError(f"{path}.agent: unknown id {agent_id}")
+    agent_id = _agent_id(_require(item, "agent", f"{path}."), f"{path}.agent",
+                         agent_ids)
     if agent_id in taken:
         raise ScenarioError(
             f"{path}.agent: agent {agent_id} already has a failure")
@@ -207,13 +239,7 @@ def load_scenario(source):
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
 
-    known = {"name", "n", "dt", "duration", "gain", "rho", "xi", "tolerances",
-             "vehicle_radius", "d_min", "containment", "cem", "agents",
-             "leader_override", "leader_trajectories", "failures"}
-    for key in doc:
-        if key not in known:
-            raise ScenarioError(f"{key}: unknown field")
-
+    gain, xi, vehicle_radius = _section(doc, "", _DOCUMENT)
     name = str(doc.get("name", "scenario"))
     n = _require(doc, "n", "")
     if type(n) is not int or n not in (2, 3):
@@ -222,55 +248,19 @@ def load_scenario(source):
     # duration 0 is allowed: such a run logs only the initial state
     duration = _number(_require(doc, "duration", ""), "duration",
                        nonnegative=True)
-    gain = _number(doc.get("gain", DEFAULTS["gain"]), "gain", positive=True)
     rho = _number(doc.get("rho", DEFAULT_RHO[n]), "rho", positive=True)
     if not rho < 1.0 / (n + 1):
         raise ScenarioError(f"rho: must lie in (0, 1/{n + 1}) for n={n}, "
                             f"got {rho}")
-    xi = _number(doc.get("xi", DEFAULTS["xi"]), "xi")
     if xi == 0.0:
         raise ScenarioError("xi: must be nonzero")
-
-    tol_doc = _fields(doc.get("tolerances", {}), "tolerances", ("dx", "dy", "dz"))
-    tol_defaults = DEFAULTS["tolerances"]
-    tolerances = np.array([
-        _number(tol_doc.get(k, tol_defaults[k]), f"tolerances.{k}", nonnegative=True)
-        for k in ("dx", "dy", "dz")
-    ])
-
-    vehicle_radius = _number(doc.get("vehicle_radius", DEFAULTS["vehicle_radius"]),
-                             "vehicle_radius", positive=True)
+    tolerances = np.array(_section(doc.get("tolerances", {}), "tolerances"))
     d_min_override = None
     if doc.get("d_min") is not None:
         d_min_override = _number(doc["d_min"], "d_min", positive=True)
-
-    con_doc = _fields(doc.get("containment", {}), "containment",
-                      ("half_size", "norm", "center_policy"))
-    con_defaults = DEFAULTS["containment"]
-    half_size = _number(con_doc.get("half_size", con_defaults["half_size"]),
-                        "containment.half_size", positive=True)
-    norm = con_doc.get("norm", con_defaults["norm"])
-    if norm not in ("l1", "l2"):
-        raise ScenarioError(f"containment.norm: must be l1 or l2, got {norm!r}")
-    center_policy = con_doc.get("center_policy", con_defaults["center_policy"])
-    if center_policy not in ("frozen", "tracking"):
-        raise ScenarioError(
-            f"containment.center_policy: must be frozen or tracking, "
-            f"got {center_policy!r}"
-        )
-
-    cem_doc = _fields(doc.get("cem", {}), "cem",
-                      ("u_inf", "theta_inf", "exclusion_radius", "v_phi"))
-    cem_defaults = DEFAULTS["cem"]
-    u_inf = _number(cem_doc.get("u_inf", cem_defaults["u_inf"]),
-                    "cem.u_inf", positive=True)
-    theta_inf = _number(cem_doc.get("theta_inf", cem_defaults["theta_inf"]),
-                        "cem.theta_inf")
-    radius = _number(cem_doc.get("exclusion_radius",
-                                 cem_defaults["exclusion_radius"]),
-                     "cem.exclusion_radius", positive=True)
-    v_phi = _number(cem_doc.get("v_phi", cem_defaults["v_phi"]),
-                    "cem.v_phi", positive=True)
+    half_size, norm, center_policy = _section(doc.get("containment", {}),
+                                              "containment")
+    u_inf, theta_inf, radius, v_phi = _section(doc.get("cem", {}), "cem")
 
     agents_doc = _require(doc, "agents", "")
     if not isinstance(agents_doc, list) or not agents_doc:
@@ -293,7 +283,8 @@ def load_scenario(source):
         raw = doc["leader_override"]
         if not isinstance(raw, list):
             raise ScenarioError("leader_override: expected a list of agent ids")
-        override = [_agent_id(v, f"leader_override[{k}]") for k, v in enumerate(raw)]
+        override = [_agent_id(v, f"leader_override[{k}]", agent_ids)
+                    for k, v in enumerate(raw)]
         if len(override) != n + 1:
             raise ScenarioError(
                 f"leader_override: expected {n + 1} ids for n={n}, "
@@ -301,9 +292,6 @@ def load_scenario(source):
             )
         if len(set(override)) != len(override):
             raise ScenarioError("leader_override: duplicate ids")
-        for k, agent_id in enumerate(override):
-            if agent_id not in agent_ids:
-                raise ScenarioError(f"leader_override[{k}]: unknown id {agent_id}")
         leader_override = tuple(override)
 
     trajectories = {}
@@ -312,10 +300,8 @@ def load_scenario(source):
         # 1 or "1" (JSON keys are strings), not 1.5 or true
         if not str(raw_id).removeprefix("-").isdecimal():
             raise ScenarioError(f"leader_trajectories.{raw_id}: keys must be agent ids")
-        agent_id = int(raw_id)
-        path = f"leader_trajectories.{agent_id}"
-        if agent_id not in agent_ids:
-            raise ScenarioError(f"{path}: unknown id {agent_id}")
+        path = f"leader_trajectories.{int(raw_id)}"
+        agent_id = _agent_id(int(raw_id), path, agent_ids)
         if not isinstance(waypoints, list) or not waypoints:
             raise ScenarioError(f"{path}: expected a nonempty waypoint list")
         times = []

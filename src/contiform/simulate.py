@@ -338,7 +338,8 @@ class Simulation:
         """Add a failure (True), or log one the run never reaches (False)."""
         if spec.agent_id not in self.idx:
             raise ValueError(f"unknown agent {spec.agent_id} in failure spec")
-        if spec.time >= self.total_ticks * self.dt:
+        # ignored iff the last tick's start fails _failure_rows's activation
+        if (self.total_ticks - 1) * self.dt < spec.time - 1e-12:
             self.events.append(Event(
                 time=self.clock, kind="failure_ignored",
                 payload={"agent": int(spec.agent_id), "time": float(spec.time)}))
@@ -646,7 +647,6 @@ class Simulation:
         """Commit the next buffered HDM tick: its log row becomes the live
         state."""
         ahead, log = self._ahead, self.log
-        t_end = self.clock + self.dt
         self.tick += 1
         self.positions = log.actual[self.tick].copy()
         # only a block's last tick can flag anyone; HDM with nothing
@@ -659,14 +659,15 @@ class Simulation:
             log.center[self.tick] = self.center
         else:   # a copy: the row is cleared if this tick starts an epoch
             self.center = log.center[self.tick].copy()
-        if self.flagged and self._supervise(t_end):
+        if self.flagged and self._supervise(self.clock):
             return
         if ahead.events:
             self._emit(e for e in ahead.events if e[0] == self.tick)
 
     def _cem_step(self):
         """One CEM tick (see the module docstring)."""
-        episode, t_end = self.episode, self.clock + self.dt
+        # the clock after this tick: the time of its log row
+        episode, t_end = self.episode, (self.tick + 1) * self.dt
         chunk = episode.failures
         k = self.tick - chunk[0] if chunk else -1
         if not 0 <= k < len(chunk[2]):
@@ -711,8 +712,8 @@ def inject_failure(sim: Simulation, agent_id, kind, time, velocity=None):
     """Schedule a failure on a running simulation.
 
     kind "freeze" holds the agent's position from the given time;
-    "drift" moves it at the constant velocity.  A time at or beyond the
-    run's end warns at the caller's line and only logs failure_ignored.
+    "drift" moves it at the constant velocity.  A time past the last
+    tick's start warns at the caller's line and only logs failure_ignored.
     The failure is checked as a scenario file's failures entry is: a bad
     one raises ScenarioError (a ValueError) naming the field.
     """

@@ -321,6 +321,20 @@ def test_exclusion_in_hdm_logs_the_live_center():
     assert starts[1][0] == 14101 and sim.excluded == {11, 14}
 
 
+def test_event_times_are_their_rows_times():
+    """Every event, the supervisor's and the CEM tick's included, is
+    stamped with its log row's time exactly, so it can be looked up."""
+    text = TEAM22.read_text().replace("duration: 125.0", "duration: 10.0")
+    text = text.replace("dt: 0.001", "dt: 0.002")
+    text = text[:text.index("failures:")] + (
+        "failures:\n- {agent: 11, time: 1.0, kind: freeze}\n")
+    log = Simulation(load_scenario(text)).run()
+    assert [e.kind for e in log.events] == [
+        "failure_active", "mode_change", "mode_change", "reference_reset"]
+    for event in log.events:
+        assert event.time == log.times[round(event.time / log.dt)]
+
+
 def test_each_cem_episode_is_its_own():
     """Two CEM episodes: the second, made at its entry, evades only the
     second failed agent, with a fresh latch and failure rows of its own."""

@@ -62,6 +62,25 @@ class TestDefaults:
         assert config.cem_radius == 4.0
         assert config.dt == 0.001
 
+    def test_every_default_spelled_out(self):
+        """Each optional field given at its documented default loads as
+        the document that omits them all."""
+        doc = MINIMAL + """
+name: scenario
+gain: 25
+rho: 0.1
+xi: 1
+tolerances: {dx: 0.1, dy: 0.1, dz: 0.1}
+vehicle_radius: 0.5
+d_min: null
+containment: {half_size: 40, norm: l1, center_policy: frozen}
+cem: {u_inf: 10, theta_inf: 0, exclusion_radius: 4, v_phi: 10}
+leader_override: null
+leader_trajectories: {}
+failures: []
+"""
+        assert same(load_scenario(doc), load_scenario(MINIMAL))
+
     def test_two_component_positions_get_z0(self):
         config = load_scenario(MINIMAL)
         np.testing.assert_allclose(config.ref_positions[:, 2], 0.0)
@@ -203,6 +222,10 @@ BAD_FIELDS = (
        ("n", st.one_of(st.integers().filter(lambda v: v not in (2, 3)),
                        st.sampled_from([2.0, 3.0]))),
        ("agents[0].id", st.one_of(st.floats(), st.text(max_size=3))),
+       ("cem.speed", st.floats()),
+       ("tolerances.dw", st.floats()),
+       ("containment", st.one_of(st.integers(), st.text(max_size=3),
+                                 st.lists(st.integers(), max_size=2))),
        ("agents[0].position", st.one_of(
            st.lists(st.floats(-5.0, 5.0), max_size=1),
            st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=5),

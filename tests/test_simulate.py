@@ -15,9 +15,9 @@ from conftest import REPO_ROOT, TEAM22
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contiform import anomaly
+from contiform import anomaly, refnet
 from contiform.automaton import Mode
-from contiform.errors import NumericError
+from contiform.errors import NumericError, ScenarioError
 from contiform.scenario import load_scenario
 from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK,
                                 MODE_CODE, Simulation, _rk4_coefficients,
@@ -353,6 +353,25 @@ failures:
         with pytest.raises(ValueError, match="already has a failure"):
             inject_failure(sim, 4, "freeze", time=0.02)
 
+    @pytest.mark.parametrize("time, ignored", [(0.995, True), (0.99, False)])
+    def test_failure_after_the_last_tick_start_is_ignored(self, time,
+                                                          ignored):
+        """A 1 s run at dt = 0.01 steps ticks starting at 0 ... 0.99: a
+        freeze at 0.995 activates at no tick, so it is logged as ignored
+        (and injecting it warns); one at 0.99 activates on the last."""
+        text = STATIC4.replace("dt: 0.001", "dt: 0.01").format(
+            duration=1.0, extra="")
+        freeze = f"failures:\n  - {{agent: 4, time: {time}, kind: freeze}}\n"
+        log = run_scenario(text + freeze)
+        assert [(e.time, e.kind) for e in log.events] == [
+            (0.0, "failure_ignored") if ignored else (0.99, "failure_active")]
+        sim = Simulation(load_scenario(text))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            inject_failure(sim, 4, "freeze", time=time)
+        assert len(caught) == ignored
+        assert (4 in sim.failures) is not ignored
+
     @pytest.mark.parametrize("time, velocity, field", [
         (float("nan"), None, "time"),
         (float("inf"), None, "time"),
@@ -585,6 +604,47 @@ class TestKnownLimitations:
         start = round(active.time / log.dt)
         assert np.linalg.norm(log.actual[flagged, j]
                               - log.actual[start, j]) > 4.0
+
+
+class TestBuildNetwork:
+    """The three outcomes of Simulation._build_network, on the shipped
+    scenario cut to 0.1 s."""
+
+    TEXT = TEAM22.read_text().replace("duration: 125.0", "duration: 0.1")
+
+    def test_first_build_failure_is_a_scenario_error(self):
+        text = self.TEXT.replace("leader_override:\n- 1\n- 2\n- 3\n",
+                                 "leader_override:\n- 1\n- 2\n- 11\n")
+        with pytest.raises(ScenarioError) as err:
+            Simulation(load_scenario(text))
+        assert str(err.value) == ("initial network build failed: leader "
+                                  "override ids not on boundary: [11]")
+
+    def test_rebuild_falls_back_to_selected_leaders(self):
+        """Leader 1 moved inside the formation: the rebuild logs why the
+        override failed and selects leaders as if none were given."""
+        sim = Simulation(load_scenario(self.TEXT))
+        sim.positions[sim.idx[1]] = sim.positions.mean(axis=0) + (0.5, 0.3,
+                                                                  0.0)
+        sim._exclude_flagged()
+        fallbacks = [e for e in sim.events if e.kind == "leader_fallback"]
+        assert [e.payload for e in fallbacks] == [
+            {"reason": "leader override ids not on boundary: [1]"}]
+        network = sim.epoch.network
+        assert network.leaders == (2, 3, 8)
+        assert network.leaders == refnet.select_leaders(
+            network.boundary, dict(zip(sim.ids, sim.positions)), 2)
+        sim.run()
+        assert sim.tick == sim.total_ticks
+
+    def test_rebuild_failure_is_a_numeric_error(self):
+        sim = Simulation(load_scenario(self.TEXT))
+        sim.flagged = frozenset(sim.ids) - {1, 2, 3}
+        with pytest.raises(NumericError) as err:
+            sim._exclude_flagged()
+        message = str(err.value)
+        assert message.startswith("reference rebuild failed at tick 0, ")
+        assert message.endswith(": need at least 4 agents for n=2, got 3")
 
 
 class TestFlaggedOutsideDomain:
