@@ -14,11 +14,13 @@ k over that side or face, and d_k = lambda_k / |g_k| the signed distance
 of the query from it, positive toward neighbor k.  The weights and |g_k|
 come from the closed-form kernel geometry._barycentric, which the network
 build shares through lambda_nd_batch, so at the reference formation the
-transient weights are the static ones bit for bit.  For n = 2 the
-gradients come from the 2 x 2 Gram matrix of the edges p1 - p0 and
-p2 - p0 and lie in the neighbor plane, so the query's offset from that
-plane drops out; for n = 3 they are the cross products of the edges
-p1 - p0, p2 - p0 and p3 - p0 over their triple product.
+transient weights are the static ones bit for bit, and a follower's actual
+neighbor simplex is degenerate exactly when geometry._full_rank, the rank
+test of the network build, says so.  For n = 2 the gradients come from
+the 2 x 2 Gram matrix of the edges p1 - p0 and p2 - p0 and lie in the
+neighbor plane, so the query's offset from that plane drops out; for
+n = 3 they are the cross products of the edges p1 - p0, p2 - p0 and
+p3 - p0 over their triple product.
 
 The transient weight is d_k / l_k, and a deviation budget Delta on every
 position shifts numerator and denominator by at most 2 Delta.  The
@@ -39,9 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _barycentric
-
-_DEGENERATE_NORM = 1e-12
+from .geometry import _barycentric, _check_n, _full_rank
 
 
 def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
@@ -50,28 +50,27 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     vertices is (m, n+1, 3) actual in-neighbor positions, queries (m, 3) the
     followers' own actual positions, static_weights (m, n+1).  Returns
     (weights (m, n+1), lo, hi, healthy (m,) bool).  Rows with a degenerate
-    actual simplex get NaN entries and healthy = False.
+    actual simplex (geometry._full_rank) or non-finite weights get NaN
+    entries and healthy = False.
     """
+    _check_n(n)
     vertices = np.asarray(vertices, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     static_weights = np.asarray(static_weights, dtype=np.float64)
     if vertices.shape[0] == 0:
         empty = np.empty((0, n + 1))
         return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)
-    weights, det, norm, _ = _barycentric(vertices, queries, n)
+    weights, det, norm, scale = _barycentric(vertices, queries, n)
+    degenerate = ~_full_rank(det, scale, n) | np.isnan(weights[:, 0])
     two = 2.0 * delta
     with np.errstate(invalid="ignore", divide="ignore"):
         if n == 2:
             # |g_k|^2 = norm_k / det
             l = np.sqrt(det[:, None] / norm)
-            degenerate = ~(det >= _DEGENERATE_NORM**2)
         else:
             # |g_k| = |k_k| / |det|
             np.sqrt(norm, out=norm)
             l = np.abs(det)[:, None] / norm
-            degenerate = ~(norm >= _DEGENERATE_NORM).all(axis=1)
-        degenerate |= ~(l >= _DEGENERATE_NORM).all(axis=1)
-        degenerate |= np.isnan(weights[:, 0])
         d = weights * l
         low, high = d - two, d + two
         far = l + two

@@ -11,7 +11,10 @@ nonzero multiple xi of the triangle normal. The query is taken in the
 triangle plane, so the fourth weight is exactly zero and the first three
 do not depend on xi. Every weight comes from one closed-form kernel,
 _barycentric, which the network build (through lambda_nd_batch) and the
-anomaly detector share.
+anomaly detector share. Whether a simplex is degenerate is decided in one
+place, _full_rank, over the (det, scale) that kernel returns: the weight
+operator, the leader override check, the leader fit, the deformation's
+singular values and the detector all read it.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import DegeneracyError
 
-# Relative singular-value cutoff for numerical rank decisions.
+# Relative cutoff of the one rank test, _full_rank.
 RANK_TOLERANCE = 1e-9
 
 # Default scale of the virtual fourth vertex for planar simplexes.
@@ -36,33 +39,10 @@ def as_position(p) -> np.ndarray:
     return arr
 
 
-def rank_simplex(points, n: int) -> int:
-    """Numerical rank of the edge matrix [p2-p1 ... p_{n+1}-p1].
-
-    points must hold exactly n + 1 positions. The returned rank equals n
-    exactly when the points span an n-dimensional simplex.
-    """
+def _check_n(n):
+    """Reject a dimension other than 2 (triangles) or 3 (tetrahedra)."""
     if n not in (2, 3):
         raise ValueError(f"n must be 2 or 3, got {n}")
-    pts = [as_position(p) for p in points]
-    if len(pts) != n + 1:
-        raise ValueError(f"rank_simplex needs {n + 1} points for n={n}, got {len(pts)}")
-    edges = np.stack([pts[k] - pts[0] for k in range(1, n + 1)], axis=1)
-    sv = np.linalg.svd(edges, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_TOLERANCE * sv[0]))
-
-
-def plane_normal(p1, p2, p3) -> np.ndarray:
-    """Unit normal (p3 - p1) x (p2 - p1) / ||.|| of the triangle plane."""
-    p1, p2, p3 = as_position(p1), as_position(p2), as_position(p3)
-    raw = np.cross(p3 - p1, p2 - p1)
-    norm = np.linalg.norm(raw)
-    scale = np.linalg.norm(p3 - p1) * np.linalg.norm(p2 - p1)
-    if norm <= RANK_TOLERANCE * max(scale, 1e-300):
-        raise DegeneracyError(f"collinear triangle: |cross| = {norm:.3e}")
-    return raw / norm
 
 
 def lambda_nd(p1, p2, p3, p4, c, n: int, xi: float = DEFAULT_XI) -> np.ndarray:
@@ -71,10 +51,9 @@ def lambda_nd(p1, p2, p3, p4, c, n: int, xi: float = DEFAULT_XI) -> np.ndarray:
     n = 3 needs p4, a real vertex; n = 2 ignores it. Raises
     DegeneracyError for a degenerate simplex.
     """
+    _check_n(n)
     if n == 3 and p4 is None:
         raise ValueError("n=3 requires a real fourth point")
-    if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
     pts = [as_position(p) for p in (p1, p2, p3, p4)[: n + 1]]
     return lambda_nd_batch(np.stack(pts)[None], as_position(c)[None], n, xi)[0]
 
@@ -143,6 +122,16 @@ def _barycentric(vertices, queries, n):
     return lam, det, norm, scale
 
 
+def _full_rank(det, scale, n):
+    """True where a simplex with _barycentric's (det, scale) spans n
+    dimensions: |a x b| > RANK_TOLERANCE |a| |b| for n = 2 (det and scale
+    are the squares), |triple product| > RANK_TOLERANCE times the cube of
+    the longest edge for n = 3.  NaN measures are degenerate."""
+    if n == 2:
+        return det > RANK_TOLERANCE**2 * scale
+    return np.abs(det) > RANK_TOLERANCE * scale
+
+
 def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,
                     xi: float = DEFAULT_XI, on_degenerate: str = "raise") -> np.ndarray:
     """Dimension-aware weight operator over M simplexes.
@@ -152,16 +141,13 @@ def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,
     the fourth vertex is virtual, p1 + xi (p3 - p1) x (p2 - p1): the
     query is taken in the triangle plane, so l4 is exactly 0 and xi
     enters only the check that it is nonzero. A simplex is degenerate
-    when |(p3 - p1) x (p2 - p1)| (n = 2) or the edges' |triple product|
-    (n = 3) is at most RANK_TOLERANCE times the product of the two edge
-    lengths, or the cube of the longest edge. Degenerate simplexes
-    either raise or are filled with NaN rows (on_degenerate = "nan"),
-    which search code uses to discard unusable candidate tuples in bulk.
+    when _full_rank says so. Degenerate simplexes either raise or are
+    filled with NaN rows (on_degenerate = "nan"), which search code uses
+    to discard unusable candidate tuples in bulk.
     """
+    _check_n(n)
     if n == 2 and xi == 0.0:
         raise DegeneracyError("xi must be nonzero")
-    if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
     vertices = np.asarray(vertices, dtype=float)
     queries = np.asarray(queries, dtype=float)
     if vertices.shape[0] == 0:
@@ -169,11 +155,7 @@ def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,
     lam, det, _, scale = _barycentric(vertices, queries, n)
     out = np.zeros((len(det), 4))
     out[:, : n + 1] = lam
-    # det is squared for n = 2
-    if n == 2:
-        good = det > RANK_TOLERANCE**2 * scale
-    else:
-        good = np.abs(det) > RANK_TOLERANCE * scale
+    good = _full_rank(det, scale, n)
     if not good.all():
         if on_degenerate == "raise":
             raise DegeneracyError(f"{int(np.sum(~good))} degenerate simplexes in batch")

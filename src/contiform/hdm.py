@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError
-from .geometry import RANK_TOLERANCE, as_position, plane_normal, rank_simplex
+from .geometry import _barycentric, _check_n, _full_rank, as_position
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def deformation_sigmas(edge_inv, leader_cmd) -> np.ndarray:
     unit normal onto the commanded one (see fit_homogeneous_transform), so
     its singular values are 1 and those of A = C T^-1.  They come in closed
     form from A's 2 x 2 Gram matrix: the larger from its eigenvalue, the
-    smaller as |a1 x a2| over it, which keeps both accurate.  A collinear
-    commanded triangle gives a NaN row.  For n = 3, Q = C R^-1 goes
-    through one batched SVD.
+    smaller as |a1 x a2| over it, which keeps both accurate.  A commanded
+    triangle geometry._full_rank calls degenerate gives a NaN row.  For
+    n = 3, Q = C R^-1 goes through one batched SVD.
     """
     cmd = np.asarray(leader_cmd, dtype=float)
     if cmd.shape[1] == 4:
@@ -73,7 +73,8 @@ def deformation_sigmas(edge_inv, leader_cmd) -> np.ndarray:
     g22 = bx * bx + by * by + bz * bz
     g12 = ax * bx + ay * by + az * bz
     cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    area = np.sqrt(cx * cx + cy * cy + cz * cz)
+    area2 = cx * cx + cy * cy + cz * cz
+    area = np.sqrt(area2)
     # A's columns are t00 c1 and t01 c1 + t11 c2 (T^-1 is upper triangular)
     t00, t01, t11 = edge_inv[0, 0], edge_inv[0, 1], edge_inv[1, 1]
     a = t00 * t00 * g11
@@ -86,7 +87,7 @@ def deformation_sigmas(edge_inv, leader_cmd) -> np.ndarray:
     sigma[:, 0] = np.maximum(big, 1.0)
     sigma[:, 1] = np.minimum(np.maximum(small, 1.0), big)
     sigma[:, 2] = np.minimum(small, 1.0)
-    sigma[area <= RANK_TOLERANCE * np.sqrt(g11 * g22)] = np.nan
+    sigma[~_full_rank(area2, g11 * g22, 2)] = np.nan
     return sigma
 
 
@@ -97,19 +98,27 @@ def fit_homogeneous_transform(leader_ref, leader_current, n: int = 2):
     which pin the in-plane part; the out-of-plane direction is completed
     by mapping the reference unit normal, placed at p1, onto the current
     one, so one singular value is exactly 1 for planar fits. Raises
-    DegeneracyError for a degenerate reference simplex or a collinear
-    current triangle.
+    DegeneracyError for a degenerate reference simplex or (n = 2) current
+    triangle, as geometry._full_rank decides.
     """
+    _check_n(n)
     ref = np.stack([as_position(p) for p in leader_ref])
     cur = np.stack([as_position(p) for p in leader_current])
     if len(ref) != n + 1 or len(cur) != n + 1:
         raise ValueError(f"need {n + 1} leader positions for n={n}")
-    if rank_simplex(ref, n) != n:
+    _, det, _, scale = _barycentric(ref[None], ref[:1], n)
+    if not _full_rank(det, scale, n)[0]:
         raise DegeneracyError("degenerate leader reference simplex")
     sv = deformation_sigmas(reference_edge_inverse(ref), cur[None])[0]
+    if np.isnan(sv[0]):
+        raise DegeneracyError("degenerate commanded leader triangle")
     if n == 2:
-        ref = np.vstack([ref, ref[0] + plane_normal(*ref)])
-        cur = np.vstack([cur, cur[0] + plane_normal(*cur)])
+        # each triangle gains its unit normal (p3 - p1) x (p2 - p1) at p1
+        lifted = []
+        for p in (ref, cur):
+            raw = np.cross(p[2] - p[0], p[1] - p[0])
+            lifted.append(np.vstack([p, p[0] + raw / np.linalg.norm(raw)]))
+        ref, cur = lifted
     # rows [Q^T; d] solve [r_0 | 1] [Q^T; d] = r
     sol = np.linalg.solve(np.column_stack([ref, np.ones(4)]), cur)
     return HomogeneousTransform(Q=sol[:3].T, d=sol[3], singular_values=sv)

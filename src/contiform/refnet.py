@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, NetworkError, SelectionError
-from .geometry import (DEFAULT_XI, _barycentric, as_position, lambda_nd_batch,
-                       rank_simplex)
+from .geometry import (DEFAULT_XI, _barycentric, _check_n, _full_rank,
+                       as_position, lambda_nd_batch)
 
 # Inclusion-margin defaults per dimension; must stay below 1/(n+1).
 DEFAULT_RHO = {2: 0.1, 3: 0.05}
@@ -130,7 +130,9 @@ def select_leaders(boundary, ref_positions, n: int = 2, override=None):
     tetrahedron volume for n=3), ties broken by lexicographically
     smallest id tuple. The measure is the weight kernel's |det|, which
     grows with it: |a x b|^2 for n = 2, the triple product for n = 3.
+    An override is degenerate when geometry._full_rank says so.
     """
+    _check_n(n)
     boundary = set(boundary)
     if override is not None:
         override = tuple(override)
@@ -141,8 +143,9 @@ def select_leaders(boundary, ref_positions, n: int = 2, override=None):
         missing = [i for i in override if i not in boundary]
         if missing:
             raise SelectionError(f"leader override ids not on boundary: {missing}")
-        pts = [ref_positions[i] for i in override]
-        if rank_simplex(pts, n) != n:
+        pts = np.stack([as_position(ref_positions[i]) for i in override])
+        _, det, _, scale = _barycentric(pts[None], pts[:1], n)
+        if not _full_rank(det, scale, n)[0]:
             raise SelectionError(f"leader override {override} is degenerate")
         return override
     cands = sorted(boundary)
@@ -196,6 +199,11 @@ def _xi_max(Dinv, B):
     return float(np.max(-Dinv.sum(axis=1) + np.asarray(B, dtype=float).sum(axis=1)))
 
 
+def _delta(xi_max, delta_x, delta_y, delta_z):
+    """Delta = Xi_max * sqrt(dx^2 + dy^2 + dz^2)."""
+    return xi_max * float(np.sqrt(delta_x ** 2 + delta_y ** 2 + delta_z ** 2))
+
+
 def deviation_bound(D, B, delta_x, delta_y, delta_z):
     """(Xi_max, Delta): worst-case amplification and 3-D deviation bound.
 
@@ -212,8 +220,7 @@ def deviation_bound(D, B, delta_x, delta_y, delta_z):
     except np.linalg.LinAlgError as exc:
         raise NetworkError("singular D in deviation_bound") from exc
     xi_max = _xi_max(Dinv, B)
-    delta = xi_max * float(np.sqrt(delta_x ** 2 + delta_y ** 2 + delta_z ** 2))
-    return xi_max, delta
+    return xi_max, _delta(xi_max, delta_x, delta_y, delta_z)
 
 
 def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
@@ -225,6 +232,7 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     on: weight rows sum to one, D Hurwitz, -D^-1 entrywise nonnegative,
     W_L rows sum to one.
     """
+    _check_n(n)
     rho = DEFAULT_RHO[n] if rho is None else rho
     if not (0.0 < rho < 1.0 / (n + 1)):
         raise ValueError(f"rho must lie in (0, 1/{n + 1}) for n={n}, got {rho}")

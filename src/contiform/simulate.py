@@ -253,13 +253,13 @@ class _Ahead:
 def epoch_bounds(network, config: ScenarioConfig):
     """(Delta, d_min, sigma threshold) of one network epoch.
 
-    Delta is the tolerances' deviation bound, refnet.deviation_bound's
-    expression on the network's Xi_max; d_min the scenario's override or
-    else the network's smallest reference separation; the threshold the
-    collision-safety bound on the commanded deformation's smallest sigma.
+    Delta is the tolerances' deviation bound on the network's Xi_max
+    (refnet._delta, as in refnet.deviation_bound); d_min the scenario's
+    override or else the network's smallest reference separation; the
+    threshold the collision-safety bound on the commanded deformation's
+    smallest sigma.
     """
-    dx, dy, dz = config.tolerances
-    delta = network.Xi_max * float(np.sqrt(dx ** 2 + dy ** 2 + dz ** 2))
+    delta = refnet._delta(network.Xi_max, *config.tolerances)
     d_min = network.d_min if config.d_min_override is None \
         else config.d_min_override
     threshold, _ = hdm.collision_safety_margin(

@@ -9,64 +9,88 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contiform import geometry, refnet
-from contiform.errors import DegeneracyError
+from contiform import anomaly, geometry, hdm, refnet
+from contiform.errors import DegeneracyError, SelectionError
 
 RNG_SEED = 9021
+
+
+def full_rank(pts, n):
+    """lambda_nd_batch's verdict on one simplex: finite weights or NaN."""
+    lam = geometry.lambda_nd_batch(np.asarray(pts, float)[None],
+                                   np.asarray(pts, float)[:1], n,
+                                   on_degenerate="nan")
+    return bool(np.isfinite(lam).all())
+
+
+def unit_normal(tri):
+    raw = np.cross(tri[2] - tri[0], tri[1] - tri[0])
+    return raw / np.linalg.norm(raw)
 
 
 def random_triangle(rng, scale=10.0):
     while True:
         pts = rng.uniform(-scale, scale, size=(3, 3))
-        try:
-            geometry.plane_normal(*pts)
+        if full_rank(pts, 2):
             return pts
-        except DegeneracyError:
-            continue
 
 
 def random_tetrahedron(rng, scale=10.0):
     while True:
         pts = rng.uniform(-scale, scale, size=(4, 3))
-        if geometry.rank_simplex(pts, 3) == 3:
+        if full_rank(pts, 3):
             return pts
 
 
 class TestRankSimplex:
+    """The one rank test, read through the weight operator's verdict."""
+
     def test_planar_triangle(self):
-        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-        assert geometry.rank_simplex(pts, 2) == 2
+        assert full_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2)
 
     def test_collinear_triangle(self):
-        pts = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-        assert geometry.rank_simplex(pts, 2) == 1
+        assert not full_rank([(0, 0, 0), (1, 0, 0), (2, 0, 0)], 2)
 
     def test_unit_tetrahedron(self):
-        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert geometry.rank_simplex(pts, 3) == 3
+        assert full_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 
     def test_wrong_point_count(self):
         with pytest.raises(ValueError):
-            geometry.rank_simplex([(0, 0, 0), (1, 0, 0)], 2)
+            hdm.fit_homogeneous_transform([(0, 0, 0), (1, 0, 0)],
+                                          [(0, 0, 0), (1, 0, 0)], 2)
 
 
 class TestPlaneNormal:
+    """The unit normal (p3 - p1) x (p2 - p1) / ||.|| with which the leader
+    fit completes a triangle: the fit maps the reference's onto the
+    commanded one's."""
+
+    TRI = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0)], float)
+
     def test_unit_triangle(self):
-        n = geometry.plane_normal((0, 0, 0), (1, 0, 0), (0, 1, 0))
-        np.testing.assert_allclose(n, [0.0, 0.0, -1.0], atol=1e-15)
+        # turned into the x-z plane, the normal (0, 0, -1) becomes (0, 1, 0)
+        turned = self.TRI[:, [0, 2, 1]]
+        tf = hdm.fit_homogeneous_transform(self.TRI, turned, 2)
+        np.testing.assert_allclose(tf.Q, [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+                                   atol=1e-15)
 
     def test_swapped_orientation(self):
-        n = geometry.plane_normal((0, 0, 0), (0, 1, 0), (1, 0, 0))
-        np.testing.assert_allclose(n, [0.0, 0.0, 1.0], atol=1e-15)
+        swapped = self.TRI[[0, 2, 1]]
+        tf = hdm.fit_homogeneous_transform(self.TRI, swapped, 2)
+        # the in-plane swap turns the normal (0, 0, -1) over
+        np.testing.assert_allclose(tf.Q, [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+                                   atol=1e-15)
 
     def test_translation_invariant(self):
         shift = np.array([5.0, -3.0, 2.0])
-        n = geometry.plane_normal(shift, shift + (1, 0, 0), shift + (0, 1, 0))
-        np.testing.assert_allclose(n, [0.0, 0.0, -1.0], atol=1e-15)
+        tf = hdm.fit_homogeneous_transform(self.TRI, self.TRI + shift, 2)
+        np.testing.assert_allclose(tf.Q, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(tf.d, shift, atol=1e-15)
 
     def test_collinear_raises(self):
         with pytest.raises(DegeneracyError):
-            geometry.plane_normal((0, 0, 0), (1, 0, 0), (2, 0, 0))
+            hdm.fit_homogeneous_transform(
+                self.TRI, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], 2)
 
 
 class TestVirtualFourthPoint:
@@ -115,7 +139,7 @@ class TestProjectToPlane:
         for _ in range(20):
             tri = random_triangle(rng)
             c = rng.uniform(-10, 10, size=3)
-            n = geometry.plane_normal(*tri)
+            n = unit_normal(tri)
             out = self._foot(c, tri)
             tol = 1e-12 * max(1.0, np.linalg.norm(c))
             assert abs(np.dot(out - tri[0], n)) <= tol
@@ -248,8 +272,7 @@ class TestContainmentAgainstOracle:
 def _plane_basis(tri):
     e1 = tri[1] - tri[0]
     e1 = e1 / np.linalg.norm(e1)
-    n = geometry.plane_normal(*tri)
-    e2 = np.cross(n, e1)
+    e2 = np.cross(unit_normal(tri), e1)
     return np.stack([e1, e2])
 
 
@@ -416,6 +439,71 @@ class TestClosedFormAgainstBorderedSolve:
             except DegeneracyError:
                 raised.append(True)
         assert raised[0] == raised[1] == bool(np.isnan(want).any())
+
+
+def _accepts(call, error):
+    """False when call raises error, True when it returns."""
+    try:
+        call()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ratio", [0.5, 1.5, 3.0])
+def test_one_verdict_per_simplex(n, ratio):
+    """Every reader of the rank test gives lambda_nd_batch's verdict on a
+    simplex whose degeneracy measure is ratio * RANK_TOLERANCE: the leader
+    override check, the leader fit (reference simplex; commanded triangle
+    for n = 2), deformation_sigmas' NaN rows and the detector's."""
+    frame, offset = _frame((0.3, 1.1, 2.0)), np.array([5.0, -3.0, 2.0])
+    simplex = _near_rank(n, ratio, frame, offset)
+    good = np.vstack([np.zeros(3), 10.0 * np.eye(3)[:n]]) @ frame.T + offset
+    want = full_rank(simplex, n)
+    assert want == (ratio > 1.0)
+    ids = tuple(range(n + 1))
+    static = np.full((1, n + 1), 1.0 / (n + 1))
+    weights = anomaly.evaluate_followers_batch(
+        simplex[None], simplex.mean(axis=0)[None], static, 0.1, n)[0]
+    got = {
+        "override": _accepts(lambda: refnet.select_leaders(
+            ids, dict(zip(ids, simplex)), n, ids), SelectionError),
+        "fit reference": _accepts(lambda: hdm.fit_homogeneous_transform(
+            simplex, good, n), DegeneracyError),
+        "detector": bool(np.isfinite(weights).all()),
+    }
+    if n == 2:
+        got["fit commanded"] = _accepts(lambda: hdm.fit_homogeneous_transform(
+            good, simplex, n), DegeneracyError)
+        sigma = hdm.deformation_sigmas(hdm.reference_edge_inverse(good),
+                                       simplex[None])
+        got["deformation_sigmas"] = bool(np.isfinite(sigma).all())
+    assert got == dict.fromkeys(got, want)
+
+
+CUBE = {i + 1: np.array(p, float) for i, p in enumerate(
+    [(0, 0, 0), (10, 0, 0), (0, 10, 0), (0, 0, 10), (10, 10, 10), (3, 3, 3)])}
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("call", [
+    lambda n: geometry.lambda_nd(*list(CUBE.values())[:5], n),
+    lambda n: geometry.lambda_nd_batch(np.zeros((1, n + 1, 3)),
+                                       np.zeros((1, 3)), n),
+    lambda n: refnet.select_leaders(CUBE, CUBE, n),
+    lambda n: refnet.build_reference_configuration(CUBE, n),
+    lambda n: anomaly.evaluate_followers_batch(
+        np.zeros((1, n + 1, 3)), np.zeros((1, 3)), np.zeros((1, n + 1)),
+        0.1, n),
+    lambda n: hdm.fit_homogeneous_transform(
+        list(CUBE.values())[:n + 1], list(CUBE.values())[:n + 1], n),
+], ids=["lambda_nd", "lambda_nd_batch", "select_leaders",
+        "build_reference_configuration", "evaluate_followers_batch",
+        "fit_homogeneous_transform"])
+def test_n_outside_2_3_is_rejected(call, n):
+    with pytest.raises(ValueError, match=f"^n must be 2 or 3, got {n}$"):
+        call(n)
 
 
 def _jittered(shape, seed):
