@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _barycentric, _check_n, _full_rank
+from .geometry import _barycentric, _check_n, _check_simplexes, _full_rank
 
 
 def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
@@ -57,6 +57,7 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     vertices = np.asarray(vertices, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     static_weights = np.asarray(static_weights, dtype=np.float64)
+    _check_simplexes(vertices, queries, n)
     if vertices.shape[0] == 0:
         empty = np.empty((0, n + 1))
         return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)

@@ -45,6 +45,14 @@ def _check_n(n):
         raise ValueError(f"n must be 2 or 3, got {n}")
 
 
+def _check_simplexes(vertices, queries, n):
+    """Reject vertices not (m, n+1, 3) or queries not (m, 3)."""
+    if (vertices.shape[1:] != (n + 1, 3)
+            or queries.shape != (*vertices.shape[:1], 3)):
+        raise ValueError(f"expected vertices (m, {n + 1}, 3) and queries "
+                         f"(m, 3), got {vertices.shape} and {queries.shape}")
+
+
 def lambda_nd(p1, p2, p3, p4, c, n: int, xi: float = DEFAULT_XI) -> np.ndarray:
     """Weights (l1..l4) of one query point; see lambda_nd_batch.
 
@@ -150,6 +158,7 @@ def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,
         raise DegeneracyError("xi must be nonzero")
     vertices = np.asarray(vertices, dtype=float)
     queries = np.asarray(queries, dtype=float)
+    _check_simplexes(vertices, queries, n)
     if vertices.shape[0] == 0:
         return np.zeros((0, 4))
     lam, det, _, scale = _barycentric(vertices, queries, n)

@@ -25,9 +25,9 @@ one vectorized pass: the desired positions from the tick-start snapshots,
 the detector over all K x F follower rows, the commanded deformation's
 singular values, the leader lag and its leader_deviation events in tick
 order, the containment center and the log rows.  The block keeps the ticks
-up to and including the first one on which the detector flags anyone.  Its
-log rows are the only look-ahead buffer: each step() call commits one
-buffered tick, taking the positions and center from its row, and the
+up to and including the first one on which the detector flags anyone, with
+their positions and centers; the engine writes log rows but never reads
+them.  Each step() call commits one buffered tick from the block, and the
 flagged tick runs the supervisor transition (5).  It enters CEM for a
 flagged agent inside the containment domain; flagged agents all outside
 it are excluded at once, the network is rebuilt and the tick's row is
@@ -75,10 +75,10 @@ class TrajectoryLog:
     """Complete per-tick record of one run.
 
     Row k holds the state at time k * dt; row 0 is the initial state.
-    Arrays indexed [tick, agent] follow the scenario's agent order.  While
-    a run is in progress, the rows after the current tick up to the end of
-    the look-ahead block are that block, written but not yet committed;
-    the rows after it hold the values of an unwritten row.
+    Arrays indexed [tick, agent] follow the scenario's agent order.  The
+    simulation only writes rows; mid-run, those past the current tick up to
+    the end of its look-ahead block (which holds its own positions and
+    centers) are uncommitted, and the later ones hold an unwritten row.
     """
 
     agent_ids: tuple
@@ -240,12 +240,13 @@ class _Episode:
 
 @dataclass
 class _Ahead:
-    """Look-ahead block: HDM ticks integrated and logged in rows start + 1
-    to end, committed up to the current tick.  Only the last tick can have
-    anyone flagged (the block ends on the first such tick)."""
+    """Look-ahead block: HDM ticks integrated and logged up to row end,
+    committed up to the current tick (tick t at index t - end - 1).  Only
+    the last tick can flag anyone: the block ends on the first such one."""
 
-    start: int              # tick the block starts from
     end: int                # tick of its last row
+    positions: np.ndarray   # (K, N, 3) positions after each tick
+    centers: np.ndarray     # (K, 3) containment centers
     flags: frozenset        # flagged set on the last tick
     events: list            # [(row, leader id, Event)] in tick order
 
@@ -471,9 +472,6 @@ class Simulation:
         self.episode = _Episode(flow,
                                 np.fromiter(psi0.values(), dtype=np.float64),
                                 self.positions[self.healthy_idx])
-        log, row = self.log, self.tick   # reset the HDM-written row
-        log.local_desired[row] = log.global_desired[row] = np.nan
-        log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
         self._write_cem_row()
 
     def _exclude_flagged(self):
@@ -566,14 +564,16 @@ class Simulation:
             None))
 
     def _write_cem_row(self):
-        """Log row tick in CEM, written over the log's NaN and NA."""
+        """Log row tick in CEM; only healthy agents have a desired position."""
         log, row = self.log, self.tick
+        desired = np.full((self.n_agents, 3), np.nan)
+        desired[self.healthy_idx] = self.episode.targets
         log.actual[row] = self.positions
         log.mode[row] = MODE_CODE[Mode.CEM]
         log.center[row] = self.center
         log.health[row] = self.health
-        log.local_desired[row, self.healthy_idx] = self.episode.targets
-        log.global_desired[row] = log.local_desired[row]
+        log.local_desired[row] = log.global_desired[row] = desired
+        log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
 
     # -- main loop --------------------------------------------------------
 
@@ -594,10 +594,10 @@ class Simulation:
         is unchanged."""
         ahead = self._ahead
         return (ahead is not None
-                and ahead.start < self.tick < ahead.end
+                and self.tick < ahead.end
                 and not self.flagged
                 and self.positions.tobytes()
-                == self.log.actual[self.tick].tobytes())
+                == ahead.positions[self.tick - ahead.end - 1].tobytes())
 
     def _drop_ahead(self):
         ahead, self._ahead = self._ahead, None
@@ -606,7 +606,7 @@ class Simulation:
 
     def _look_ahead(self):
         """Integrate a block of HDM ticks from the current state, evaluate
-        it in one pass and log it as the buffer _commit reads."""
+        it in one pass, log it and keep it for _commit."""
         ep = self.epoch
         fail_idx, fail_rows = self._failure_rows(self.lookahead_ticks)
         size = len(fail_rows)
@@ -641,14 +641,16 @@ class Simulation:
                                       centers, det, healthy)
         flags = frozenset(ep.network.followers[j]
                           for j in np.flatnonzero(~healthy[-1]))
-        self._ahead = _Ahead(self.tick, self.tick + size, flags, events)
+        self._ahead = _Ahead(self.tick + size, positions, centers, flags,
+                             events)
 
     def _commit(self):
-        """Commit the next buffered HDM tick: its log row becomes the live
-        state."""
-        ahead, log = self._ahead, self.log
+        """Commit the next buffered HDM tick as the live state."""
+        ahead = self._ahead
         self.tick += 1
-        self.positions = log.actual[self.tick].copy()
+        k = self.tick - ahead.end - 1
+        self.positions = ahead.positions[k].copy()   # not a view of the block
+        self.center = ahead.centers[k]
         # only a block's last tick can flag anyone; HDM with nothing
         # flagged is a fixed point of the automaton, so a quiet tick skips
         # the transition.  A flagged set edited between steps is kept.
@@ -656,9 +658,6 @@ class Simulation:
             self.flagged |= ahead.flags
             self._refresh_healthy()
             self._update_center()
-            log.center[self.tick] = self.center
-        else:   # a copy: the row is cleared if this tick starts an epoch
-            self.center = log.center[self.tick].copy()
         if self.flagged and self._supervise(self.clock):
             return
         if ahead.events:
@@ -705,6 +704,7 @@ class Simulation:
     def run(self):
         while self.tick < self.total_ticks:
             self.step()
+        self._drop_ahead()   # release the spent last block
         return self.log
 
 

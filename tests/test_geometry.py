@@ -506,6 +506,22 @@ def test_n_outside_2_3_is_rejected(call, n):
         call(n)
 
 
+@pytest.mark.parametrize("vertices, queries", [
+    ((1, 2, 3), (1, 3)), ((1, 3, 3), (2, 3)), ((1, 3, 3), (1, 2))],
+    ids=["vertices", "query count", "query length"])
+@pytest.mark.parametrize("call", [
+    lambda v, q: geometry.lambda_nd_batch(v, q, 2),
+    lambda v, q: anomaly.evaluate_followers_batch(
+        v, q, np.full((len(v), 3), 1 / 3), 0.1, 2),
+], ids=["lambda_nd_batch", "evaluate_followers_batch"])
+def test_wrong_shapes_are_rejected(call, vertices, queries):
+    """For n = 2 a batch takes vertices (m, 3, 3) and queries (m, 3)."""
+    with pytest.raises(ValueError) as err:
+        call(np.ones(vertices), np.ones(queries))
+    assert str(err.value) == ("expected vertices (m, 3, 3) and queries "
+                              f"(m, 3), got {vertices} and {queries}")
+
+
 def _jittered(shape, seed):
     """A 10 m grid or lattice with +-1.5 m jitter, turned and moved."""
     rng = np.random.default_rng(seed)

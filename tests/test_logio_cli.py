@@ -1,4 +1,5 @@
 """Run-artifact writers and the command line front end."""
+import ast
 import csv
 import hashlib
 import io
@@ -608,3 +609,17 @@ class TestCliExitCodes:
                            str(tmp_path / "boom")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("numeric error:")
+
+
+def test_only_the_cli_prints():
+    """Library code reports through logging and typed events; print is
+    the command line front end's alone."""
+    calls = {}
+    for path in sorted((REPO_ROOT / "src" / "contiform").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls[path.name] = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"]
+    assert calls.pop("cli.py")   # the check sees the calls there
+    assert calls == dict.fromkeys(calls, [])

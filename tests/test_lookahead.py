@@ -4,14 +4,16 @@ Quiet HDM ticks are integrated and evaluated in blocks, then committed one
 per step() call.  The oracle throughout is the same simulation with
 lookahead_ticks = 1, which evaluates every tick on its own: the block
 length, an injected failure and an edit of the state between steps must
-not change a single logged bit against it.
+not change a single logged bit against it.  The engine only writes its
+log: a run whose log arrays raise on any read writes the same bytes.
 """
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
-from conftest import TEAM22
+from conftest import REPO_ROOT, TEAM22
 from hypothesis import strategies as st
 
 from contiform import anomaly, cem
@@ -422,3 +424,71 @@ def test_numeric_blowup_raises_at_the_same_tick():
         messages.append((sim.tick, str(info.value)))
     assert messages[0] == messages[1]
     assert f"tick {messages[0][0]}" in messages[0][1]
+
+
+class WriteOnly:
+    """A log array the simulation may assign to but never read."""
+
+    def __init__(self, array):
+        self.array = array
+
+    def __setitem__(self, key, value):
+        self.array[key] = value
+
+    def __getitem__(self, key):
+        raise AssertionError(f"the simulation read its log at {key!r}")
+
+
+def team22_freeze():
+    """The shipped scenario cut to 12 s with follower 11 frozen at 1 s."""
+    text = TEAM22.read_text().replace("duration: 125.0", "duration: 12.0")
+    text = text[:text.index("failures:")]
+    return load_scenario(
+        text + "failures:\n- {agent: 11, time: 1.0, kind: freeze}\n")
+
+
+# (scenario, follower frozen 20 CEM ticks into the first episode): in TEAM7
+# it starts a second episode, in team22 a second exclusion
+WRITE_ONLY_RUNS = {
+    "team7": (lambda: team7(failure_doc(*CEM_DRIFT)), 6),
+    "lattice27": (lambda: load_scenario(REPO_ROOT / "scenarios"
+                                        / "lattice27.yaml"), 13),
+    "team22": (team22_freeze, 14),
+}
+
+
+def digest_of(config, write_only, second=None):
+    """Digest of the run of config: by run(), or with second by a step()
+    loop that freezes that agent 20 CEM ticks in.  With write_only the
+    simulation's log arrays are write-only; the digest is of the arrays
+    they write through to."""
+    sim = Simulation(config)
+    log = sim.log
+    if write_only:
+        sim.log = dataclasses.replace(log, **{
+            f.name: WriteOnly(getattr(log, f.name))
+            for f in dataclasses.fields(log)
+            if isinstance(getattr(log, f.name), np.ndarray)})
+    if second is None:
+        sim.run()
+        return log.digest()
+    cem_ticks = 0
+    while sim.tick < sim.total_ticks:
+        sim.step()
+        cem_ticks += sim.mode is Mode.CEM
+        if cem_ticks == 20 and second not in sim.failures:
+            inject_failure(sim, second, "freeze", sim.clock)
+    assert second in sim.failures
+    return log.digest()
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["run", "step"])
+@pytest.mark.parametrize("name", WRITE_ONLY_RUNS)
+def test_simulation_never_reads_its_log(name, injected):
+    """The look-ahead block and the live state hold everything the engine
+    needs: with log arrays that raise on any read the run writes the same
+    bytes, through run() and through a step() loop with a failure
+    injected during CEM."""
+    make, second = WRITE_ONLY_RUNS[name]
+    second = second if injected else None
+    assert digest_of(make(), True, second) == digest_of(make(), False, second)
