@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import sys
@@ -25,7 +26,8 @@ from . import logio, refnet
 from .errors import (ContiformError, DegeneracyError, NetworkError,
                      ScenarioError, SelectionError)
 from .scenario import load_scenario
-from .simulate import HEALTH_OK, MODE_CODE, epoch_bounds, run_scenario
+from .simulate import (HEALTH_OK, MARGIN_VIOLATED, MODE_CODE, _Epoch,
+                       run_scenario)
 from .automaton import Mode
 
 
@@ -70,7 +72,9 @@ def cmd_check(args):
             if config.leader_override else None)
     except (DegeneracyError, SelectionError, NetworkError) as exc:
         raise ScenarioError(f"network build failed: {exc}") from exc
-    delta, d_min, threshold = epoch_bounds(network, config)
+    # the run's first epoch, as the simulation builds it
+    epoch = _Epoch(network, config, config.ref_positions, 0)
+    delta, d_min, threshold = epoch.delta, epoch.d_min, epoch.threshold
     print(f"scenario: {config.name}")
     print(f"agents: {len(config.agent_ids)} (n={config.n})")
     print(f"leaders: {list(network.leaders)}")
@@ -92,7 +96,40 @@ def cmd_check(args):
         extra = "" if f.velocity is None \
             else f", velocity {tuple(float(v) for v in f.velocity)}"
         print(f"failure: agent {f.agent_id} {f.kind} at t={f.time:g}{extra}")
+    sigma_min, below, speed = _plan_report(epoch, config)
+    below = "none" if below is None else f"{below} (t={below * config.dt:g})"
+    print(f"plan sigma_min: {sigma_min:.6g} against threshold "
+          f"{threshold:.6g}, first tick below: {below}")
+    separation, need = sigma_min * d_min - 2 * delta, 2 * config.vehicle_radius
+    print(f"plan separation bound: {separation:.6g} m (sigma_min*d_min - "
+          f"2*delta) against 2*radius {need:g} m, margin "
+          f"{separation - need:.6g} m")
+    print(f"plan leader speed: {speed:.6g} m/s, lag v/g "
+          f"{speed / config.gain:.6g} m against deviation bound {delta:.6g} m")
     return 0
+
+
+# ticks of the plan read at a time, so that check's memory does not grow
+# with the run's duration
+_PLAN_CHUNK = 4096
+
+
+def _plan_report(epoch, config):
+    """The epoch's plan over the whole run: its smallest sigma, the first
+    tick whose sigma is below the threshold (None if none) and the largest
+    leader speed on the half-step grid."""
+    ticks = math.floor(config.duration / config.dt + 1e-9)   # as a run counts
+    sigma_min, below, speed = np.inf, None, 0.0
+    for tick in range(0, max(ticks, 1), _PLAN_CHUNK):
+        cmd = epoch.commands(tick, min(_PLAN_CHUNK, ticks - tick))
+        sigma, ok = epoch.sigmas(cmd[:, ::2].swapaxes(0, 1))
+        sigma_min = np.minimum(sigma_min, sigma[:, -1].min())
+        bad = np.flatnonzero(ok == MARGIN_VIOLATED)
+        if below is None and bad.size:
+            below = tick + int(bad[0])
+        step = np.linalg.norm(np.diff(cmd, axis=1), axis=2)
+        speed = max(speed, step.max(initial=0.0) / (0.5 * config.dt))
+    return float(sigma_min), below, speed
 
 
 def _kept(data, agent_filter):
@@ -148,8 +185,12 @@ _SERIES = {
 
 
 def cmd_analyze(args):
-    header, times, values = _SERIES[args.series](
-        logio.load_outputs(args.log), args.agent)
+    data = logio.load_outputs(args.log)
+    if args.agent is not None and args.agent not in data["agent_ids"]:
+        print(f"input error: agent {args.agent} is not in the run under "
+              f"{args.log}", file=sys.stderr)
+        return 2
+    header, times, values = _SERIES[args.series](data, args.agent)
     stream = _out_stream(args.out)
     try:
         writer = csv.writer(stream)

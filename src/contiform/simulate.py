@@ -20,31 +20,33 @@ the actual positions, and until it flags someone neither detection nor
 logging feeds back into the dynamics.  So a step() on an HDM tick with
 nothing flagged and nothing buffered advances up to `lookahead_ticks`
 ticks by steps (2)-(3), ending the block at the run end and before any
-tick on which a failure activates.  It then evaluates the whole block in
-one vectorized pass: the desired positions from the tick-start snapshots,
-the detector over all K x F follower rows, the commanded deformation's
-singular values, the leader lag and its leader_deviation events in tick
-order, the containment center and the log rows.  The block keeps the ticks
-up to and including the first one on which the detector flags anyone, with
-their positions and centers; the engine writes log rows but never reads
-them.  Each step() call commits one buffered tick from the block, and the
-flagged tick runs the supervisor transition (5).  It enters CEM for a
-flagged agent inside the containment domain; flagged agents all outside
-it are excluded at once, the network is rebuilt and the tick's row is
-rewritten as the new epoch's first, as on CEM exit.  The buffer is
-dropped, and its uncommitted log rows cleared, when the state it was built
-from changes: a failure added (inject_failure), or positions, mode or
-flagged set edited between steps.
+tick on which a failure activates.  The leader commands come from one
+evaluation of the epoch's plan for the block.  The whole block is then
+evaluated in one vectorized pass: the desired positions from the
+tick-start snapshots, the detector over all K x F follower rows, the
+commanded deformation's singular values, the leader lag and its
+leader_deviation events in tick order, the containment center and the log
+rows.  The block keeps the ticks up to and including the first one on
+which the detector flags anyone, with their positions and centers; the
+engine writes log rows but never reads them.  Each step() call commits
+one buffered tick from the block, and the flagged tick runs the
+supervisor transition (5).  It enters CEM for a flagged agent inside the
+containment domain; flagged agents all outside it are excluded at once,
+the network is rebuilt and the tick's row is rewritten as the new epoch's
+first, as on CEM exit.  The buffer is dropped, and its uncommitted log
+rows cleared, when the state it was built from changes: a failure added
+(inject_failure), or positions, mode or flagged set edited between steps.
 
 A CEM tick is one step() with one cem.step_streamline_many call, (1) on
 the episode's targets: the healthy agents', one (H, 3) array in
 healthy_idx order from CEM entry.  The episode also holds the flow past
-the flagged agents, the healthy agents' stream constants, the agents whose
-stagnation or disk projection is logged, and the failed agents' rows (3),
-computed for a chunk of ticks like a block's, which log their activations
-first.  The positions are assembled and tested for finiteness once, a
-tracking center is the healthy mean, the transition (5) decides whether
-CEM ends, and the row (6) is final when step() returns.
+the flagged agents, the healthy agents' stream constants, the logged
+desired row, the agents whose stagnation or disk projection is logged,
+and the failed agents' rows (3), computed for a chunk of ticks like a
+block's, which log their activations first.  The positions are assembled
+and tested for finiteness once, a tracking center is the healthy mean,
+the transition (5) decides whether CEM ends, and the row (6) is final
+when step() returns.
 """
 from __future__ import annotations
 
@@ -135,17 +137,23 @@ def _log_arrays(agents, slots):
 class _Epoch:
     """What one reference-network build fixes until the next build.
 
-    The network, Delta and the sigma threshold (epoch_bounds), index
-    caches, the team matrix, the leaders' commands on the half-step stage
-    grid from the build's tick on, and the leaders whose deviation has been
-    logged.
+    The network; Delta (refnet._delta on its Xi_max), d_min (the scenario's
+    override, else the network's) and the collision-safety threshold on
+    the commanded deformation's smallest sigma; index caches; the team
+    matrix; the leaders' plan, anchored at the build's positions and
+    evaluated on demand by commands(), so nothing here grows with the run;
+    and the leaders whose deviation has been logged.
     """
 
-    def __init__(self, network, sim):
-        idx, config = sim.idx, sim.config
+    def __init__(self, network, config: ScenarioConfig, positions, tick):
+        idx = {a: i for i, a in enumerate(config.agent_ids)}
         self.network = network
-        self.start_tick = sim.tick
-        self.delta, self.d_min, self.threshold = epoch_bounds(network, config)
+        self.start_tick = tick
+        self.delta = refnet._delta(network.Xi_max, *config.tolerances)
+        self.d_min = network.d_min if config.d_min_override is None \
+            else config.d_min_override
+        self.threshold, _ = hdm.collision_safety_margin(
+            np.ones(3), self.delta, config.vehicle_radius, self.d_min)
         self.leader_idx = np.array([idx[a] for a in network.leaders], dtype=int)
         self.follower_idx = np.array([idx[a] for a in network.followers],
                                      dtype=int)
@@ -157,27 +165,31 @@ class _Epoch:
                                   for f, row in nbrs])
         self._edge_inv = hdm.reference_edge_inverse(
             [network.ref_positions[a] for a in network.leaders])
-        self.team_matrix = _team_matrix(len(idx), sim._rk4[0],
-                                        self.follower_idx, self.order_idx,
-                                        network.W, self.leader_idx)
-        # Waypoint profiles are re-anchored at the leader's position now:
-        # r_c(t) = r(t0) + wp(t) - wp(t0).  Leaders without one hold.
-        t0 = sim.clock
-        grid = t0 + 0.5 * sim.dt * np.arange(
-            2 * (sim.total_ticks - sim.tick) + 1)
-        self._cmd = np.empty((len(network.leaders), grid.size, 3))
-        for j, lid in enumerate(network.leaders):
-            anchor = sim.positions[idx[lid]]
-            traj = config.trajectories.get(lid)
-            self._cmd[j] = anchor if traj is None \
-                else anchor + traj.position(grid) - traj.position(t0)
+        self.team_matrix = _team_matrix(
+            len(idx), _rk4_coefficients(config.gain * config.dt)[0],
+            self.follower_idx, self.order_idx, network.W, self.leader_idx)
+        # Waypoint profiles are re-anchored at a copy of the leader's
+        # position at the build: r_c(t) = r(t0) + wp(t) - wp(t0).  Leaders
+        # without one hold.
+        t0 = tick * config.dt
+        self._grid = (t0, 0.5 * config.dt)
+        trajs = [config.trajectories.get(a) for a in network.leaders]
+        self._plan = [(positions[i].copy(), traj,
+                       None if traj is None else traj.position(t0))
+                      for i, traj in zip(self.leader_idx, trajs)]
         self.deviating = set()
 
     def commands(self, tick, ticks):
         """Leader commands (L, 2 ticks + 1, 3) on the half-step grid from
         tick to tick + ticks."""
+        t0, half_dt = self._grid
         base = 2 * (tick - self.start_tick)
-        return self._cmd[:, base:base + 2 * ticks + 1]
+        grid = t0 + half_dt * np.arange(base, base + 2 * ticks + 1)
+        cmd = np.empty((len(self._plan), grid.size, 3))
+        for j, (anchor, traj, start) in enumerate(self._plan):
+            cmd[j] = anchor if traj is None \
+                else anchor + traj.position(grid) - start
+        return cmd
 
     def targets(self, prev, leader_cmd):
         """Local desired positions (K, N, 3) from tick-start positions prev
@@ -232,6 +244,7 @@ class _Episode:
     flow: cem.FlowField     # uniform flow past the flagged agents' doublets
     psi0: np.ndarray        # (H,) stream constants in healthy_idx order
     targets: np.ndarray     # (H, 3) streamline targets in healthy_idx order
+    desired: np.ndarray     # (N, 3) logged desired row, NaN if not healthy
     # agents whose stagnation or disk projection is logged, per event kind
     latch: dict = field(default_factory=lambda: {
         "stagnation": set(), "disk_projection": set()})
@@ -249,23 +262,6 @@ class _Ahead:
     centers: np.ndarray     # (K, 3) containment centers
     flags: frozenset        # flagged set on the last tick
     events: list            # [(row, leader id, Event)] in tick order
-
-
-def epoch_bounds(network, config: ScenarioConfig):
-    """(Delta, d_min, sigma threshold) of one network epoch.
-
-    Delta is the tolerances' deviation bound on the network's Xi_max
-    (refnet._delta, as in refnet.deviation_bound); d_min the scenario's
-    override or else the network's smallest reference separation; the
-    threshold the collision-safety bound on the commanded deformation's
-    smallest sigma.
-    """
-    delta = refnet._delta(network.Xi_max, *config.tolerances)
-    d_min = network.d_min if config.d_min_override is None \
-        else config.d_min_override
-    threshold, _ = hdm.collision_safety_margin(
-        np.ones(3), delta, config.vehicle_radius, d_min)
-    return delta, d_min, threshold
 
 
 def _rk4_coefficients(h):
@@ -376,7 +372,8 @@ class Simulation:
             if network is None:
                 network = refnet.build_reference_configuration(
                     members, n=self.n, rho=self.config.rho, xi=self.config.xi)
-            self.epoch = _Epoch(network, self)
+            self.epoch = _Epoch(network, self.config, self.positions,
+                                self.tick)
         except (DegeneracyError, SelectionError, NetworkError) as exc:
             if not self.epochs:
                 raise ScenarioError(
@@ -471,7 +468,8 @@ class Simulation:
             {self.ids[i]: self.positions[i] for i in self.healthy_idx}, flow)
         self.episode = _Episode(flow,
                                 np.fromiter(psi0.values(), dtype=np.float64),
-                                self.positions[self.healthy_idx])
+                                self.positions[self.healthy_idx],
+                                np.full((self.n_agents, 3), np.nan))
         self._write_cem_row()
 
     def _exclude_flagged(self):
@@ -507,11 +505,12 @@ class Simulation:
 
     # -- log rows ----------------------------------------------------------
 
-    def _write_hdm_rows(self, row0, positions, local, centers, det,
+    def _write_hdm_rows(self, row0, positions, cmd, local, centers, det,
                         healthy):
         """Log K consecutive HDM rows from row0 on.
 
-        positions and local are (K, N, 3), centers (K, 3); det holds the
+        positions and local are (K, N, 3), cmd the leader commands (L, K, 3)
+        at the rows' times, centers (K, 3); det holds the
         detector's (weights, lo, hi) rows or None, healthy its (K, F)
         verdicts or None (nothing flagged).  Returns the leader_deviation
         events the rows raise, as (row, leader id, Event) in tick order, for
@@ -520,7 +519,7 @@ class Simulation:
         ep, log = self.epoch, self.log
         count = len(positions)
         rows = slice(row0, row0 + count)
-        cmd = ep.commands(row0, count - 1)[:, ::2].swapaxes(0, 1)
+        cmd = cmd.swapaxes(0, 1)
         log.actual[rows] = positions
         log.mode[rows] = MODE_CODE[Mode.HDM]
         log.center[rows] = centers
@@ -557,16 +556,16 @@ class Simulation:
     def _log_epoch_row(self, det):
         """Log the row on which a network epoch starts (the first row and
         the row of a rebuild), which no HDM integration produced."""
-        local = self.epoch.targets(self.positions[None],
-                                   self.epoch.commands(self.tick, 0))
+        cmd = self.epoch.commands(self.tick, 0)
+        local = self.epoch.targets(self.positions[None], cmd)
         self._emit(self._write_hdm_rows(
-            self.tick, self.positions[None], local, self.center[None], det,
-            None))
+            self.tick, self.positions[None], cmd, local, self.center[None],
+            det, None))
 
     def _write_cem_row(self):
-        """Log row tick in CEM; only healthy agents have a desired position."""
-        log, row = self.log, self.tick
-        desired = np.full((self.n_agents, 3), np.nan)
+        """Log row tick in CEM; only healthy agents have a desired position
+        (the healthy set is frozen during an episode)."""
+        log, row, desired = self.log, self.tick, self.episode.desired
         desired[self.healthy_idx] = self.episode.targets
         log.actual[row] = self.positions
         log.mode[row] = MODE_CODE[Mode.CEM]
@@ -635,9 +634,10 @@ class Simulation:
             positions, healthy = positions[:size], healthy[:size]
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
         prev = np.concatenate((self.positions[None], positions[:-1]))
-        local = ep.targets(prev, cmd[:, 2:2 * size + 1:2])
+        cmd = cmd[:, 2:2 * size + 1:2]   # at the ticks' ends
+        local = ep.targets(prev, cmd)
         centers = positions[:, self.healthy_idx].mean(axis=1)
-        events = self._write_hdm_rows(self.tick + 1, positions, local,
+        events = self._write_hdm_rows(self.tick + 1, positions, cmd, local,
                                       centers, det, healthy)
         flags = frozenset(ep.network.followers[j]
                           for j in np.flatnonzero(~healthy[-1]))

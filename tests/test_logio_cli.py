@@ -364,6 +364,45 @@ class TestCliCheck:
         assert lines["sigma threshold"].startswith(
             f"{epoch['sigma_threshold']:.6g} ")
 
+    def test_plan_report_of_team22(self, capsys):
+        """The first epoch's plan over the whole 125 s run, after the
+        bounds: sigma clears the threshold, the centres stay 3.7 m apart,
+        and the leaders' planned lag is well inside Delta."""
+        assert cli.main(["check", str(TEAM22)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4].startswith("failure: agent 11 freeze")
+        assert lines[-3:] == [
+            "plan sigma_min: 0.9 against threshold 0.328831, "
+            "first tick below: none",
+            "plan separation bound: 3.69567 m (sigma_min*d_min - 2*delta) "
+            "against 2*radius 1 m, margin 2.69567 m",
+            "plan leader speed: 2 m/s, lag v/g 0.08 m against deviation "
+            "bound 0.535041 m"]
+
+    def test_plan_report_names_the_first_tick_below(self, tmp_path, capsys):
+        """Leaders that shrink their triangle about its centroid from scale
+        1 at t = 0 to 0.1 at t = 1 s command sigma_min = 1 - 0.9 t: the
+        report names the first tick below the threshold and exits 0."""
+        leaders = {1: (0.0, 0.0), 2: (6.0, 0.0), 3: (0.0, 6.0)}
+        doc = TINY.replace("duration: 0.2", "duration: 1.2")
+        doc = doc[:doc.index("leader_trajectories:")] + "leader_trajectories:\n"
+        for a, (x, y) in leaders.items():
+            doc += (f"  {a}:\n    - {{time: 0.0, position: [{x}, {y}]}}\n"
+                    f"    - {{time: 1.0, position: [{2 + 0.1 * (x - 2)}, "
+                    f"{2 + 0.1 * (y - 2)}]}}\n")
+        path = tmp_path / "shrink.yaml"
+        path.write_text(doc)
+        config = load_scenario(path)
+        threshold = Simulation(config).epoch.threshold
+        first = next(k for k in range(1201)
+                     if 1 - 0.9 * k * config.dt < threshold)
+        assert cli.main(["check", str(path)]) == 0
+        lines = dict(line.split(": ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        assert lines["plan sigma_min"] == (
+            f"0.1 against threshold {threshold:.6g}, first tick below: "
+            f"{first} (t={first * config.dt:g})")
+
 
 class TestCliAnalyze:
     @pytest.fixture()
@@ -492,13 +531,13 @@ class TestAnalyzeBytes:
         logio.write_outputs(cem_log, out)
         return out
 
-    @pytest.mark.parametrize("agent", [None, 4, 5, 99],
-                             ids=["all", "excluded", "healthy", "unknown"])
+    @pytest.mark.parametrize("agent", [None, 4, 5],
+                             ids=["all", "excluded", "healthy"])
     @pytest.mark.parametrize("series", sorted(ORACLE_SERIES))
     def test_bytes_match_the_oracle(self, cem_dir, tmp_path, series, agent):
         """A run with CEM rows, NaN weights and an excluded agent: each
-        series, whole and filtered to an excluded, a healthy and an
-        unknown agent, has the oracle's bytes."""
+        series, whole and filtered to an excluded and a healthy agent, has
+        the oracle's bytes."""
         dest = tmp_path / "series.csv"
         argv = ["analyze", cem_dir, "--series", series, "--out", str(dest)]
         if agent is not None:
@@ -508,6 +547,19 @@ class TestAnalyzeBytes:
         ORACLE_SERIES[series](logio.load_outputs(cem_dir),
                               csv.writer(expect), agent)
         assert dest.read_bytes() == expect.getvalue().encode()
+
+    @pytest.mark.parametrize("series", sorted(ORACLE_SERIES))
+    def test_unknown_agent_is_an_input_error(self, cem_dir, tmp_path, capsys,
+                                             series):
+        """An id that is not in the run exits 2 with one line naming it,
+        before any output is written."""
+        dest = tmp_path / "series.csv"
+        assert cli.main(["analyze", cem_dir, "--series", series,
+                         "--agent", "99", "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: agent 99 is not in the run")
+        assert err.count("\n") == 1
+        assert not dest.exists()
 
     @pytest.mark.parametrize("series, arrays", [
         ("positions", {"agent_ids", "times", "actual"}),

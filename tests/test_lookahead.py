@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from conftest import REPO_ROOT, TEAM22
 from hypothesis import strategies as st
 
-from contiform import anomaly, cem
+from contiform import anomaly, cem, simulate
 from contiform.automaton import Mode
 from contiform.errors import NumericError
 from contiform.scenario import load_scenario
@@ -382,6 +382,26 @@ def test_quiet_run_detects_once_per_block(monkeypatch):
     assert len(calls) == 1 + blocks
     followers = 4
     assert calls[1] == Simulation.lookahead_ticks * followers
+
+
+@pytest.mark.parametrize("extra", ["", failure_doc(*CEM_DRIFT)],
+                         ids=["quiet", "cem-drift"])
+def test_plan_is_evaluated_once_per_block(monkeypatch, extra):
+    """Each HDM block, and each epoch's first row, evaluates the leader
+    plan once."""
+    calls = []
+    for owner, name in ((simulate._Epoch, "commands"),
+                        (Simulation, "_look_ahead"),
+                        (Simulation, "_log_epoch_row")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    Simulation(team7(extra)).run()
+    blocks, epochs = calls.count("_look_ahead"), calls.count("_log_epoch_row")
+    assert calls.count("commands") == blocks + epochs
+    if not extra:
+        assert (blocks, epochs) == (-(-TICKS // Simulation.lookahead_ticks), 1)
 
 
 def test_block_stops_at_the_first_flagged_tick():

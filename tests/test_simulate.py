@@ -20,9 +20,10 @@ from contiform.automaton import Mode
 from contiform.errors import NumericError, ScenarioError
 from contiform.scenario import load_scenario
 from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK,
-                                MODE_CODE, Simulation, _rk4_coefficients,
-                                _stage_commands, _team_matrix,
-                                inject_failure, run_scenario)
+                                MODE_CODE, Simulation, _Epoch,
+                                _rk4_coefficients, _stage_commands,
+                                _team_matrix, inject_failure, run_scenario)
+from test_lookahead import team22_freeze
 
 LATTICE27 = REPO_ROOT / "scenarios" / "lattice27.yaml"
 
@@ -516,6 +517,77 @@ class TestEpochs:
         assert len(ran.epochs) >= 2
         assert stepped.log.epochs == ran.epochs
         assert stepped.log.digest() == ran.digest()
+
+
+def array_bytes(obj):
+    """Summed nbytes of the arrays among obj's attributes, also inside
+    lists and tuples."""
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, (list, tuple)):
+            return sum(walk(v) for v in value)
+        return 0
+    return walk(list(vars(obj).values()))
+
+
+class TestLeaderPlan:
+    """An epoch's leader plan is a function of the waypoints and the
+    positions at its build, and every HDM row logs it."""
+
+    @pytest.mark.parametrize("config", [
+        team22_freeze, lambda: load_scenario(LATTICE27), team22_two_freezes],
+        ids=["team22-freeze", "lattice27", "team22-two-freezes"])
+    def test_log_rows_are_the_plan(self, config, monkeypatch):
+        """global_desired, sigma and margin_ok of every HDM row equal, bit
+        for bit, its epoch's plan evaluated over the epoch at once."""
+        epochs, build = [], Simulation._build_network
+
+        def recorded(sim):
+            build(sim)
+            epochs.append(sim.epoch)
+
+        monkeypatch.setattr(Simulation, "_build_network", recorded)
+        log = Simulation(config()).run()
+        assert len(epochs) == len(log.epochs) >= 2
+        ends = [ep.start_tick for ep in epochs[1:]] + [len(log.times)]
+        for ep, end in zip(epochs, ends):
+            rows = np.arange(ep.start_tick, end)
+            rows = rows[log.mode[rows] == MODE_CODE[Mode.HDM]]
+            cmd = ep.commands(ep.start_tick, end - 1 - ep.start_tick)
+            cmd = cmd[:, ::2].swapaxes(0, 1)[rows - ep.start_tick]
+            sigma, ok = ep.sigmas(cmd)
+            desired = log.global_desired[rows]
+            for got, want in (
+                    (desired[:, ep.leader_idx], cmd),
+                    (desired[:, ep.follower_idx], ep.network.W_L @ cmd),
+                    (log.sigma[rows], sigma), (log.margin_ok[rows], ok)):
+                assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+    def test_anchor_is_a_copy_of_the_positions(self):
+        """A leader edited in place before the first step moves as if the
+        positions were replaced: the plan keeps the anchor of its build."""
+        def edited(in_place):
+            sim = Simulation(moving5())
+            i = sim.idx[1]
+            if in_place:
+                sim.positions[i] += (0.25, -0.5, 0.0)
+            else:
+                moved = sim.positions.copy()
+                moved[i] += (0.25, -0.5, 0.0)
+                sim.positions = moved
+            return sim.run().digest()
+
+        assert edited(True) == edited(False)
+
+    def test_epoch_holds_nothing_that_grows_with_the_run(self):
+        text = TEAM22.read_text()
+        short = Simulation(load_scenario(text.replace("duration: 125.0",
+                                                      "duration: 10.0")))
+        full = _Epoch(short.epoch.network, load_scenario(text),
+                      short.positions, 0)
+        assert array_bytes(short.epoch) > 0
+        assert array_bytes(full) == array_bytes(short.epoch)
 
 
 class TestKnownLimitations:
