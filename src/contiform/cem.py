@@ -116,11 +116,6 @@ class FlowField:
                         stacklevel=2,
                     )
 
-    @property
-    def exclusion_radii(self):
-        """Disk radius per doublet, as a (k,) array."""
-        return self._radius.copy()
-
 
 @dataclass(frozen=True)
 class FlowSample:

@@ -15,18 +15,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import pathlib
 import sys
 
 import numpy as np
 
-from . import logio, refnet
-from .errors import (ContiformError, DegeneracyError, NetworkError,
-                     ScenarioError, SelectionError)
+from . import logio
+from .errors import ContiformError, ScenarioError
 from .scenario import load_scenario
-from .simulate import (HEALTH_OK, MARGIN_VIOLATED, MODE_CODE, _Epoch,
+from .simulate import (HEALTH_OK, MARGIN_VIOLATED, MODE_CODE, _first_epoch,
                        run_scenario)
 from .automaton import Mode
 
@@ -63,17 +61,9 @@ def cmd_simulate(args):
 
 def cmd_check(args):
     config = load_scenario(args.scenario)
-    positions = {a: config.ref_positions[i]
-                 for i, a in enumerate(config.agent_ids)}
-    try:
-        network = refnet.build_reference_configuration(
-            positions, n=config.n, rho=config.rho, xi=config.xi,
-            leader_override=list(config.leader_override)
-            if config.leader_override else None)
-    except (DegeneracyError, SelectionError, NetworkError) as exc:
-        raise ScenarioError(f"network build failed: {exc}") from exc
     # the run's first epoch, as the simulation builds it
-    epoch = _Epoch(network, config, config.ref_positions, 0)
+    ticks, epoch = _first_epoch(config, "network build failed")
+    network = epoch.network
     delta, d_min, threshold = epoch.delta, epoch.d_min, epoch.threshold
     print(f"scenario: {config.name}")
     print(f"agents: {len(config.agent_ids)} (n={config.n})")
@@ -96,7 +86,7 @@ def cmd_check(args):
         extra = "" if f.velocity is None \
             else f", velocity {tuple(float(v) for v in f.velocity)}"
         print(f"failure: agent {f.agent_id} {f.kind} at t={f.time:g}{extra}")
-    sigma_min, below, speed = _plan_report(epoch, config)
+    sigma_min, below, speed = _plan_report(epoch, ticks, config.dt)
     below = "none" if below is None else f"{below} (t={below * config.dt:g})"
     print(f"plan sigma_min: {sigma_min:.6g} against threshold "
           f"{threshold:.6g}, first tick below: {below}")
@@ -114,21 +104,19 @@ def cmd_check(args):
 _PLAN_CHUNK = 4096
 
 
-def _plan_report(epoch, config):
-    """The epoch's plan over the whole run: its smallest sigma, the first
+def _plan_report(epoch, ticks, dt):
+    """The epoch's plan over the run's ticks: its smallest sigma, the first
     tick whose sigma is below the threshold (None if none) and the largest
     leader speed on the half-step grid."""
-    ticks = math.floor(config.duration / config.dt + 1e-9)   # as a run counts
     sigma_min, below, speed = np.inf, None, 0.0
     for tick in range(0, max(ticks, 1), _PLAN_CHUNK):
-        cmd = epoch.commands(tick, min(_PLAN_CHUNK, ticks - tick))
-        sigma, ok = epoch.sigmas(cmd[:, ::2].swapaxes(0, 1))
+        cmd, sigma, ok, _ = epoch.plan(tick, min(_PLAN_CHUNK, ticks - tick))
         sigma_min = np.minimum(sigma_min, sigma[:, -1].min())
         bad = np.flatnonzero(ok == MARGIN_VIOLATED)
         if below is None and bad.size:
             below = tick + int(bad[0])
         step = np.linalg.norm(np.diff(cmd, axis=1), axis=2)
-        speed = max(speed, step.max(initial=0.0) / (0.5 * config.dt))
+        speed = max(speed, step.max(initial=0.0) / (0.5 * dt))
     return float(sigma_min), below, speed
 
 

@@ -18,7 +18,9 @@ simplex, or, having tried every tuple without finding one that encloses
 the agent, marks it boundary. An interior agent's search usually stops
 among its nearest candidates, but a boundary agent's walks all
 C(N-1, n+1) tuples, so the cost is combinatorial in team size; intended
-for teams of a few dozen agents.
+for teams of a few dozen agents.  The searches are one private step and
+the wiring (leaders, followers, weights, matrices) another, so that the
+simulation's rebuild can pick leaders a second time from the same search.
 """
 from __future__ import annotations
 
@@ -232,6 +234,12 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     on: weight rows sum to one, D Hurwitz, -D^-1 entrywise nonnegative,
     W_L rows sum to one.
     """
+    return _wire(_search(ref_positions, n, rho, xi), leader_override)
+
+
+def _search(ref_positions, n, rho, xi):
+    """The build's search: (n, rho, xi, ids, positions, d_min, best), where
+    best maps each agent id to its enclosing simplex, None if boundary."""
     _check_n(n)
     rho = DEFAULT_RHO[n] if rho is None else rho
     if not (0.0 < rho < 1.0 / (n + 1)):
@@ -247,10 +255,16 @@ def build_reference_configuration(ref_positions, n: int = 2, rho: float = None,
     if d_min <= 1e-12:
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         raise DegeneracyError(f"agents {ids[i]} and {ids[j]} are coincident")
-    positions = dict(zip(ids, pos))
     id_arr = np.array(ids)
     best = {agent: _enclosing_simplex(i, id_arr, pos, dist[i], n, rho, xi)
             for i, agent in enumerate(ids)}
+    return n, rho, xi, ids, dict(zip(ids, pos)), d_min, best
+
+
+def _wire(search, leader_override=None):
+    """The network of a _search: leaders (the override, else selected),
+    followers, static weights and matrices, its invariants checked."""
+    n, rho, xi, ids, positions, d_min, best = search
     interior = frozenset(a for a, tup in best.items() if tup is not None)
     boundary = frozenset(ids) - interior
     leaders = select_leaders(boundary, positions, n, leader_override)

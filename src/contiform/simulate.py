@@ -141,7 +141,7 @@ class _Epoch:
     override, else the network's) and the collision-safety threshold on
     the commanded deformation's smallest sigma; index caches; the team
     matrix; the leaders' plan, anchored at the build's positions and
-    evaluated on demand by commands(), so nothing here grows with the run;
+    evaluated on demand by plan(), so nothing here grows with the run;
     and the leaders whose deviation has been logged.
     """
 
@@ -174,30 +174,33 @@ class _Epoch:
         t0 = tick * config.dt
         self._grid = (t0, 0.5 * config.dt)
         trajs = [config.trajectories.get(a) for a in network.leaders]
-        self._plan = [(positions[i].copy(), traj,
-                       None if traj is None else traj.position(t0))
-                      for i, traj in zip(self.leader_idx, trajs)]
+        self._anchors = [(positions[i].copy(), traj,
+                          None if traj is None else traj.position(t0))
+                         for i, traj in zip(self.leader_idx, trajs)]
         self.deviating = set()
 
-    def commands(self, tick, ticks):
-        """Leader commands (L, 2 ticks + 1, 3) on the half-step grid from
-        tick to tick + ticks."""
+    def plan(self, tick, ticks):
+        """The leader plan from tick to tick + ticks: the commands
+        (L, 2 ticks + 1, 3) on the half-step grid, and on each of the
+        ticks + 1 ticks the commanded deformation's singular values (3,),
+        descending (NaN for a collinear leader triangle), their margin_ok
+        code and the global desired row (N, 3), NaN outside the network.
+        """
         t0, half_dt = self._grid
         base = 2 * (tick - self.start_tick)
         grid = t0 + half_dt * np.arange(base, base + 2 * ticks + 1)
-        cmd = np.empty((len(self._plan), grid.size, 3))
-        for j, (anchor, traj, start) in enumerate(self._plan):
+        cmd = np.empty((len(self._anchors), grid.size, 3))
+        for j, (anchor, traj, start) in enumerate(self._anchors):
             cmd[j] = anchor if traj is None \
                 else anchor + traj.position(grid) - start
-        return cmd
-
-    def targets(self, prev, leader_cmd):
-        """Local desired positions (K, N, 3) from tick-start positions prev
-        (K, N, 3) and leader commands (L, K, 3); excluded agents hold."""
-        rd = prev.copy()
-        rd[:, self.follower_idx] = self.network.W @ prev[:, self.order_idx]
-        rd[:, self.leader_idx] = leader_cmd.swapaxes(0, 1)
-        return rd
+        at_ticks = cmd[:, ::2].swapaxes(0, 1)
+        sigma = hdm.deformation_sigmas(self._edge_inv, at_ticks)
+        ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
+                      MARGIN_VIOLATED)
+        desired = np.full((ticks + 1, len(self.team_matrix), 3), np.nan)
+        desired[:, self.leader_idx] = at_ticks
+        desired[:, self.follower_idx] = self.network.W_L @ at_ticks
+        return cmd, sigma, ok, desired
 
     def detect(self, positions):
         """Condition Psi for every follower on each of K ticks of positions
@@ -209,18 +212,6 @@ class _Epoch:
             np.take(positions, self.follower_idx, axis=1).reshape(-1, 3),
             np.tile(self.static_w, (len(positions), 1)), self.delta, k - 1)
         return (w, lo, hi), healthy.reshape(len(positions), -1)
-
-    def sigmas(self, leader_cmd):
-        """Singular values (K, 3), descending, of the deformations the
-        leader commands (K, L, 3) impose, and their margin_ok codes (K,).
-
-        A collinear commanded leader triangle logs NaN and violates the
-        margin.
-        """
-        sigma = hdm.deformation_sigmas(self._edge_inv, leader_cmd)
-        ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
-                      MARGIN_VIOLATED)
-        return sigma, ok
 
     def meta(self):
         net = self.network
@@ -290,6 +281,40 @@ def _stage_commands(coeffs, cmd):
     return a1 * cmd[:, :-1:2] + a2 * cmd[:, 1::2] + a3 * cmd[:, 2::2]
 
 
+def _build_epoch(config, positions, tick, excluded=(), events=None):
+    """The network epoch over the agents not excluded, built at positions
+    (N, 3) and starting at tick, from one search.  The scenario's leader
+    override holds while all its agents remain.  If it fails, a rebuild
+    (given the run's events) logs leader_fallback and picks the leaders
+    from the same search as if none were given; the first build raises."""
+    members = {a: positions[i] for i, a in enumerate(config.agent_ids)
+               if a not in excluded}
+    override = config.leader_override
+    if override is not None and any(a not in members for a in override):
+        override = None
+    search = refnet._search(members, config.n, config.rho, config.xi)
+    try:
+        network = refnet._wire(search, override)
+    except SelectionError as exc:
+        if override is None or events is None:
+            raise
+        events.append(Event(time=tick * config.dt, kind="leader_fallback",
+                            payload={"reason": str(exc)}))
+        network = refnet._wire(search)
+    return _Epoch(network, config, positions, tick)
+
+
+def _first_epoch(config, failed="initial network build failed"):
+    """The run's tick count and its first network epoch: where a
+    Simulation starts and what `contiform check` reports.  A failed build
+    raises ScenarioError, its message prefixed with failed."""
+    ticks = math.floor(config.duration / config.dt + 1e-9)
+    try:
+        return ticks, _build_epoch(config, config.ref_positions, 0)
+    except (DegeneracyError, SelectionError, NetworkError) as exc:
+        raise ScenarioError(f"{failed}: {exc}") from exc
+
+
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
@@ -306,7 +331,7 @@ class Simulation:
         self.n = config.n
         self.positions = config.ref_positions.copy()
         self.tick = 0
-        self.total_ticks = int(math.floor(config.duration / config.dt + 1e-9))
+        self.total_ticks, self.epoch = _first_epoch(config)
         self.excluded = set()
         self.flagged = frozenset()
         self.mode = Mode.HDM
@@ -314,7 +339,7 @@ class Simulation:
         self._refresh_healthy()
         self.center = self.positions.mean(axis=0)
         self.events = []
-        self.epochs = []   # each network epoch's meta(), as it is built
+        self.epochs = [self.epoch.meta()]   # each network epoch's, as built
         self._ahead = None
         self.episode = None   # the CEM episode while in CEM
 
@@ -323,7 +348,6 @@ class Simulation:
         for spec in config.failures:
             self._register_failure(spec)
 
-        self._build_network()
         self._alloc_log()
         # the first row logs the detector's weights; nothing is flagged yet
         det, _ = self.epoch.detect(self.positions[None])
@@ -348,36 +372,12 @@ class Simulation:
         return True
 
     def _build_network(self):
-        """Build the network over the agents not excluded and start its
-        epoch at tick.  A failed build raises ScenarioError for the run's
-        first network and NumericError for a rebuild."""
-        members = {a: self.positions[self.idx[a]]
-                   for a in self.ids if a not in self.excluded}
-        override = self.config.leader_override
-        if override is not None and any(a not in members for a in override):
-            override = None
+        """Rebuild the network over the agents not excluded and start its
+        epoch at tick; a failed rebuild raises NumericError."""
         try:
-            network = None
-            if override is not None:
-                try:
-                    network = refnet.build_reference_configuration(
-                        members, n=self.n, rho=self.config.rho,
-                        xi=self.config.xi, leader_override=list(override))
-                except SelectionError as exc:
-                    if not self.epochs:
-                        raise
-                    self.events.append(Event(
-                        time=self.clock, kind="leader_fallback",
-                        payload={"reason": str(exc)}))
-            if network is None:
-                network = refnet.build_reference_configuration(
-                    members, n=self.n, rho=self.config.rho, xi=self.config.xi)
-            self.epoch = _Epoch(network, self.config, self.positions,
-                                self.tick)
+            self.epoch = _build_epoch(self.config, self.positions, self.tick,
+                                      self.excluded, self.events)
         except (DegeneracyError, SelectionError, NetworkError) as exc:
-            if not self.epochs:
-                raise ScenarioError(
-                    f"initial network build failed: {exc}") from exc
             raise NumericError(
                 f"reference rebuild failed at tick {self.tick}, "
                 f"t={self.clock:.6f}: {exc}") from exc
@@ -505,21 +505,22 @@ class Simulation:
 
     # -- log rows ----------------------------------------------------------
 
-    def _write_hdm_rows(self, row0, positions, cmd, local, centers, det,
-                        healthy):
+    def _write_hdm_rows(self, row0, positions, prev, centers, det, healthy,
+                        plan):
         """Log K consecutive HDM rows from row0 on.
 
-        positions and local are (K, N, 3), cmd the leader commands (L, K, 3)
-        at the rows' times, centers (K, 3); det holds the
+        positions are (K, N, 3) and prev the tick-start ones the local
+        desired positions come from, centers (K, 3); det holds the
         detector's (weights, lo, hi) rows or None, healthy its (K, F)
-        verdicts or None (nothing flagged).  Returns the leader_deviation
-        events the rows raise, as (row, leader id, Event) in tick order, for
-        the caller to emit as each tick commits.
+        verdicts or None (nothing flagged), and plan the epoch's sigma,
+        margin_ok and global desired rows at the rows' times.  Excluded
+        agents hold.  Returns the leader_deviation events the rows raise,
+        as (row, leader id, Event) in tick order, for the caller to emit as
+        each tick commits.
         """
         ep, log = self.epoch, self.log
         count = len(positions)
         rows = slice(row0, row0 + count)
-        cmd = cmd.swapaxes(0, 1)
         log.actual[rows] = positions
         log.mode[rows] = MODE_CODE[Mode.HDM]
         log.center[rows] = centers
@@ -532,10 +533,12 @@ class Simulation:
             for arr, rows_det in zip((log.weights, log.bounds_lo,
                                       log.bounds_hi), det):
                 arr[rows, ep.follower_idx] = rows_det.reshape(shape)
-        log.local_desired[rows] = local
-        log.global_desired[rows, ep.leader_idx] = cmd
-        log.global_desired[rows, ep.follower_idx] = ep.network.W_L @ cmd
-        log.sigma[rows], log.margin_ok[rows] = ep.sigmas(cmd)
+        log.local_desired[rows] = prev
+        log.local_desired[rows, ep.follower_idx] = \
+            ep.network.W @ prev[:, ep.order_idx]
+        log.local_desired[rows, ep.leader_idx] = cmd = \
+            plan[2][:, ep.leader_idx]
+        log.sigma[rows], log.margin_ok[rows], log.global_desired[rows] = plan
         diff = positions[:, ep.leader_idx] - cmd
         lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
         events, seen = [], set(ep.deviating)
@@ -556,11 +559,10 @@ class Simulation:
     def _log_epoch_row(self, det):
         """Log the row on which a network epoch starts (the first row and
         the row of a rebuild), which no HDM integration produced."""
-        cmd = self.epoch.commands(self.tick, 0)
-        local = self.epoch.targets(self.positions[None], cmd)
+        _, *plan = self.epoch.plan(self.tick, 0)
         self._emit(self._write_hdm_rows(
-            self.tick, self.positions[None], cmd, local, self.center[None],
-            det, None))
+            self.tick, self.positions[None], self.positions[None],
+            self.center[None], det, None, plan))
 
     def _write_cem_row(self):
         """Log row tick in CEM; only healthy agents have a desired position
@@ -609,7 +611,7 @@ class Simulation:
         ep = self.epoch
         fail_idx, fail_rows = self._failure_rows(self.lookahead_ticks)
         size = len(fail_rows)
-        cmd = ep.commands(self.tick, size)
+        cmd, *plan = ep.plan(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
         U[:, ep.leader_idx] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
         positions = np.empty((size, self.n_agents, 3))
@@ -634,11 +636,10 @@ class Simulation:
             positions, healthy = positions[:size], healthy[:size]
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
         prev = np.concatenate((self.positions[None], positions[:-1]))
-        cmd = cmd[:, 2:2 * size + 1:2]   # at the ticks' ends
-        local = ep.targets(prev, cmd)
+        plan = [rows[1:size + 1] for rows in plan]   # at the ticks' ends
         centers = positions[:, self.healthy_idx].mean(axis=1)
-        events = self._write_hdm_rows(self.tick + 1, positions, cmd, local,
-                                      centers, det, healthy)
+        events = self._write_hdm_rows(self.tick + 1, positions, prev, centers,
+                                      det, healthy, plan)
         flags = frozenset(ep.network.followers[j]
                           for j in np.flatnonzero(~healthy[-1]))
         self._ahead = _Ahead(self.tick + size, positions, centers, flags,

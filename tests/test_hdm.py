@@ -375,12 +375,16 @@ class TestDeformationSigmas:
             self, base, step, along):
         """A commanded triangle on one line of the integer grid, so
         exactly collinear, logs NaN and MARGIN_VIOLATED; the reference
-        triangle batched with it keeps sigma = 1 and MARGIN_OK."""
-        epoch = Simulation(load_scenario(
-            LOCAL4.format(x=1.0, y=1.0))).epoch
+        triangle one tick before it in the plan keeps sigma = 1 and
+        MARGIN_OK."""
         line = np.array(base, float) + np.outer(along, np.array(step, float))
-        cmd = np.stack([line, np.stack(list(LOCAL4_LEADERS.values()))])
-        sigma, ok = epoch.sigmas(cmd)
-        assert np.all(np.isnan(sigma[0])) and ok[0] == MARGIN_VIOLATED
-        np.testing.assert_allclose(sigma[1], 1.0, atol=1e-12)
-        assert ok[1] == MARGIN_OK
+        doc = LOCAL4.format(x=1.0, y=1.0)
+        doc = doc[:doc.index("leader_trajectories:")] + "leader_trajectories:\n"
+        for (a, start), end in zip(LOCAL4_LEADERS.items(), line):
+            doc += (f"  {a}: [{{time: 0, position: {start.tolist()}}}, "
+                    f"{{time: 0.001, position: {end.tolist()}}}]\n")
+        epoch = Simulation(load_scenario(doc)).epoch
+        _, sigma, ok, _ = epoch.plan(0, 1)   # ticks 0 and 1 (dt = 0.001)
+        assert np.all(np.isnan(sigma[1])) and ok[1] == MARGIN_VIOLATED
+        np.testing.assert_allclose(sigma[0], 1.0, atol=1e-12)
+        assert ok[0] == MARGIN_OK

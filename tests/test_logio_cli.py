@@ -364,6 +364,22 @@ class TestCliCheck:
         assert lines["sigma threshold"].startswith(
             f"{epoch['sigma_threshold']:.6g} ")
 
+    @pytest.mark.parametrize("name", ["team22", "lattice27"])
+    def test_reads_the_runs_first_epoch(self, name, tmp_path, monkeypatch):
+        """check takes its epoch and tick count from the run's own path:
+        its epoch's meta() is the run's first (team22 cut to 10 s)."""
+        path = tmp_path / f"{name}.yaml"
+        path.write_text((REPO_ROOT / "scenarios" / f"{name}.yaml").read_text()
+                        .replace("duration: 125.0", "duration: 10.0"))
+        seen, first = [], cli._first_epoch
+        monkeypatch.setattr(cli, "_first_epoch", lambda *args: seen.append(
+            first(*args)) or seen[-1])
+        assert cli.main(["check", str(path)]) == 0
+        [(ticks, epoch)] = seen
+        sim = Simulation(load_scenario(path))
+        assert epoch.meta() == sim.epochs[0]
+        assert ticks == sim.total_ticks
+
     def test_plan_report_of_team22(self, capsys):
         """The first epoch's plan over the whole 125 s run, after the
         bounds: sigma clears the threshold, the centres stay 3.7 m apart,

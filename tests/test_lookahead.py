@@ -390,7 +390,7 @@ def test_plan_is_evaluated_once_per_block(monkeypatch, extra):
     """Each HDM block, and each epoch's first row, evaluates the leader
     plan once."""
     calls = []
-    for owner, name in ((simulate._Epoch, "commands"),
+    for owner, name in ((simulate._Epoch, "plan"),
                         (Simulation, "_look_ahead"),
                         (Simulation, "_log_epoch_row")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -399,7 +399,7 @@ def test_plan_is_evaluated_once_per_block(monkeypatch, extra):
         monkeypatch.setattr(owner, name, counted)
     Simulation(team7(extra)).run()
     blocks, epochs = calls.count("_look_ahead"), calls.count("_log_epoch_row")
-    assert calls.count("commands") == blocks + epochs
+    assert calls.count("plan") == blocks + epochs
     if not extra:
         assert (blocks, epochs) == (-(-TICKS // Simulation.lookahead_ticks), 1)
 

@@ -15,7 +15,7 @@ from conftest import REPO_ROOT, TEAM22
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contiform import anomaly, refnet
+from contiform import anomaly, refnet, simulate
 from contiform.automaton import Mode
 from contiform.errors import NumericError, ScenarioError
 from contiform.scenario import load_scenario
@@ -541,27 +541,29 @@ class TestLeaderPlan:
     def test_log_rows_are_the_plan(self, config, monkeypatch):
         """global_desired, sigma and margin_ok of every HDM row equal, bit
         for bit, its epoch's plan evaluated over the epoch at once."""
-        epochs, build = [], Simulation._build_network
+        epochs, build = [], simulate._build_epoch
 
-        def recorded(sim):
-            build(sim)
-            epochs.append(sim.epoch)
+        def recorded(*args, **kwargs):
+            epochs.append(build(*args, **kwargs))
+            return epochs[-1]
 
-        monkeypatch.setattr(Simulation, "_build_network", recorded)
+        monkeypatch.setattr(simulate, "_build_epoch", recorded)
         log = Simulation(config()).run()
         assert len(epochs) == len(log.epochs) >= 2
         ends = [ep.start_tick for ep in epochs[1:]] + [len(log.times)]
         for ep, end in zip(epochs, ends):
             rows = np.arange(ep.start_tick, end)
             rows = rows[log.mode[rows] == MODE_CODE[Mode.HDM]]
-            cmd = ep.commands(ep.start_tick, end - 1 - ep.start_tick)
-            cmd = cmd[:, ::2].swapaxes(0, 1)[rows - ep.start_tick]
-            sigma, ok = ep.sigmas(cmd)
-            desired = log.global_desired[rows]
+            cmd, sigma, ok, desired = ep.plan(ep.start_tick,
+                                              end - 1 - ep.start_tick)
+            cmd = cmd[:, ::2].swapaxes(0, 1)
+            at = rows - ep.start_tick
             for got, want in (
                     (desired[:, ep.leader_idx], cmd),
                     (desired[:, ep.follower_idx], ep.network.W_L @ cmd),
-                    (log.sigma[rows], sigma), (log.margin_ok[rows], ok)):
+                    (log.global_desired[rows], desired[at]),
+                    (log.sigma[rows], sigma[at]),
+                    (log.margin_ok[rows], ok[at])):
                 assert got.tobytes() == want.astype(got.dtype).tobytes()
 
     def test_anchor_is_a_copy_of_the_positions(self):
@@ -734,8 +736,8 @@ failures:
 
 
 class TestBuildNetwork:
-    """The three outcomes of Simulation._build_network, on the shipped
-    scenario cut to 0.1 s."""
+    """The three outcomes of a network build (simulate._build_epoch), on
+    the shipped scenario cut to 0.1 s."""
 
     TEXT = TEAM22.read_text().replace("duration: 125.0", "duration: 0.1")
 
@@ -747,13 +749,22 @@ class TestBuildNetwork:
         assert str(err.value) == ("initial network build failed: leader "
                                   "override ids not on boundary: [11]")
 
-    def test_rebuild_falls_back_to_selected_leaders(self):
+    def test_rebuild_falls_back_to_selected_leaders(self, monkeypatch):
         """Leader 1 moved inside the formation: the rebuild logs why the
-        override failed and selects leaders as if none were given."""
+        override failed and selects leaders as if none were given, from
+        the one search it made (one enclosing-simplex search per agent)."""
         sim = Simulation(load_scenario(self.TEXT))
         sim.positions[sim.idx[1]] = sim.positions.mean(axis=0) + (0.5, 0.3,
                                                                   0.0)
+        searched, search = [], refnet._enclosing_simplex
+
+        def counted(*args):
+            searched.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(refnet, "_enclosing_simplex", counted)
         sim._exclude_flagged()
+        assert sorted(searched) == list(range(22))
         fallbacks = [e for e in sim.events if e.kind == "leader_fallback"]
         assert [e.payload for e in fallbacks] == [
             {"reason": "leader override ids not on boundary: [1]"}]
