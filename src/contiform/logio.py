@@ -59,6 +59,11 @@ def _write_trajectory_csv(path, log, stride):
                      % tuple(chunk[:, ~const].ravel().tolist()))
 
 
+def _json_values(array):
+    """Nested lists of array, non-finite values as null (JSON has no NaN)."""
+    return np.where(np.isfinite(array), array, None).tolist()
+
+
 def _trajectory_header(agent_ids):
     cols = ["time"]
     for a in agent_ids:
@@ -91,19 +96,16 @@ def write_outputs(log, out_dir, fmt="csv", stride=1):
         traj_path = os.path.join(out_dir, "trajectory.json")
         doc = {"time": log.times[::stride].tolist(), "agents": {}}
         for i, a in enumerate(log.agent_ids):
-            doc["agents"][str(a)] = {
-                "actual": log.actual[::stride, i, :].tolist(),
-                "local_desired": log.local_desired[::stride, i, :].tolist(),
-                "global_desired": log.global_desired[::stride, i, :].tolist(),
-                "health": log.health[::stride, i].tolist(),
-            }
+            doc["agents"][str(a)] = {name: _json_values(
+                getattr(log, name)[::stride, i]) for name in (
+                "actual", "local_desired", "global_desired", "health")}
         with open(traj_path, "w") as fh:
-            json.dump(doc, fh)
+            json.dump(doc, fh, allow_nan=False)
         paths.append(traj_path)
         ev_path = os.path.join(out_dir, "events.json")
         with open(ev_path, "w") as fh:
             json.dump([{"time": e.time, "kind": e.kind, "payload": e.payload}
-                       for e in log.events], fh, indent=2)
+                       for e in log.events], fh, indent=2, allow_nan=False)
         paths.append(ev_path)
 
     npz_path = os.path.join(out_dir, "series.npz")

@@ -15,38 +15,37 @@ target c), (3) failure kinematics override, (4) anomaly checks (HDM only;
 the flagged set is frozen while CEM is active), (5) supervisor
 transition, (6) one log row.
 
-HDM ticks run this order in look-ahead blocks.  The detector reads only
-the actual positions, and until it flags someone neither detection nor
-logging feeds back into the dynamics.  So a step() on an HDM tick with
-nothing flagged and nothing buffered advances up to `lookahead_ticks`
-ticks by steps (2)-(3), ending the block at the run end and before any
-tick on which a failure activates.  The leader commands come from one
-evaluation of the epoch's plan for the block.  The whole block is then
-evaluated in one vectorized pass: the desired positions from the
+Both modes run one protocol: build a block from the live state, write its
+rows ahead, commit one tick per step(), and let a supervisor action
+rewrite the committed row.  _commit alone advances the clock, makes a
+tick's positions and center live, logs its events and runs (5), in HDM
+only with anyone flagged: it enters CEM for a flagged agent inside the
+containment domain, or excludes the flagged agents once all are outside
+it (on CEM exit, or at once in HDM), rebuilds the network and rewrites
+the row as the new epoch's first.  Both builders read the failed agents'
+rows (3) from one run-level chunk of at most `lookahead_ticks` ticks, cut
+at the run end and before the next activation.  A block is dropped, and
+its uncommitted rows cleared, when the state it was built from changes:
+a failure added (inject_failure), or positions, mode or flagged set
+edited between steps.  The engine writes log rows but never reads them.
+
+An HDM block: until the detector, which reads only the actual positions,
+flags someone, neither detection nor logging feeds back into the
+dynamics.  So the block advances through the chunk's ticks by (2)-(3),
+with the leader commands from one evaluation of the epoch's plan, and
+evaluates them in one vectorized pass: the desired positions from the
 tick-start snapshots, the detector over all K x F follower rows, the
 commanded deformation's singular values, the leader lag and its
-leader_deviation events in tick order, the containment center and the log
-rows.  The block keeps the ticks up to and including the first one on
-which the detector flags anyone, with their positions and centers; the
-engine writes log rows but never reads them.  Each step() call commits
-one buffered tick from the block, and the flagged tick runs the
-supervisor transition (5).  It enters CEM for a flagged agent inside the
-containment domain; flagged agents all outside it are excluded at once,
-the network is rebuilt and the tick's row is rewritten as the new epoch's
-first, as on CEM exit.  The buffer is dropped, and its uncommitted log
-rows cleared, when the state it was built from changes: a failure added
-(inject_failure), or positions, mode or flagged set edited between steps.
+leader_deviation events, the containment centers and the rows.  It keeps
+the ticks up to and including the first one on which anyone is flagged.
 
-A CEM tick is one step() with one cem.step_streamline_many call, (1) on
-the episode's targets: the healthy agents', one (H, 3) array in
-healthy_idx order from CEM entry.  The episode also holds the flow past
-the flagged agents, the healthy agents' stream constants, the logged
-desired row, the agents whose stagnation or disk projection is logged,
-and the failed agents' rows (3), computed for a chunk of ticks like a
-block's, which log their activations first.  The positions are assembled
-and tested for finiteness once, a tracking center is the healthy mean,
-the transition (5) decides whether CEM ends, and the row (6) is final
-when step() returns.
+A CEM block is one tick: one cem.step_streamline_many call (1) on the
+episode's targets, the healthy agents' (H, 3) in healthy_idx order, with
+its stagnation and disk-projection events; its positions are tested for
+finiteness once and its tracking center is the healthy mean, as in an
+HDM block.  The episode holds the flow past the flagged agents, the
+stream constants, the targets, the logged desired row and the event
+latch.
 """
 from __future__ import annotations
 
@@ -239,20 +238,19 @@ class _Episode:
     # agents whose stagnation or disk projection is logged, per event kind
     latch: dict = field(default_factory=lambda: {
         "stagnation": set(), "disk_projection": set()})
-    failures: tuple = None  # (start tick, indices, rows)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Ahead:
-    """Look-ahead block: HDM ticks integrated and logged up to row end,
+    """Look-ahead block: HDM ticks, or one CEM tick, logged up to row end and
     committed up to the current tick (tick t at index t - end - 1).  Only
-    the last tick can flag anyone: the block ends on the first such one."""
+    the last tick can flag anyone: an HDM block ends on the first such one."""
 
     end: int                # tick of its last row
     positions: np.ndarray   # (K, N, 3) positions after each tick
     centers: np.ndarray     # (K, 3) containment centers
     flags: frozenset        # flagged set on the last tick
-    events: list            # [(row, leader id, Event)] in tick order
+    events: list            # [(row, latch, key, Event)] in tick order
 
 
 def _rk4_coefficients(h):
@@ -318,7 +316,7 @@ def _first_epoch(config, failed="initial network build failed"):
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
-    # longest look-ahead block of quiet HDM ticks (see the module docstring)
+    # longest HDM block and failure-row chunk (see the module docstring)
     lookahead_ticks = 256
 
     def __init__(self, config: ScenarioConfig):
@@ -341,6 +339,7 @@ class Simulation:
         self.events = []
         self.epochs = [self.epoch.meta()]   # each network epoch's, as built
         self._ahead = None
+        self._failure_chunk = None   # (start tick, indices, rows)
         self.episode = None   # the CEM episode while in CEM
 
         self.failures = {}   # agent id -> FailureSpec; only ever added to
@@ -366,9 +365,8 @@ class Simulation:
                 payload={"agent": int(spec.agent_id), "time": float(spec.time)}))
             return False
         self.failures[spec.agent_id] = spec
+        self._failure_chunk = None
         self._drop_ahead()
-        if self.episode is not None:
-            self.episode.failures = None
         return True
 
     def _build_network(self):
@@ -407,10 +405,14 @@ class Simulation:
     def clock(self):
         return self.tick * self.dt
 
-    def _failure_rows(self, size):
+    def _failure_rows(self):
         """Failed agents' indices (A,) and positions (K, A, 3) after each of
-        the next K <= size ticks, cut at the run end and before the next
-        activation; a failure activating now anchors where it is."""
+        the next K ticks, from the run's chunk (see the module docstring).
+        A chunk starts when the last is spent or a failure is added; a
+        failure activating then anchors where it is."""
+        chunk = self._failure_chunk
+        if chunk is not None and self.tick < chunk[0] + len(chunk[2]):
+            return chunk[1], chunk[2][self.tick - chunk[0]:]
         t_start = self.clock
         for agent_id, spec in self.failures.items():
             if (agent_id not in self.failure_anchor
@@ -420,7 +422,7 @@ class Simulation:
                 self.events.append(Event(
                     time=t_start, kind="failure_active",
                     payload={"agent": int(agent_id), "kind": spec.kind}))
-        size = min(size, self.total_ticks - self.tick)
+        size = min(self.lookahead_ticks, self.total_ticks - self.tick)
         later = (self.tick + np.arange(1, size)) * self.dt >= min(
             (spec.time - 1e-12 for a, spec in self.failures.items()
              if a not in self.failure_anchor), default=math.inf)
@@ -433,7 +435,9 @@ class Simulation:
             t_active, anchor = self.failure_anchor[agent_id]
             rows[:, j] = anchor if spec.kind == "freeze" else \
                 anchor + spec.velocity * (t_end - t_active)[:, None]
-        return np.array([self.idx[a] for a in active], dtype=int), rows
+        idx = np.array([self.idx[a] for a in active], dtype=int)
+        self._failure_chunk = (self.tick, idx, rows)
+        return idx, rows
 
     def _non_finite(self, finite):
         """NumericError for the tick being stepped; finite is (N,) bool."""
@@ -454,9 +458,13 @@ class Simulation:
         self.health[self.flagged_idx] = HEALTH_FLAGGED
         self.healthy_idx = np.flatnonzero(self.health == HEALTH_OK)
 
-    def _update_center(self):
+    def _centers(self, positions):
+        """Containment centers (K, 3) of positions (K, N, 3)."""
         idx = self.healthy_idx   # the mean, without np.mean's overhead
-        self.center = self.positions[idx].sum(axis=0) / len(idx)
+        return positions[:, idx].sum(axis=1) / len(idx)
+
+    def _update_center(self):
+        self.center = self._centers(self.positions[None])[0]
 
     def _enter_cem(self):
         """Start a CEM episode around the flagged agents; row tick becomes
@@ -470,7 +478,7 @@ class Simulation:
                                 np.fromiter(psi0.values(), dtype=np.float64),
                                 self.positions[self.healthy_idx],
                                 np.full((self.n_agents, 3), np.nan))
-        self._write_cem_row()
+        self._write_cem_row(self.tick, self.positions, self.center)
 
     def _exclude_flagged(self):
         """Exclude the flagged agents, end the CEM episode if any, rebuild
@@ -484,24 +492,20 @@ class Simulation:
         self._clear_rows(self.tick)
         self._log_epoch_row(None)
 
-    def _supervise(self, clock):
-        """Supervisor transition at the end of a tick with agents flagged;
-        returns whether it acted: entered CEM, or excluded them (on CEM exit,
-        or in HDM with all of them outside the domain) and rebuilt the
-        network."""
+    def _supervise(self):
+        """Supervisor transition at the end of a tick; it acts by rewriting
+        the tick's row (see the module docstring)."""
         mode, events = transition(
             self.mode, self.flagged_ids, self.positions[self.flagged_idx],
             self.center, self.config.containment_half_size,
-            self.config.containment_norm, clock)
-        if not events:
-            return False
-        self.mode = mode
-        self.events.extend(events)
-        if self.mode is Mode.CEM:
-            self._enter_cem()
-        else:
-            self._exclude_flagged()
-        return True
+            self.config.containment_norm, self.clock)
+        if events:
+            self.mode = mode
+            self.events.extend(events)
+            if self.mode is Mode.CEM:
+                self._enter_cem()
+            else:
+                self._exclude_flagged()
 
     # -- log rows ----------------------------------------------------------
 
@@ -515,8 +519,9 @@ class Simulation:
         verdicts or None (nothing flagged), and plan the epoch's sigma,
         margin_ok and global desired rows at the rows' times.  Excluded
         agents hold.  Returns the leader_deviation events the rows raise,
-        as (row, leader id, Event) in tick order, for the caller to emit as
-        each tick commits.
+        as (row, latch, leader id, Event) in tick order, for the caller to
+        emit as each tick commits; a row with anyone flagged raises none,
+        since the supervisor rewrites it.
         """
         ep, log = self.epoch, self.log
         count = len(positions)
@@ -541,19 +546,22 @@ class Simulation:
         log.sigma[rows], log.margin_ok[rows], log.global_desired[rows] = plan
         diff = positions[:, ep.leader_idx] - cmd
         lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+        quiet = not self.flagged and (healthy is None or healthy.all(axis=1))
         events, seen = [], set(ep.deviating)
-        for k, j in np.argwhere(lag > ep.delta).tolist():
+        for k, j in np.argwhere((lag > ep.delta)
+                                & np.reshape(quiet, (-1, 1))).tolist():
             lid = ep.network.leaders[j]
             if lid not in seen:
                 seen.add(lid)
-                events.append((row0 + k, lid, Event(
+                events.append((row0 + k, ep.deviating, lid, Event(
                     time=(row0 + k) * self.dt, kind="leader_deviation",
                     payload={"agent": int(lid), "error": float(lag[k, j])})))
         return events
 
     def _emit(self, events):
-        for _, lid, event in events:
-            self.epoch.deviating.add(lid)
+        """Log (row, latch, key, Event) events, adding each key to its latch."""
+        for _, latch, key, event in events:
+            latch.add(key)
             self.events.append(event)
 
     def _log_epoch_row(self, det):
@@ -564,14 +572,14 @@ class Simulation:
             self.tick, self.positions[None], self.positions[None],
             self.center[None], det, None, plan))
 
-    def _write_cem_row(self):
-        """Log row tick in CEM; only healthy agents have a desired position
-        (the healthy set is frozen during an episode)."""
-        log, row, desired = self.log, self.tick, self.episode.desired
+    def _write_cem_row(self, row, positions, center):
+        """Log a CEM row; only healthy agents have a desired position (the
+        healthy set is frozen during an episode)."""
+        log, desired = self.log, self.episode.desired
         desired[self.healthy_idx] = self.episode.targets
-        log.actual[row] = self.positions
+        log.actual[row] = positions
         log.mode[row] = MODE_CODE[Mode.CEM]
-        log.center[row] = self.center
+        log.center[row] = center
         log.health[row] = self.health
         log.local_desired[row] = log.global_desired[row] = desired
         log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
@@ -582,12 +590,9 @@ class Simulation:
         """Advance exactly one tick."""
         if self.tick >= self.total_ticks:
             raise RuntimeError("simulation already complete")
-        if not (self.mode is Mode.HDM and self._ahead_valid()):
+        if not self._ahead_valid():
             self._drop_ahead()
-            if self.mode is Mode.CEM:
-                self._cem_step()
-                return
-            self._look_ahead()
+            (self._cem_ahead if self.mode is Mode.CEM else self._look_ahead)()
         self._commit()
 
     def _ahead_valid(self):
@@ -602,14 +607,14 @@ class Simulation:
 
     def _drop_ahead(self):
         ahead, self._ahead = self._ahead, None
-        if ahead is not None:
+        if ahead is not None and self.tick < ahead.end:
             self._clear_rows(slice(self.tick + 1, ahead.end + 1))
 
     def _look_ahead(self):
         """Integrate a block of HDM ticks from the current state, evaluate
         it in one pass, log it and keep it for _commit."""
         ep = self.epoch
-        fail_idx, fail_rows = self._failure_rows(self.lookahead_ticks)
+        fail_idx, fail_rows = self._failure_rows()
         size = len(fail_rows)
         cmd, *plan = ep.plan(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
@@ -637,7 +642,7 @@ class Simulation:
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
         prev = np.concatenate((self.positions[None], positions[:-1]))
         plan = [rows[1:size + 1] for rows in plan]   # at the ticks' ends
-        centers = positions[:, self.healthy_idx].mean(axis=1)
+        centers = self._centers(positions)
         events = self._write_hdm_rows(self.tick + 1, positions, prev, centers,
                                       det, healthy, plan)
         flags = frozenset(ep.network.followers[j]
@@ -645,62 +650,54 @@ class Simulation:
         self._ahead = _Ahead(self.tick + size, positions, centers, flags,
                              events)
 
-    def _commit(self):
-        """Commit the next buffered HDM tick as the live state."""
-        ahead = self._ahead
-        self.tick += 1
-        k = self.tick - ahead.end - 1
-        self.positions = ahead.positions[k].copy()   # not a view of the block
-        self.center = ahead.centers[k]
-        # only a block's last tick can flag anyone; HDM with nothing
-        # flagged is a fixed point of the automaton, so a quiet tick skips
-        # the transition.  A flagged set edited between steps is kept.
-        if self.tick == ahead.end and ahead.flags:
-            self.flagged |= ahead.flags
-            self._refresh_healthy()
-            self._update_center()
-        if self.flagged and self._supervise(self.clock):
-            return
-        if ahead.events:
-            self._emit(e for e in ahead.events if e[0] == self.tick)
-
-    def _cem_step(self):
-        """One CEM tick (see the module docstring)."""
-        # the clock after this tick: the time of its log row
-        episode, t_end = self.episode, (self.tick + 1) * self.dt
-        chunk = episode.failures
-        k = self.tick - chunk[0] if chunk else -1
-        if not 0 <= k < len(chunk[2]):
-            chunk = episode.failures = (
-                self.tick, *self._failure_rows(self.lookahead_ticks))
-            k = 0
+    def _cem_ahead(self):
+        """Step the CEM episode one tick from the current state, log its row
+        and keep it for _commit as a one-tick block."""
+        episode, row = self.episode, self.tick + 1
+        fail_idx, fail_rows = self._failure_rows()
         idx, a0 = self.healthy_idx, self._rk4[0]
         targets, stagnated, projected = cem.step_streamline_many(
             episode.targets, episode.flow, self.config.cem_v_phi, self.dt,
             episode.psi0)
         episode.targets = targets
+        events = []
         if np.count_nonzero(stagnated):   # projected agents stagnate too
             for flag, kind in ((stagnated, "stagnation"),
                                (projected, "disk_projection")):
                 latch = episode.latch[kind]
-                for i in idx[flag]:
-                    agent = int(self.ids[i])
-                    if agent not in latch:
-                        latch.add(agent)
-                        self.events.append(Event(time=t_end, kind=kind,
-                                                 payload={"agent": agent}))
-        positions = self.positions.copy()
-        positions[idx] = a0 * positions[idx] + (1.0 - a0) * targets
-        positions[chunk[1]] = chunk[2][k]
-        if not np.isfinite(positions).all():
-            raise self._non_finite(np.isfinite(positions).all(axis=1))
-        self.positions = positions
+                events += [(row, latch, a, Event(row * self.dt, kind,
+                                                 {"agent": a}))
+                           for a in map(int, np.take(self.ids, idx[flag]))
+                           if a not in latch]
+        positions = self.positions[None].copy()   # the block's one tick
+        r = positions[0]
+        r[idx] = a0 * r[idx] + (1.0 - a0) * targets
+        r[fail_idx] = fail_rows[0]
+        if not np.isfinite(r).all():
+            raise self._non_finite(np.isfinite(r).all(axis=1))
+        centers = self._centers(positions) if self._tracking_center \
+            else self.center[None]
+        self._write_cem_row(row, r, centers[0])
+        self._ahead = _Ahead(row, positions, centers, frozenset(), events)
+
+    def _commit(self):
+        """Commit the next buffered tick: the clock advances, its positions
+        and center go live, its events are logged and the supervisor runs."""
+        ahead = self._ahead
         self.tick += 1
-        if self._tracking_center:
+        k = self.tick - ahead.end - 1
+        self.positions = ahead.positions[k].copy()   # not a view of the block
+        self.center = ahead.centers[k]
+        # only a block's last tick can flag anyone, and a flagged set edited
+        # between steps is kept; (5) leaves HDM with nobody flagged as it is
+        if self.tick == ahead.end and ahead.flags:
+            self.flagged |= ahead.flags
+            self._refresh_healthy()
             self._update_center()
-        self._supervise(t_end)
-        if self.mode is Mode.CEM:   # else the rebuild logged the row
-            self._write_cem_row()
+        if ahead.events:
+            self._emit(e for e in ahead.events if e[0] == self.tick)
+        if self.flagged or self.mode is Mode.CEM:
+            self._supervise()
 
     def run(self):
         while self.tick < self.total_ticks:

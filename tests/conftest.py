@@ -1,4 +1,8 @@
-"""Shared fixtures plus the acceptance-criteria summary hook.
+"""Shared fixtures, the Hypothesis profile and the acceptance summary hook.
+
+Every property test runs under one profile: no deadline, derandomized
+examples and no example database, so a run draws the same examples on
+every machine; each test sets only its max_examples.
 
 Every test in test_acceptance.py whose name starts with test_criterion_
 gets one PASS/FAIL line in a dedicated terminal section, labeled by the
@@ -9,9 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from contiform import refnet
 from contiform.errors import ContiformError
+
+settings.register_profile("contiform", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("contiform")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TEAM22 = REPO_ROOT / "scenarios" / "team22.yaml"

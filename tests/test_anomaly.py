@@ -226,8 +226,7 @@ class TestBatchEvaluation:
         assert w.shape == (0, 3) and healthy.shape == (0,)
 
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.0, 2.0 * np.pi)
 

@@ -147,8 +147,7 @@ class TestTransition:
             e.kind = "other"
 
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=80)
 coords = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords, coords)
 
@@ -183,8 +182,7 @@ class TestProperties:
         assert all(e.time == 4.2 for e in events)
         assert transition(*args) == (next_mode, events)   # replay is pure
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 3), min_size=1,
                     max_size=3), points, st.sampled_from(["l1", "l2"]),
            st.integers(0, 2), st.integers(-1, 1))

@@ -214,8 +214,7 @@ def term_scale(field, x, y):
     return field.u_inf * np.hypot(x, y) + np.sum(delta / rho)
 
 
-ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
-                  database=None)
+ORACLE = settings(max_examples=60)
 coord = st.floats(-40.0, 40.0, allow_nan=False)
 
 
@@ -520,8 +519,7 @@ def oracle_kernel_step(positions, field, v_phi, dt, psi_targets=None):
     return out, stagnated, projected
 
 
-KERNEL = settings(max_examples=300, deadline=None, derandomize=True,
-                  database=None)
+KERNEL = settings(max_examples=300)
 POINT_KINDS = ("free", "circle", "stagnation", "edge")
 
 

@@ -344,8 +344,7 @@ def bordered_solve(vertices, queries, n, xi=geometry.DEFAULT_XI,
     return out
 
 
-ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
-                  database=None)
+ORACLE = settings(max_examples=60)
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 offsets = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
 

@@ -308,8 +308,7 @@ class TestTwoRoutesAgree:
                                        atol=1e-9)
 
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords, coords)
 angles = st.floats(0.0, 2.0 * np.pi)

@@ -1,11 +1,15 @@
-"""Look-ahead HDM blocks inside Simulation.step.
+"""Look-ahead blocks inside Simulation.step.
 
-Quiet HDM ticks are integrated and evaluated in blocks, then committed one
-per step() call.  The oracle throughout is the same simulation with
-lookahead_ticks = 1, which evaluates every tick on its own: the block
-length, an injected failure and an edit of the state between steps must
-not change a single logged bit against it.  The engine only writes its
-log: a run whose log arrays raise on any read writes the same bytes.
+Both modes run one tick protocol: a block is built from the live state
+(quiet HDM ticks integrated and evaluated together, or one CEM tick), its
+rows are written ahead, and step() commits one tick of it through the same
+_commit; a supervisor action rewrites the committed row.  The oracle
+throughout is the same simulation with lookahead_ticks = 1, which
+evaluates every HDM tick on its own and reads the failed agents' rows one
+tick at a time: the block length, an injected failure and an edit of the
+state between steps, in HDM or in CEM, must not change a single logged
+bit against it.  The engine only writes its log: a run whose log arrays
+raise on any read writes the same bytes.
 """
 import dataclasses
 import inspect
@@ -49,8 +53,7 @@ leader_trajectories:
 """
 DT, TICKS = 0.005, 600
 
-PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=12)
 
 
 def team7(extra="", gain=None):
@@ -173,6 +176,41 @@ def test_position_edit_takes_effect_on_next_step(steps, agent, shift_mm,
         run(plain)
         assert not np.array_equal(edited.log.actual[steps + 1, agent],
                                   plain.log.actual[steps + 1, agent])
+
+
+@PROPERTY
+@given(steps=st.integers(115, 353), agent=st.integers(0, 6),
+       shift_mm=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+       in_place=st.booleans())
+@example(steps=200, agent=3, shift_mm=(20, -30), in_place=True)
+@example(steps=353, agent=5, shift_mm=(-40, 10), in_place=False)
+def test_position_edit_takes_effect_during_cem(steps, agent, shift_mm,
+                                               in_place):
+    """The edit property above during CEM_DRIFT's episode (rows 115-353):
+    the CEM tick after the edit steps from the edited positions, but
+    drifting agent 4's next row is still its failure row, which overrides
+    the edit."""
+    offset = np.array([shift_mm[0] / 1000, shift_mm[1] / 1000, 0.0])
+
+    def edit(sim):
+        assert sim.mode is Mode.CEM
+        if in_place:
+            sim.positions[agent] += offset
+        else:
+            moved = sim.positions.copy()
+            moved[agent] += offset
+            sim.positions = moved
+
+    config = team7(failure_doc(*CEM_DRIFT))
+    edited = sim_with(config, 64)
+    assert run(edited, at=steps, before=edit) == \
+        run(sim_with(config, 1), at=steps, before=edit)
+    if offset.any():
+        plain = sim_with(config, 64)
+        run(plain)
+        moved = not np.array_equal(edited.log.actual[steps + 1, agent],
+                                   plain.log.actual[steps + 1, agent])
+        assert moved is (edited.ids[agent] != CEM_DRIFT[0])
 
 
 @pytest.mark.parametrize("agent, mode", [(7, Mode.CEM), (2, Mode.HDM)],
@@ -339,7 +377,7 @@ def test_event_times_are_their_rows_times():
 
 def test_each_cem_episode_is_its_own():
     """Two CEM episodes: the second, made at its entry, evades only the
-    second failed agent, with a fresh latch and failure rows of its own."""
+    second failed agent, with a fresh latch."""
     sim = Simulation(team7(failure_doc(CEM_DRIFT, (6, 2.0, "drift",
                                                    (-10.0, 6.0)))))
     episodes = []
@@ -351,16 +389,14 @@ def test_each_cem_episode_is_its_own():
         if mode is Mode.HDM and self.mode is Mode.CEM:
             ep = self.episode
             episodes.append((self.tick, ep, self.positions[self.idx[6], :2],
-                             ep.failures, {k: set(v)
-                                           for k, v in ep.latch.items()}))
+                             {k: set(v) for k, v in ep.latch.items()}))
 
     sim.step = recorded.__get__(sim)
     assert step_checking_hdm_rows(sim) == [(354, Mode.CEM), (488, Mode.CEM)]
     assert [e[0] for e in episodes] == [115, 415]
-    (_, first, *_), (entry, second, at, chunk, latch) = episodes
+    (_, first, *_), (_, second, at, latch) = episodes
     assert second is not first and second.latch is not first.latch
     assert latch == {"stagnation": set(), "disk_projection": set()}
-    assert chunk is None and second.failures[0] >= entry
     assert len(second.flow.doublets) == 1
     doublet = second.flow.doublets[0]
     assert (doublet.a, doublet.b) == tuple(at)

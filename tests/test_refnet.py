@@ -112,8 +112,7 @@ def _box_corners(data, n):
 
 
 class TestLeaderMeasure:
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=60)
     @given(n=st.sampled_from([2, 3]), ties=st.booleans(), data=st.data())
     def test_matches_per_tuple_loop(self, n, ties, data):
         """The batched kernel measure picks the loop's leaders, ties
@@ -194,8 +193,7 @@ class TestFindInNeighbors:
         assert nbrs == (2, 3, 5)
         assert _exhaustive_best(pts, 7, np.zeros(3), n=2, rho=0.1) == nbrs
 
-    @settings(max_examples=40, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
            k0=st.sampled_from([refnet.SEARCH_K0, 2, 3, 4]), data=st.data())
     def test_search_matches_exhaustive_oracle(self, seed, n, k0, data):

@@ -246,8 +246,7 @@ def with_value(path, value):
 
 
 class TestProperties:
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=150)
     @given(st.sampled_from(BAD_FIELDS).flatmap(
         lambda case: st.tuples(st.just(case[0]), case[1])))
     def test_bad_field_raises_naming_its_path(self, case):

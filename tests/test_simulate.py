@@ -124,8 +124,7 @@ def rk4_track(r, rd1, rd2, rd3, g, dt):
 
 
 class TestTeamStep:
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=60)
     @given(n=st.sampled_from([2, 3]),
            h=st.floats(0.0, 2.0, exclude_min=True),
            dt=st.sampled_from([1e-3, 5e-3, 0.2]),
