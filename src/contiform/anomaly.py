@@ -64,22 +64,28 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     weights, det, norm, scale = _barycentric(vertices, queries, n)
     degenerate = ~_full_rank(det, scale, n) | np.isnan(weights[:, 0])
     two = 2.0 * delta
+    # in place where the operands allow: the arrays are (m, n+1) and fresh
     with np.errstate(invalid="ignore", divide="ignore"):
         if n == 2:
             # |g_k|^2 = norm_k / det
-            l = np.sqrt(det[:, None] / norm)
+            l = np.sqrt(np.divide(det[:, None], norm, out=norm), out=norm)
         else:
             # |g_k| = |k_k| / |det|
             np.sqrt(norm, out=norm)
-            l = np.abs(det)[:, None] / norm
-        d = weights * l
-        low, high = d - two, d + two
+            l = np.divide(np.abs(det)[:, None], norm, out=norm)
+        lo = weights * l          # d, then its low end d - 2 Delta
+        hi = lo + two
+        lo -= two
         far = l + two
         # l <= 2 Delta lets the denominator reach zero: x / +0 is +-inf
-        near = np.maximum(l - two, 0.0)
-        lo = low / np.where(low >= 0.0, far, near)
-        hi = high / np.where(high <= 0.0, far, near)
-    healthy = ((lo <= static_weights) & (static_weights <= hi)).all(axis=1)
+        near = np.maximum(np.subtract(l, two, out=l), 0.0, out=l)
+        lo /= np.where(lo >= 0.0, far, near)
+        hi /= np.where(hi <= 0.0, far, near)
+    inside = lo <= static_weights
+    inside &= static_weights <= hi
+    healthy = inside[:, 0] & inside[:, 1]
+    for k in range(2, n + 1):
+        healthy &= inside[:, k]
     if degenerate.any():
         weights[degenerate] = lo[degenerate] = hi[degenerate] = np.nan
         healthy &= ~degenerate

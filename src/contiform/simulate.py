@@ -24,20 +24,29 @@ containment domain, or excludes the flagged agents once all are outside
 it (on CEM exit, or at once in HDM), rebuilds the network and rewrites
 the row as the new epoch's first.  Both builders read the failed agents'
 rows (3) from one run-level chunk of at most `lookahead_ticks` ticks, cut
-at the run end and before the next activation.  A block is dropped, and
-its uncommitted rows cleared, when the state it was built from changes:
-a failure added (inject_failure), or positions, mode or flagged set
-edited between steps.  The engine writes log rows but never reads them.
+at the run end and before the next activation; every HDM block starts a
+new one, and CEM ticks read on through it.  A block is dropped, and its
+uncommitted rows cleared, when the state it was built from changes: a
+failure added (inject_failure), or positions, mode or flagged set edited
+between steps; the live positions are the block's committed row, and
+the bytes kept at the commit tell an edit.  The engine writes log rows
+but never reads them.
 
 An HDM block: until the detector, which reads only the actual positions,
 flags someone, neither detection nor logging feeds back into the
 dynamics.  So the block advances through the chunk's ticks by (2)-(3),
-with the leader commands from one evaluation of the epoch's plan, and
-evaluates them in one vectorized pass: the desired positions from the
-tick-start snapshots, the detector over all K x F follower rows, the
-commanded deformation's singular values, the leader lag and its
-leader_deviation events, the containment centers and the rows.  It keeps
-the ticks up to and including the first one on which anyone is flagged.
+straight into one (K + 1, N, 3) array that opens with the tick-start
+positions, with the leader commands from one evaluation of the epoch's
+plan, and evaluates them in one vectorized pass: the desired positions
+from the tick-start snapshots, the detector over all K x F follower rows
+against the epoch's tiled static weights, the commanded deformation's
+singular values, the leader lag and its leader_deviation events, the
+containment centers and the rows.  It keeps the ticks up to and including
+the first one on which anyone is flagged.  Finiteness, the detector
+verdict and the leader lag are each one test over the whole block; only
+a failed test looks for its tick (the first non-finite tick ends the
+block, and the next block raises on it).  Rows are written as slices of
+rows, by the epoch's agent columns where not whole.
 
 A CEM block is one tick: one cem.step_streamline_many call (1) on the
 episode's targets, the healthy agents' (H, 3) in healthy_idx order, with
@@ -63,6 +72,9 @@ from .automaton import Event, Mode, transition
 from .errors import (DegeneracyError, NetworkError, NumericError,
                      ScenarioError, SelectionError)
 from .scenario import ScenarioConfig, _failure_spec, load_scenario
+
+# longest HDM block and failure-row chunk (see the module docstring)
+LOOKAHEAD_TICKS = 256
 
 MODE_CODE = {Mode.HDM: 0, Mode.CEM: 1}
 HEALTH_OK, HEALTH_FLAGGED, HEALTH_EXCLUDED = 1, 0, -1
@@ -140,11 +152,16 @@ class _Epoch:
     override, else the network's) and the collision-safety threshold on
     the commanded deformation's smallest sigma; index caches; the team
     matrix; the leaders' plan, anchored at the build's positions and
-    evaluated on demand by plan(), so nothing here grows with the run;
-    and the leaders whose deviation has been logged.
+    evaluated on demand by plan(); and the leaders whose deviation has
+    been logged.  Nothing here grows with the run: the caches a block
+    reads are sized by `ticks`, the longest block the epoch evaluates.
+    They are the followers' static weights tiled over `ticks` ticks, and
+    the leaders', followers' and network's agent columns, each a slice
+    when its agents are consecutive (see _columns).
     """
 
-    def __init__(self, network, config: ScenarioConfig, positions, tick):
+    def __init__(self, network, config: ScenarioConfig, positions, tick,
+                 ticks=LOOKAHEAD_TICKS):
         idx = {a: i for i, a in enumerate(config.agent_ids)}
         self.network = network
         self.start_tick = tick
@@ -162,6 +179,10 @@ class _Epoch:
                                 dtype=int)
         self.static_w = np.array([[network.weights[(f, a)] for a in row]
                                   for f, row in nbrs])
+        self.ticks = ticks
+        self.static_rows = np.tile(self.static_w, (ticks, 1))
+        self.leader_cols, self.follower_cols, self.order_cols = map(
+            _columns, (self.leader_idx, self.follower_idx, self.order_idx))
         self._edge_inv = hdm.reference_edge_inverse(
             [network.ref_positions[a] for a in network.leaders])
         self.team_matrix = _team_matrix(
@@ -197,20 +218,20 @@ class _Epoch:
         ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
                       MARGIN_VIOLATED)
         desired = np.full((ticks + 1, len(self.team_matrix), 3), np.nan)
-        desired[:, self.leader_idx] = at_ticks
-        desired[:, self.follower_idx] = self.network.W_L @ at_ticks
+        desired[:, self.leader_cols] = at_ticks
+        desired[:, self.follower_cols] = self.network.W_L @ at_ticks
         return cmd, sigma, ok, desired
 
     def detect(self, positions):
-        """Condition Psi for every follower on each of K ticks of positions
-        (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1) each, and
-        healthy (K, F)."""
-        k = self.network.n + 1
+        """Condition Psi for every follower on each of K <= ticks ticks of
+        positions (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1)
+        each, and healthy (K, F)."""
+        k, count = self.network.n + 1, len(positions)
         w, lo, hi, healthy = anomaly.evaluate_followers_batch(
             np.take(positions, self.nbr_idx, axis=1).reshape(-1, k, 3),
-            np.take(positions, self.follower_idx, axis=1).reshape(-1, 3),
-            np.tile(self.static_w, (len(positions), 1)), self.delta, k - 1)
-        return (w, lo, hi), healthy.reshape(len(positions), -1)
+            positions[:, self.follower_cols].reshape(-1, 3),
+            self.static_rows[:count * len(self.static_w)], self.delta, k - 1)
+        return (w, lo, hi), healthy.reshape(count, -1)
 
     def meta(self):
         net = self.network
@@ -251,6 +272,15 @@ class _Ahead:
     centers: np.ndarray     # (K, 3) containment centers
     flags: frozenset        # flagged set on the last tick
     events: list            # [(row, latch, key, Event)] in tick order
+    live: bytes = b""       # the live positions' bytes as last committed
+
+
+def _columns(idx):
+    """Agent indices idx as a slice when they run up by one, else as they
+    are: indexing with either selects the same agents in the same order."""
+    if len(idx) and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _rk4_coefficients(h):
@@ -279,12 +309,13 @@ def _stage_commands(coeffs, cmd):
     return a1 * cmd[:, :-1:2] + a2 * cmd[:, 1::2] + a3 * cmd[:, 2::2]
 
 
-def _build_epoch(config, positions, tick, excluded=(), events=None):
+def _build_epoch(config, positions, tick, ticks, excluded=(), events=None):
     """The network epoch over the agents not excluded, built at positions
-    (N, 3) and starting at tick, from one search.  The scenario's leader
-    override holds while all its agents remain.  If it fails, a rebuild
-    (given the run's events) logs leader_fallback and picks the leaders
-    from the same search as if none were given; the first build raises."""
+    (N, 3), starting at tick and evaluating blocks of up to ticks ticks,
+    from one search.  The scenario's leader override holds while all its
+    agents remain.  If it fails, a rebuild (given the run's events) logs
+    leader_fallback and picks the leaders from the same search as if none
+    were given; the first build raises."""
     members = {a: positions[i] for i, a in enumerate(config.agent_ids)
                if a not in excluded}
     override = config.leader_override
@@ -299,16 +330,19 @@ def _build_epoch(config, positions, tick, excluded=(), events=None):
         events.append(Event(time=tick * config.dt, kind="leader_fallback",
                             payload={"reason": str(exc)}))
         network = refnet._wire(search)
-    return _Epoch(network, config, positions, tick)
+    return _Epoch(network, config, positions, tick, ticks)
 
 
-def _first_epoch(config, failed="initial network build failed"):
-    """The run's tick count and its first network epoch: where a
-    Simulation starts and what `contiform check` reports.  A failed build
-    raises ScenarioError, its message prefixed with failed."""
+def _first_epoch(config, failed="initial network build failed",
+                 block_ticks=LOOKAHEAD_TICKS):
+    """The run's tick count and its first network epoch, for blocks of up
+    to block_ticks ticks: where a Simulation starts and what `contiform
+    check` reports.  A failed build raises ScenarioError, its message
+    prefixed with failed."""
     ticks = math.floor(config.duration / config.dt + 1e-9)
     try:
-        return ticks, _build_epoch(config, config.ref_positions, 0)
+        return ticks, _build_epoch(config, config.ref_positions, 0,
+                                   block_ticks)
     except (DegeneracyError, SelectionError, NetworkError) as exc:
         raise ScenarioError(f"{failed}: {exc}") from exc
 
@@ -316,8 +350,8 @@ def _first_epoch(config, failed="initial network build failed"):
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
-    # longest HDM block and failure-row chunk (see the module docstring)
-    lookahead_ticks = 256
+    # read by each block and network build (see the module docstring)
+    lookahead_ticks = LOOKAHEAD_TICKS
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -329,7 +363,8 @@ class Simulation:
         self.n = config.n
         self.positions = config.ref_positions.copy()
         self.tick = 0
-        self.total_ticks, self.epoch = _first_epoch(config)
+        self.total_ticks, self.epoch = _first_epoch(
+            config, block_ticks=self.lookahead_ticks)
         self.excluded = set()
         self.flagged = frozenset()
         self.mode = Mode.HDM
@@ -374,7 +409,8 @@ class Simulation:
         epoch at tick; a failed rebuild raises NumericError."""
         try:
             self.epoch = _build_epoch(self.config, self.positions, self.tick,
-                                      self.excluded, self.events)
+                                      self.lookahead_ticks, self.excluded,
+                                      self.events)
         except (DegeneracyError, SelectionError, NetworkError) as exc:
             raise NumericError(
                 f"reference rebuild failed at tick {self.tick}, "
@@ -408,8 +444,8 @@ class Simulation:
     def _failure_rows(self):
         """Failed agents' indices (A,) and positions (K, A, 3) after each of
         the next K ticks, from the run's chunk (see the module docstring).
-        A chunk starts when the last is spent or a failure is added; a
-        failure activating then anchors where it is."""
+        A chunk starts when the last is spent, a failure is added or an HDM
+        block starts; a failure activating then anchors where it is."""
         chunk = self._failure_chunk
         if chunk is not None and self.tick < chunk[0] + len(chunk[2]):
             return chunk[1], chunk[2][self.tick - chunk[0]:]
@@ -516,12 +552,13 @@ class Simulation:
         positions are (K, N, 3) and prev the tick-start ones the local
         desired positions come from, centers (K, 3); det holds the
         detector's (weights, lo, hi) rows or None, healthy its (K, F)
-        verdicts or None (nothing flagged), and plan the epoch's sigma,
-        margin_ok and global desired rows at the rows' times.  Excluded
-        agents hold.  Returns the leader_deviation events the rows raise,
-        as (row, latch, leader id, Event) in tick order, for the caller to
-        emit as each tick commits; a row with anyone flagged raises none,
-        since the supervisor rewrites it.
+        verdicts, or None when it flagged nobody and nobody is flagged
+        (every row's health is the live one); plan holds the epoch's
+        sigma, margin_ok and global desired rows at the rows' times.
+        Excluded agents hold.  Returns the leader_deviation events the
+        rows raise, as (row, latch, leader id, Event) in tick order, for
+        the caller to emit as each tick commits; a row with anyone
+        flagged raises none, since the supervisor rewrites it.
         """
         ep, log = self.epoch, self.log
         count = len(positions)
@@ -531,24 +568,27 @@ class Simulation:
         log.center[rows] = centers
         log.health[rows] = self.health
         if healthy is not None:
-            log.health[rows, ep.follower_idx] = np.where(
+            log.health[rows, ep.follower_cols] = np.where(
                 healthy, HEALTH_OK, HEALTH_FLAGGED)
         if det is not None:
             shape = (count, len(ep.follower_idx), self.n + 1)
             for arr, rows_det in zip((log.weights, log.bounds_lo,
                                       log.bounds_hi), det):
-                arr[rows, ep.follower_idx] = rows_det.reshape(shape)
+                arr[rows, ep.follower_cols] = rows_det.reshape(shape)
         log.local_desired[rows] = prev
-        log.local_desired[rows, ep.follower_idx] = \
-            ep.network.W @ prev[:, ep.order_idx]
-        log.local_desired[rows, ep.leader_idx] = cmd = \
-            plan[2][:, ep.leader_idx]
+        log.local_desired[rows, ep.follower_cols] = \
+            ep.network.W @ prev[:, ep.order_cols]
+        log.local_desired[rows, ep.leader_cols] = cmd = \
+            plan[2][:, ep.leader_cols]
         log.sigma[rows], log.margin_ok[rows], log.global_desired[rows] = plan
-        diff = positions[:, ep.leader_idx] - cmd
+        diff = positions[:, ep.leader_cols] - cmd
         lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+        lagging = lag > ep.delta
+        if not lagging.any():
+            return []
         quiet = not self.flagged and (healthy is None or healthy.all(axis=1))
         events, seen = [], set(ep.deviating)
-        for k, j in np.argwhere((lag > ep.delta)
+        for k, j in np.argwhere(lagging
                                 & np.reshape(quiet, (-1, 1))).tolist():
             lid = ep.network.leaders[j]
             if lid not in seen:
@@ -602,8 +642,7 @@ class Simulation:
         return (ahead is not None
                 and self.tick < ahead.end
                 and not self.flagged
-                and self.positions.tobytes()
-                == ahead.positions[self.tick - ahead.end - 1].tobytes())
+                and self.positions.tobytes() == ahead.live)
 
     def _drop_ahead(self):
         ahead, self._ahead = self._ahead, None
@@ -614,39 +653,45 @@ class Simulation:
         """Integrate a block of HDM ticks from the current state, evaluate
         it in one pass, log it and keep it for _commit."""
         ep = self.epoch
+        self._failure_chunk = None   # each HDM block starts a chunk
         fail_idx, fail_rows = self._failure_rows()
-        size = len(fail_rows)
+        size = min(len(fail_rows), ep.ticks)
         cmd, *plan = ep.plan(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
-        U[:, ep.leader_idx] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
-        positions = np.empty((size, self.n_agents, 3))
-        r = self.positions
-        for k in range(size):
-            r = M.dot(r)
-            r += U[k]
+        U[:, ep.leader_cols] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
+        # row 0 holds the current positions, row k + 1 those after tick k
+        block = np.empty((size + 1, self.n_agents, 3))
+        block[0] = self.positions
+        snapshots = list(block)
+        for start, r, u, failed in zip(snapshots, snapshots[1:], U,
+                                       fail_rows):
+            M.dot(start, out=r)
+            r += u
             if fail_idx.size:
-                r[fail_idx] = fail_rows[k]
-            positions[k] = r
-        finite = np.isfinite(positions).all(axis=2)
-        if not finite[0].all():
-            raise self._non_finite(finite[0])
-        bad_ticks = np.flatnonzero(~finite.all(axis=1))
-        if bad_ticks.size:   # starts the next block, which raises
-            size = int(bad_ticks[0])
-        positions = positions[:size]
+                r[fail_idx] = failed
+        if not np.isfinite(block[1:]).all():
+            finite = np.isfinite(block[1:]).all(axis=2)
+            if not finite[0].all():
+                raise self._non_finite(finite[0])
+            # the first non-finite tick starts the next block, which raises
+            size = int(np.flatnonzero(~finite.all(axis=1))[0])
+        positions, prev = block[1:size + 1], block[:size]
         det, healthy = ep.detect(positions)
-        flagged_ticks = np.flatnonzero(~healthy.all(axis=1))
-        if flagged_ticks.size:
-            size = int(flagged_ticks[0]) + 1
-            positions, healthy = positions[:size], healthy[:size]
+        if healthy.all():
+            flags = frozenset()
+            if not self.flagged:
+                healthy = None   # every row's health is the live one
+        else:
+            size = int(np.flatnonzero(~healthy.all(axis=1))[0]) + 1
+            positions, prev, healthy = (positions[:size], prev[:size],
+                                        healthy[:size])
             det = tuple(a[:size * len(ep.follower_idx)] for a in det)
-        prev = np.concatenate((self.positions[None], positions[:-1]))
+            flags = frozenset(ep.network.followers[j]
+                              for j in np.flatnonzero(~healthy[-1]))
         plan = [rows[1:size + 1] for rows in plan]   # at the ticks' ends
         centers = self._centers(positions)
         events = self._write_hdm_rows(self.tick + 1, positions, prev, centers,
                                       det, healthy, plan)
-        flags = frozenset(ep.network.followers[j]
-                          for j in np.flatnonzero(~healthy[-1]))
         self._ahead = _Ahead(self.tick + size, positions, centers, flags,
                              events)
 
@@ -686,7 +731,12 @@ class Simulation:
         ahead = self._ahead
         self.tick += 1
         k = self.tick - ahead.end - 1
-        self.positions = ahead.positions[k].copy()   # not a view of the block
+        # the live row is the block's own: an edit of it between steps
+        # differs from the bytes kept here and drops the block, which then
+        # is never read again; after the last tick nothing is compared
+        self.positions = ahead.positions[k]
+        if self.tick < ahead.end:
+            ahead.live = self.positions.tobytes()
         self.center = ahead.centers[k]
         # only a block's last tick can flag anyone, and a flagged set edited
         # between steps is kept; (5) leaves HDM with nobody flagged as it is

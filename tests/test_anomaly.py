@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contiform import anomaly, refnet
+from contiform import anomaly, geometry, refnet
 from conftest import DECAGON22, random_network, tilt
 from test_geometry import bordered_solve
 
@@ -411,6 +411,77 @@ class TestGradientKernel:
             vertices[1:], queries[1:], static[1:], 0.1, n)
         for got, want in zip((w[1:], lo[1:], hi[1:], healthy[1:]), alone):
             np.testing.assert_array_equal(got, want)
+
+
+def reference_rows(vertices, queries, static, delta, n):
+    """evaluate_followers_batch written as plain expressions, one fresh
+    array each: the bit-for-bit reference of the in-place detector."""
+    weights, det, norm, scale = geometry._barycentric(vertices, queries, n)
+    degenerate = (~geometry._full_rank(det, scale, n)
+                  | np.isnan(weights[:, 0]))
+    two = 2.0 * delta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if n == 2:
+            l = np.sqrt(det[:, None] / norm)
+        else:
+            l = np.abs(det)[:, None] / np.sqrt(norm)
+        d = weights * l
+        low, high = d - two, d + two
+        far = l + two
+        near = np.maximum(l - two, 0.0)
+        lo = low / np.where(low >= 0.0, far, near)
+        hi = high / np.where(high <= 0.0, far, near)
+    healthy = ((lo <= static) & (static <= hi)).all(axis=1)
+    weights[degenerate] = lo[degenerate] = hi[degenerate] = np.nan
+    return weights, lo, hi, healthy & ~degenerate
+
+
+@st.composite
+def detector_rows(draw, n):
+    """One detector row for dimension n: vertices (n+1, 3), query (3,) and
+    static weights (n+1,).  Its simplex is of any shape, shrunk so that
+    its heights l_k are about Delta (bounds infinite where l_k <= 2 Delta),
+    or exactly degenerate (collinear on an integer grid); the query has
+    weights down to -3 and for n = 2 lies off the simplex's plane."""
+    kind = draw(st.sampled_from(["free", "small", "degenerate"]))
+    if kind == "degenerate":
+        base, step = (np.array(draw(st.tuples(*[st.integers(-20, 20)] * 3)),
+                               float) for _ in range(2))
+        along = draw(st.lists(st.integers(-4, 4), min_size=n + 1,
+                              max_size=n + 1))
+        vertices = base + np.outer(along, step)
+    else:
+        vertices = np.array(draw(st.lists(st.tuples(coords, coords, coords),
+                                          min_size=n + 1, max_size=n + 1)))
+        if kind == "small":
+            vertices = vertices[0] + 0.02 * (vertices - vertices[0])
+    rest = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    lam = np.array([1.0 - sum(rest), *rest])
+    query = lam @ vertices + draw(st.floats(-5.0, 5.0)) * (n == 2)
+    # static weights off the actual ones on some slots only, so that a
+    # verdict can hang on any one slot
+    offset = draw(st.lists(st.just(0.0) | st.floats(-0.5, 0.5),
+                           min_size=n + 1, max_size=n + 1))
+    return vertices, query, lam + offset
+
+
+class TestBitForBit:
+    """The in-place detector gives exactly what its plain expressions
+    give: weights, bounds and verdict, NaN rows included."""
+
+    @PROPERTY
+    @given(data=st.data(), n=st.sampled_from([2, 3]),
+           count=st.integers(1, 12),
+           delta=st.sampled_from([0.0, 0.1, 0.5]) | st.floats(0.0, 5.0))
+    def test_matches_the_plain_expressions(self, data, n, count, delta):
+        rows = [data.draw(detector_rows(n)) for _ in range(count)]
+        vertices, queries, static = (np.array(col) for col in zip(*rows))
+        got = anomaly.evaluate_followers_batch(vertices, queries, static,
+                                               delta, n)
+        want = reference_rows(vertices, queries, static, delta, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype and a.shape == b.shape
 
 
 def rotation3(rng):

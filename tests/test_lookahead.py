@@ -118,6 +118,17 @@ def test_block_length_does_not_change_the_log(lookahead, failure):
     assert run(sim_with(config, lookahead)) == run(sim_with(config, 1))
 
 
+def test_block_length_does_not_change_the_lattice27_log():
+    """The same check on lattice27: n = 3 with four weight slots, and an
+    exclusion and rebuild, over agent columns that are not runs of
+    consecutive indices."""
+    config = load_scenario(REPO_ROOT / "scenarios" / "lattice27.yaml")
+    sim = Simulation(config)
+    assert run(sim) == run(sim_with(config, 1))
+    assert len(sim.epochs) == 2 and isinstance(sim.epoch.follower_cols,
+                                               np.ndarray)
+
+
 @PROPERTY
 @given(failure=failures, steps=st.integers(0, TICKS - 2))
 def test_inject_failure_matches_declared_failure(failure, steps):
@@ -418,6 +429,22 @@ def test_quiet_run_detects_once_per_block(monkeypatch):
     assert len(calls) == 1 + blocks
     followers = 4
     assert calls[1] == Simulation.lookahead_ticks * followers
+
+
+def test_hdm_block_after_cem_starts_its_own_chunk(monkeypatch):
+    """Each HDM block starts a failure-row chunk: the block after a CEM
+    episode runs to the end of the run, not to the end of the chunk that
+    the CEM ticks began."""
+    blocks, look_ahead = [], Simulation._look_ahead
+
+    def recorded(self):
+        start = self.tick
+        look_ahead(self)
+        blocks.append((start, self._ahead.end - start))
+
+    monkeypatch.setattr(Simulation, "_look_ahead", recorded)
+    Simulation(team7(failure_doc(*CEM_DRIFT))).run()
+    assert blocks == [(0, 60), (60, 55), (354, 246)]
 
 
 @pytest.mark.parametrize("extra", ["", failure_doc(*CEM_DRIFT)],
