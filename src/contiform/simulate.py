@@ -73,7 +73,8 @@ from .errors import (DegeneracyError, NetworkError, NumericError,
                      ScenarioError, SelectionError)
 from .scenario import ScenarioConfig, _failure_spec, load_scenario
 
-# longest HDM block and failure-row chunk (see the module docstring)
+# longest HDM block, and the default failure-row chunk (see the module
+# docstring); the network epoch's caches are sized by it
 LOOKAHEAD_TICKS = 256
 
 MODE_CODE = {Mode.HDM: 0, Mode.CEM: 1}
@@ -154,14 +155,13 @@ class _Epoch:
     matrix; the leaders' plan, anchored at the build's positions and
     evaluated on demand by plan(); and the leaders whose deviation has
     been logged.  Nothing here grows with the run: the caches a block
-    reads are sized by `ticks`, the longest block the epoch evaluates.
-    They are the followers' static weights tiled over `ticks` ticks, and
-    the leaders', followers' and network's agent columns, each a slice
-    when its agents are consecutive (see _columns).
+    reads are the followers' static weights tiled over LOOKAHEAD_TICKS
+    ticks, the longest block, and the leaders', followers' and network's
+    agent columns, each a slice when its agents are consecutive (see
+    _columns).
     """
 
-    def __init__(self, network, config: ScenarioConfig, positions, tick,
-                 ticks=LOOKAHEAD_TICKS):
+    def __init__(self, network, config: ScenarioConfig, positions, tick):
         idx = {a: i for i, a in enumerate(config.agent_ids)}
         self.network = network
         self.start_tick = tick
@@ -179,8 +179,7 @@ class _Epoch:
                                 dtype=int)
         self.static_w = np.array([[network.weights[(f, a)] for a in row]
                                   for f, row in nbrs])
-        self.ticks = ticks
-        self.static_rows = np.tile(self.static_w, (ticks, 1))
+        self.static_rows = np.tile(self.static_w, (LOOKAHEAD_TICKS, 1))
         self.leader_cols, self.follower_cols, self.order_cols = map(
             _columns, (self.leader_idx, self.follower_idx, self.order_idx))
         self._edge_inv = hdm.reference_edge_inverse(
@@ -223,8 +222,8 @@ class _Epoch:
         return cmd, sigma, ok, desired
 
     def detect(self, positions):
-        """Condition Psi for every follower on each of K <= ticks ticks of
-        positions (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1)
+        """Condition Psi for every follower on each of K <= LOOKAHEAD_TICKS
+        ticks of positions (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1)
         each, and healthy (K, F)."""
         k, count = self.network.n + 1, len(positions)
         w, lo, hi, healthy = anomaly.evaluate_followers_batch(
@@ -309,13 +308,12 @@ def _stage_commands(coeffs, cmd):
     return a1 * cmd[:, :-1:2] + a2 * cmd[:, 1::2] + a3 * cmd[:, 2::2]
 
 
-def _build_epoch(config, positions, tick, ticks, excluded=(), events=None):
+def _build_epoch(config, positions, tick, excluded=(), events=None):
     """The network epoch over the agents not excluded, built at positions
-    (N, 3), starting at tick and evaluating blocks of up to ticks ticks,
-    from one search.  The scenario's leader override holds while all its
-    agents remain.  If it fails, a rebuild (given the run's events) logs
-    leader_fallback and picks the leaders from the same search as if none
-    were given; the first build raises."""
+    (N, 3) and starting at tick, from one search.  The scenario's leader
+    override holds while all its agents remain.  If it fails, a rebuild
+    (given the run's events) logs leader_fallback and picks the leaders
+    from the same search as if none were given; the first build raises."""
     members = {a: positions[i] for i, a in enumerate(config.agent_ids)
                if a not in excluded}
     override = config.leader_override
@@ -330,19 +328,16 @@ def _build_epoch(config, positions, tick, ticks, excluded=(), events=None):
         events.append(Event(time=tick * config.dt, kind="leader_fallback",
                             payload={"reason": str(exc)}))
         network = refnet._wire(search)
-    return _Epoch(network, config, positions, tick, ticks)
+    return _Epoch(network, config, positions, tick)
 
 
-def _first_epoch(config, failed="initial network build failed",
-                 block_ticks=LOOKAHEAD_TICKS):
-    """The run's tick count and its first network epoch, for blocks of up
-    to block_ticks ticks: where a Simulation starts and what `contiform
-    check` reports.  A failed build raises ScenarioError, its message
-    prefixed with failed."""
+def _first_epoch(config, failed="initial network build failed"):
+    """The run's tick count and its first network epoch: where a
+    Simulation starts and what `contiform check` reports.  A failed build
+    raises ScenarioError, its message prefixed with failed."""
     ticks = math.floor(config.duration / config.dt + 1e-9)
     try:
-        return ticks, _build_epoch(config, config.ref_positions, 0,
-                                   block_ticks)
+        return ticks, _build_epoch(config, config.ref_positions, 0)
     except (DegeneracyError, SelectionError, NetworkError) as exc:
         raise ScenarioError(f"{failed}: {exc}") from exc
 
@@ -350,7 +345,8 @@ def _first_epoch(config, failed="initial network build failed",
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
-    # read by each block and network build (see the module docstring)
+    # longest failure-row chunk and HDM block; a block is also at most
+    # LOOKAHEAD_TICKS long (see the module docstring)
     lookahead_ticks = LOOKAHEAD_TICKS
 
     def __init__(self, config: ScenarioConfig):
@@ -363,8 +359,7 @@ class Simulation:
         self.n = config.n
         self.positions = config.ref_positions.copy()
         self.tick = 0
-        self.total_ticks, self.epoch = _first_epoch(
-            config, block_ticks=self.lookahead_ticks)
+        self.total_ticks, self.epoch = _first_epoch(config)
         self.excluded = set()
         self.flagged = frozenset()
         self.mode = Mode.HDM
@@ -409,8 +404,7 @@ class Simulation:
         epoch at tick; a failed rebuild raises NumericError."""
         try:
             self.epoch = _build_epoch(self.config, self.positions, self.tick,
-                                      self.lookahead_ticks, self.excluded,
-                                      self.events)
+                                      self.excluded, self.events)
         except (DegeneracyError, SelectionError, NetworkError) as exc:
             raise NumericError(
                 f"reference rebuild failed at tick {self.tick}, "
@@ -655,7 +649,7 @@ class Simulation:
         ep = self.epoch
         self._failure_chunk = None   # each HDM block starts a chunk
         fail_idx, fail_rows = self._failure_rows()
-        size = min(len(fail_rows), ep.ticks)
+        size = min(len(fail_rows), LOOKAHEAD_TICKS)
         cmd, *plan = ep.plan(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
         U[:, ep.leader_cols] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
