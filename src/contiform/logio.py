@@ -6,8 +6,8 @@ A run directory holds:
   meta.json        scenario identity, network epochs, log digest
   series.npz       every logged array at full precision
 
-trajectory.csv is the human-facing export; series.npz is the exact record
-and what `analyze` reads back.
+trajectory.csv is the human-facing export, and series.npz the exact record
+that `analyze` reads back: the log's state rows and the series derived on read.
 """
 
 from __future__ import annotations

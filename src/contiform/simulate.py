@@ -11,12 +11,13 @@ randomness, so identical configurations produce bit-identical logs.
 
 Per tick, in order: (1) desired positions per mode, (2) the affine team
 step (in CEM, each healthy agent's r+ = a0 r + (1 - a0) c toward its
-target c), (3) failure kinematics override, (4) anomaly checks (HDM only;
-the flagged set is frozen while CEM is active), (5) supervisor
-transition, (6) one log row.
+target c), (3) failure kinematics override, (4) the anomaly verdict (HDM
+only; the flagged set is frozen while CEM is active), (5) supervisor
+transition, (6) one state row of the log (positions, health, mode and
+center, and a CEM row's targets), from which it derives the rest on read.
 
 Both modes run one protocol: build a block from the live state, write its
-rows ahead, commit one tick per step(), and let a supervisor action
+state rows ahead, commit one tick per step(), and let a supervisor action
 rewrite the committed row.  _commit alone advances the clock, makes a
 tick's positions and center live, logs its events and runs (5), in HDM
 only with anyone flagged: it enters CEM for a flagged agent inside the
@@ -26,7 +27,7 @@ the row as the new epoch's first.  Both builders read the failed agents'
 rows (3) from one run-level chunk of at most `lookahead_ticks` ticks, cut
 at the run end and before the next activation; every HDM block starts a
 new one, and CEM ticks read on through it.  A block is dropped, and its
-uncommitted rows cleared, when the state it was built from changes: a
+uncommitted rows unwritten, when the state it was built from changes: a
 failure added (inject_failure), or positions, mode or flagged set edited
 between steps; the live positions are the block's committed row, and
 the bytes kept at the commit tell an edit.  The engine writes log rows
@@ -37,24 +38,20 @@ flags someone, neither detection nor logging feeds back into the
 dynamics.  So the block advances through the chunk's ticks by (2)-(3),
 straight into one (K + 1, N, 3) array that opens with the tick-start
 positions, with the leader commands from one evaluation of the epoch's
-plan, and evaluates them in one vectorized pass: the desired positions
-from the tick-start snapshots, the detector over all K x F follower rows
-against the epoch's tiled static weights, the commanded deformation's
-singular values, the leader lag and its leader_deviation events, the
-containment centers and the rows.  It keeps the ticks up to and including
-the first one on which anyone is flagged.  Finiteness, the detector
-verdict and the leader lag are each one test over the whole block; only
-a failed test looks for its tick (the first non-finite tick ends the
-block, and the next block raises on it).  Rows are written as slices of
-rows, by the epoch's agent columns where not whole.
+plan, and evaluates them in one vectorized pass: the detector's verdicts
+over all K x F follower rows against the epoch's tiled static weights,
+the leader lag and its leader_deviation events, and the containment
+centers.  It keeps the ticks up to and including the first one on which
+anyone is flagged.  Finiteness and the detector verdict are each one test
+over the whole block; only a failed test looks for its tick (the first
+non-finite tick ends the block, and the next block raises on it).
 
 A CEM block is one tick: one cem.step_streamline_many call (1) on the
 episode's targets, the healthy agents' (H, 3) in healthy_idx order, with
 its stagnation and disk-projection events; its positions are tested for
 finiteness once and its tracking center is the healthy mean, as in an
 HDM block.  The episode holds the flow past the flagged agents, the
-stream constants, the targets, the logged desired row and the event
-latch.
+stream constants, the targets and the event latch.
 """
 from __future__ import annotations
 
@@ -64,6 +61,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,15 +71,15 @@ from .errors import (DegeneracyError, NetworkError, NumericError,
                      ScenarioError, SelectionError)
 from .scenario import ScenarioConfig, _failure_spec, load_scenario
 
-# longest HDM block, and the default failure-row chunk (see the module
-# docstring); the network epoch's caches are sized by it
-LOOKAHEAD_TICKS = 256
-
 MODE_CODE = {Mode.HDM: 0, Mode.CEM: 1}
 HEALTH_OK, HEALTH_FLAGGED, HEALTH_EXCLUDED = 1, 0, -1
 
 # margin_ok codes: 1 satisfied, 0 violated, -1 not applicable (CEM)
 MARGIN_OK, MARGIN_VIOLATED, MARGIN_NA = 1, 0, -1
+
+# the log arrays _derive computes from those the engine writes
+_DERIVED = ("local_desired", "global_desired", "weights", "bounds_lo",
+            "bounds_hi", "sigma", "margin_ok")
 
 
 @dataclass
@@ -90,9 +88,12 @@ class TrajectoryLog:
 
     Row k holds the state at time k * dt; row 0 is the initial state.
     Arrays indexed [tick, agent] follow the scenario's agent order.  The
-    simulation only writes rows; mid-run, those past the current tick up to
-    the end of its look-ahead block (which holds its own positions and
-    centers) are uncommitted, and the later ones hold an unwritten row.
+    simulation writes only state rows; mid-run, those past the current
+    tick up to the end of its look-ahead block (which holds its own
+    positions and centers) are uncommitted, and the later ones hold an
+    unwritten row.  The other series (_DERIVED, shaped as _log_arrays says;
+    weights are the transient weights, NaN if n/a, sigma the deformation's
+    singular values) are derived from the written rows on read (_derive).
     """
 
     agent_ids: tuple
@@ -100,18 +101,44 @@ class TrajectoryLog:
     dt: float
     times: np.ndarray           # (T+1,)
     actual: np.ndarray          # (T+1, N, 3)
-    local_desired: np.ndarray   # (T+1, N, 3)
-    global_desired: np.ndarray  # (T+1, N, 3)
-    weights: np.ndarray         # (T+1, N, n+1) transient weights, NaN if n/a
-    bounds_lo: np.ndarray       # (T+1, N, n+1)
-    bounds_hi: np.ndarray       # (T+1, N, n+1)
     health: np.ndarray          # (T+1, N) int8
     mode: np.ndarray            # (T+1,) int8
     center: np.ndarray          # (T+1, 3) containment center
-    sigma: np.ndarray           # (T+1, 3) deformation singular values
-    margin_ok: np.ndarray       # (T+1,) int8
     events: list = field(default_factory=list)
     epochs: list = field(default_factory=list)
+    # shared by every copy: each epoch's _Epoch, each CEM row's targets, the
+    # written rows' count, the derived series (current below row fresh)
+    _written: SimpleNamespace = field(repr=False, default_factory=lambda: (
+        SimpleNamespace(epochs=[], targets={}, end=0, series=None, fresh=0,
+                        derived=0)))
+
+    local_desired, global_desired, weights, bounds_lo, bounds_hi, sigma, \
+        margin_ok = (property(lambda log, name=name: _derive(log)[name])
+                     for name in _DERIVED)
+
+    def _write(self, row0, actual, health, mode, center, targets=None,
+               epoch=None):
+        """Write the state rows from row0 on, one per actual (K, N, 3) row;
+        health, mode and center broadcast over them.  A CEM row keeps its
+        targets, and a network epoch's first row its _Epoch."""
+        rows = slice(row0, row0 + len(actual))
+        self.actual[rows], self.health[rows] = actual, health
+        self.mode[rows], self.center[rows] = mode, center
+        w = self._written
+        if targets is not None:
+            w.targets[row0] = targets
+        if epoch is not None:
+            w.epochs.append(epoch)
+            self.epochs.append(epoch.meta())
+        w.fresh, w.end = min(w.fresh, row0), max(w.end, rows.stop)
+
+    def _unwrite(self, end):
+        """Reset the written rows from end on to their unwritten values."""
+        w = self._written
+        for name, _, _, value in _log_arrays(0, 0):
+            if name not in _DERIVED:
+                getattr(self, name)[end:w.end] = value
+        w.fresh, w.end = min(w.fresh, end), end
 
     def digest(self):
         """SHA-256 over every logged array and the serialized events."""
@@ -155,7 +182,7 @@ class _Epoch:
     matrix; the leaders' plan, anchored at the build's positions and
     evaluated on demand by plan(); and the leaders whose deviation has
     been logged.  Nothing here grows with the run: the caches a block
-    reads are the followers' static weights tiled over LOOKAHEAD_TICKS
+    reads are the followers' static weights tiled over lookahead_ticks
     ticks, the longest block, and the leaders', followers' and network's
     agent columns, each a slice when its agents are consecutive (see
     _columns).
@@ -179,7 +206,8 @@ class _Epoch:
                                 dtype=int)
         self.static_w = np.array([[network.weights[(f, a)] for a in row]
                                   for f, row in nbrs])
-        self.static_rows = np.tile(self.static_w, (LOOKAHEAD_TICKS, 1))
+        self.static_rows = np.tile(self.static_w,
+                                   (Simulation.lookahead_ticks, 1))
         self.leader_cols, self.follower_cols, self.order_cols = map(
             _columns, (self.leader_idx, self.follower_idx, self.order_idx))
         self._edge_inv = hdm.reference_edge_inverse(
@@ -198,13 +226,9 @@ class _Epoch:
                          for i, traj in zip(self.leader_idx, trajs)]
         self.deviating = set()
 
-    def plan(self, tick, ticks):
-        """The leader plan from tick to tick + ticks: the commands
-        (L, 2 ticks + 1, 3) on the half-step grid, and on each of the
-        ticks + 1 ticks the commanded deformation's singular values (3,),
-        descending (NaN for a collinear leader triangle), their margin_ok
-        code and the global desired row (N, 3), NaN outside the network.
-        """
+    def _commands(self, tick, ticks):
+        """The leaders' commands (L, 2 ticks + 1, 3) from tick to
+        tick + ticks on the half-step grid."""
         t0, half_dt = self._grid
         base = 2 * (tick - self.start_tick)
         grid = t0 + half_dt * np.arange(base, base + 2 * ticks + 1)
@@ -212,6 +236,16 @@ class _Epoch:
         for j, (anchor, traj, start) in enumerate(self._anchors):
             cmd[j] = anchor if traj is None \
                 else anchor + traj.position(grid) - start
+        return cmd
+
+    def plan(self, tick, ticks):
+        """The leader plan from tick to tick + ticks: the commands
+        (_commands), and on each of the ticks + 1 ticks the commanded
+        deformation's singular values (3,), descending (NaN for a collinear
+        leader triangle), their margin_ok code and the global desired row
+        (N, 3), NaN outside the network.
+        """
+        cmd = self._commands(tick, ticks)
         at_ticks = cmd[:, ::2].swapaxes(0, 1)
         sigma = hdm.deformation_sigmas(self._edge_inv, at_ticks)
         ok = np.where(sigma[:, -1] >= self.threshold, MARGIN_OK,
@@ -222,15 +256,15 @@ class _Epoch:
         return cmd, sigma, ok, desired
 
     def detect(self, positions):
-        """Condition Psi for every follower on each of K <= LOOKAHEAD_TICKS
-        ticks of positions (K, N, 3): returns the (weights, lo, hi) rows, (K*F, n+1)
-        each, and healthy (K, F)."""
-        k, count = self.network.n + 1, len(positions)
-        w, lo, hi, healthy = anomaly.evaluate_followers_batch(
+        """Condition Psi for every follower on each of K <= lookahead_ticks
+        ticks of positions (K, N, 3): returns the (weights, lo, hi) rows,
+        (K, F, n+1) each, and healthy (K, F)."""
+        k, count, f = self.network.n + 1, len(positions), len(self.static_w)
+        *det, healthy = anomaly.evaluate_followers_batch(
             np.take(positions, self.nbr_idx, axis=1).reshape(-1, k, 3),
             positions[:, self.follower_cols].reshape(-1, 3),
-            self.static_rows[:count * len(self.static_w)], self.delta, k - 1)
-        return (w, lo, hi), healthy.reshape(count, -1)
+            self.static_rows[:count * f], self.delta, k - 1)
+        return [a.reshape(count, f, k) for a in det], healthy.reshape(count, f)
 
     def meta(self):
         net = self.network
@@ -254,7 +288,6 @@ class _Episode:
     flow: cem.FlowField     # uniform flow past the flagged agents' doublets
     psi0: np.ndarray        # (H,) stream constants in healthy_idx order
     targets: np.ndarray     # (H, 3) streamline targets in healthy_idx order
-    desired: np.ndarray     # (N, 3) logged desired row, NaN if not healthy
     # agents whose stagnation or disk projection is logged, per event kind
     latch: dict = field(default_factory=lambda: {
         "stagnation": set(), "disk_projection": set()})
@@ -342,12 +375,65 @@ def _first_epoch(config, failed="initial network build failed"):
         raise ScenarioError(f"{failed}: {exc}") from exc
 
 
+def _derive(log):
+    """The log's derived series, name -> (T+1, ...) array: the rows written
+    or unwritten since the last call reset, the written ones derived from
+    the state rows and their epoch in one-mode runs of <= lookahead_ticks:
+    - weights, bounds_lo, bounds_hi: the epoch's detector on HDM rows but
+      a rebuilt epoch's first, and on a CEM episode's first row, which
+      keeps the flagging tick's verdict; NaN elsewhere;
+    - global_desired, sigma, margin_ok: the epoch's plan on HDM rows; on
+      CEM rows the targets (NaN if not healthy), NaN and MARGIN_NA;
+    - local_desired: on HDM rows W over the previous row (an epoch's first
+      row over itself) for followers, the plan for leaders and the previous
+      positions for the rest; on CEM rows the targets.
+    """
+    w, mode = log._written, log.mode
+    specs = [spec for spec in _log_arrays(len(log.agent_ids), log.n + 1)
+             if spec[0] in _DERIVED]
+    if w.series is None:
+        w.series = {name: np.full((len(log.times), *shape), value, dtype)
+                    for name, shape, dtype, value in specs}
+    for name, _, _, value in specs:   # filled up to row derived
+        w.series[name][w.fresh:w.derived] = value
+    starts = [ep.start_tick for ep in w.epochs] + [w.end]
+    for i, ep in enumerate(w.epochs):
+        row, stop = max(w.fresh, starts[i]), min(starts[i + 1], w.end)
+        while row < stop:
+            same = mode[row:min(row + Simulation.lookahead_ticks, stop)]
+            rows = slice(row, row + (int(np.argmin(same == same[0]))
+                                     or len(same)))
+            if same[0] == MODE_CODE[Mode.HDM]:
+                _, sigma, ok, desired = ep.plan(row, rows.stop - row - 1)
+                w.series["sigma"][rows] = sigma
+                w.series["margin_ok"][rows] = ok
+                local = log.actual[np.maximum(np.arange(row - 1, rows.stop
+                                                        - 1), ep.start_tick)]
+                local[:, ep.follower_cols] = \
+                    ep.network.W @ local[:, ep.order_cols]
+                local[:, ep.leader_cols] = desired[:, ep.leader_cols]
+                first, last = row + (row == ep.start_tick and i > 0), rows.stop
+            else:
+                local = desired = np.full(log.actual[rows].shape, np.nan)
+                desired[log.health[rows] == HEALTH_OK] = np.concatenate(
+                    [w.targets[r] for r in range(row, rows.stop)])
+                first, last = row, row + (row == 0 or mode[row - 1] != same[0])
+            w.series["local_desired"][rows] = local
+            w.series["global_desired"][rows] = desired
+            det, _ = ep.detect(log.actual[first:last])   # the rows with weights
+            for name, values in zip(_DERIVED[2:5], det):
+                w.series[name][first:last, ep.follower_cols] = values
+            row = rows.stop
+    w.fresh = w.derived = w.end
+    return w.series
+
+
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
-    # longest failure-row chunk and HDM block; a block is also at most
-    # LOOKAHEAD_TICKS long (see the module docstring)
-    lookahead_ticks = LOOKAHEAD_TICKS
+    # longest failure-row chunk, HDM block, epoch cache and derivation run;
+    # an instance may lower it: 1 evaluates every HDM tick alone
+    lookahead_ticks = 256
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -367,7 +453,6 @@ class Simulation:
         self._refresh_healthy()
         self.center = self.positions.mean(axis=0)
         self.events = []
-        self.epochs = [self.epoch.meta()]   # each network epoch's, as built
         self._ahead = None
         self._failure_chunk = None   # (start tick, indices, rows)
         self.episode = None   # the CEM episode while in CEM
@@ -377,10 +462,19 @@ class Simulation:
         for spec in config.failures:
             self._register_failure(spec)
 
-        self._alloc_log()
-        # the first row logs the detector's weights; nothing is flagged yet
-        det, _ = self.epoch.detect(self.positions[None])
-        self._log_epoch_row(det)
+        rows = self.total_ticks + 1
+        self.log = TrajectoryLog(
+            agent_ids=self.ids, n=self.n, dt=self.dt,
+            times=np.arange(rows) * self.dt, events=self.events, **{
+                # np.zeros leaves a zero-filled array's pages untouched
+                name: np.zeros((rows, *shape), dtype) if value == 0
+                else np.full((rows, *shape), value, dtype)
+                for name, shape, dtype, value in _log_arrays(self.n_agents,
+                                                             self.n + 1)
+                if name not in _DERIVED})
+        self.epochs = self.log.epochs   # each network epoch's meta, as built
+        self.log._write(self.tick, self.positions[None], self.health,
+                        MODE_CODE[Mode.HDM], self.center, epoch=self.epoch)
 
     # -- construction helpers -------------------------------------------
 
@@ -398,36 +492,6 @@ class Simulation:
         self._failure_chunk = None
         self._drop_ahead()
         return True
-
-    def _build_network(self):
-        """Rebuild the network over the agents not excluded and start its
-        epoch at tick; a failed rebuild raises NumericError."""
-        try:
-            self.epoch = _build_epoch(self.config, self.positions, self.tick,
-                                      self.excluded, self.events)
-        except (DegeneracyError, SelectionError, NetworkError) as exc:
-            raise NumericError(
-                f"reference rebuild failed at tick {self.tick}, "
-                f"t={self.clock:.6f}: {exc}") from exc
-        self.epochs.append(self.epoch.meta())
-
-    def _alloc_log(self):
-        rows = self.total_ticks + 1
-        arrays = {
-            # np.zeros leaves a zero-filled array's pages untouched
-            name: np.zeros((rows, *shape), dtype) if value == 0
-            else np.full((rows, *shape), value, dtype)
-            for name, shape, dtype, value in _log_arrays(self.n_agents,
-                                                         self.n + 1)}
-        self.log = TrajectoryLog(
-            agent_ids=self.ids, n=self.n, dt=self.dt,
-            times=np.arange(rows) * self.dt, events=self.events,
-            epochs=self.epochs, **arrays)
-
-    def _clear_rows(self, rows):
-        """Reset log rows to the values _alloc_log fills them with."""
-        for name, _, _, value in _log_arrays(self.n_agents, self.n + 1):
-            getattr(self.log, name)[rows] = value
 
     # -- tick pieces -----------------------------------------------------
 
@@ -506,21 +570,28 @@ class Simulation:
             {self.ids[i]: self.positions[i] for i in self.healthy_idx}, flow)
         self.episode = _Episode(flow,
                                 np.fromiter(psi0.values(), dtype=np.float64),
-                                self.positions[self.healthy_idx],
-                                np.full((self.n_agents, 3), np.nan))
-        self._write_cem_row(self.tick, self.positions, self.center)
+                                self.positions[self.healthy_idx])
+        self.log._write(self.tick, self.positions[None], self.health,
+                        MODE_CODE[Mode.CEM], self.center, self.episode.targets)
 
     def _exclude_flagged(self):
         """Exclude the flagged agents, end the CEM episode if any, rebuild
-        the network over the rest and log row tick as its epoch's first."""
+        the network over the rest and log row tick as its epoch's first; a
+        failed rebuild raises NumericError."""
         self.excluded |= set(self.flagged)
         self.flagged = frozenset()
         self._refresh_healthy()
         self.episode = None
         self._drop_ahead()   # a block built before the rebuild is stale
-        self._build_network()
-        self._clear_rows(self.tick)
-        self._log_epoch_row(None)
+        try:
+            self.epoch = _build_epoch(self.config, self.positions, self.tick,
+                                      self.excluded, self.events)
+        except (DegeneracyError, SelectionError, NetworkError) as exc:
+            raise NumericError(
+                f"reference rebuild failed at tick {self.tick}, "
+                f"t={self.clock:.6f}: {exc}") from exc
+        self.log._write(self.tick, self.positions[None], self.health,
+                        MODE_CODE[Mode.HDM], self.center, epoch=self.epoch)
 
     def _supervise(self):
         """Supervisor transition at the end of a tick; it acts by rewriting
@@ -537,120 +608,35 @@ class Simulation:
             else:
                 self._exclude_flagged()
 
-    # -- log rows ----------------------------------------------------------
-
-    def _write_hdm_rows(self, row0, positions, prev, centers, det, healthy,
-                        plan):
-        """Log K consecutive HDM rows from row0 on.
-
-        positions are (K, N, 3) and prev the tick-start ones the local
-        desired positions come from, centers (K, 3); det holds the
-        detector's (weights, lo, hi) rows or None, healthy its (K, F)
-        verdicts, or None when it flagged nobody and nobody is flagged
-        (every row's health is the live one); plan holds the epoch's
-        sigma, margin_ok and global desired rows at the rows' times.
-        Excluded agents hold.  Returns the leader_deviation events the
-        rows raise, as (row, latch, leader id, Event) in tick order, for
-        the caller to emit as each tick commits; a row with anyone
-        flagged raises none, since the supervisor rewrites it.
-        """
-        ep, log = self.epoch, self.log
-        count = len(positions)
-        rows = slice(row0, row0 + count)
-        log.actual[rows] = positions
-        log.mode[rows] = MODE_CODE[Mode.HDM]
-        log.center[rows] = centers
-        log.health[rows] = self.health
-        if healthy is not None:
-            log.health[rows, ep.follower_cols] = np.where(
-                healthy, HEALTH_OK, HEALTH_FLAGGED)
-        if det is not None:
-            shape = (count, len(ep.follower_idx), self.n + 1)
-            for arr, rows_det in zip((log.weights, log.bounds_lo,
-                                      log.bounds_hi), det):
-                arr[rows, ep.follower_cols] = rows_det.reshape(shape)
-        log.local_desired[rows] = prev
-        log.local_desired[rows, ep.follower_cols] = \
-            ep.network.W @ prev[:, ep.order_cols]
-        log.local_desired[rows, ep.leader_cols] = cmd = \
-            plan[2][:, ep.leader_cols]
-        log.sigma[rows], log.margin_ok[rows], log.global_desired[rows] = plan
-        diff = positions[:, ep.leader_cols] - cmd
-        lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
-        lagging = lag > ep.delta
-        if not lagging.any():
-            return []
-        quiet = not self.flagged and (healthy is None or healthy.all(axis=1))
-        events, seen = [], set(ep.deviating)
-        for k, j in np.argwhere(lagging
-                                & np.reshape(quiet, (-1, 1))).tolist():
-            lid = ep.network.leaders[j]
-            if lid not in seen:
-                seen.add(lid)
-                events.append((row0 + k, ep.deviating, lid, Event(
-                    time=(row0 + k) * self.dt, kind="leader_deviation",
-                    payload={"agent": int(lid), "error": float(lag[k, j])})))
-        return events
-
-    def _emit(self, events):
-        """Log (row, latch, key, Event) events, adding each key to its latch."""
-        for _, latch, key, event in events:
-            latch.add(key)
-            self.events.append(event)
-
-    def _log_epoch_row(self, det):
-        """Log the row on which a network epoch starts (the first row and
-        the row of a rebuild), which no HDM integration produced."""
-        _, *plan = self.epoch.plan(self.tick, 0)
-        self._emit(self._write_hdm_rows(
-            self.tick, self.positions[None], self.positions[None],
-            self.center[None], det, None, plan))
-
-    def _write_cem_row(self, row, positions, center):
-        """Log a CEM row; only healthy agents have a desired position (the
-        healthy set is frozen during an episode)."""
-        log, desired = self.log, self.episode.desired
-        desired[self.healthy_idx] = self.episode.targets
-        log.actual[row] = positions
-        log.mode[row] = MODE_CODE[Mode.CEM]
-        log.center[row] = center
-        log.health[row] = self.health
-        log.local_desired[row] = log.global_desired[row] = desired
-        log.sigma[row], log.margin_ok[row] = np.nan, MARGIN_NA
-
     # -- main loop --------------------------------------------------------
 
     def step(self):
-        """Advance exactly one tick."""
+        """Advance exactly one tick: commit the next buffered one, after
+        building a block unless a buffered tick is left and the state it
+        was built from is unchanged."""
         if self.tick >= self.total_ticks:
             raise RuntimeError("simulation already complete")
-        if not self._ahead_valid():
+        ahead = self._ahead
+        if (ahead is None or self.tick >= ahead.end or self.flagged
+                or self.positions.tobytes() != ahead.live):
             self._drop_ahead()
             (self._cem_ahead if self.mode is Mode.CEM else self._look_ahead)()
         self._commit()
 
-    def _ahead_valid(self):
-        """Whether a buffered tick is left and the state it was built from
-        is unchanged."""
-        ahead = self._ahead
-        return (ahead is not None
-                and self.tick < ahead.end
-                and not self.flagged
-                and self.positions.tobytes() == ahead.live)
-
     def _drop_ahead(self):
         ahead, self._ahead = self._ahead, None
         if ahead is not None and self.tick < ahead.end:
-            self._clear_rows(slice(self.tick + 1, ahead.end + 1))
+            self.log._unwrite(self.tick + 1)
 
     def _look_ahead(self):
-        """Integrate a block of HDM ticks from the current state, evaluate
-        it in one pass, log it and keep it for _commit."""
+        """Integrate a block of HDM ticks from the current state, run the
+        detector over it in one pass, write its state rows and keep it for
+        _commit."""
         ep = self.epoch
         self._failure_chunk = None   # each HDM block starts a chunk
         fail_idx, fail_rows = self._failure_rows()
-        size = min(len(fail_rows), LOOKAHEAD_TICKS)
-        cmd, *plan = ep.plan(self.tick, size)
+        size = len(fail_rows)
+        cmd = ep._commands(self.tick, size)
         M, U = ep.team_matrix, np.zeros((size, self.n_agents, 3))
         U[:, ep.leader_cols] = _stage_commands(self._rk4, cmd).swapaxes(0, 1)
         # row 0 holds the current positions, row k + 1 those after tick k
@@ -669,29 +655,38 @@ class Simulation:
                 raise self._non_finite(finite[0])
             # the first non-finite tick starts the next block, which raises
             size = int(np.flatnonzero(~finite.all(axis=1))[0])
-        positions, prev = block[1:size + 1], block[:size]
-        det, healthy = ep.detect(positions)
-        if healthy.all():
-            flags = frozenset()
-            if not self.flagged:
-                healthy = None   # every row's health is the live one
-        else:
+        positions = block[1:size + 1]
+        _, healthy = ep.detect(positions)
+        flags = frozenset()
+        if not healthy.all():
             size = int(np.flatnonzero(~healthy.all(axis=1))[0]) + 1
-            positions, prev, healthy = (positions[:size], prev[:size],
-                                        healthy[:size])
-            det = tuple(a[:size * len(ep.follower_idx)] for a in det)
+            positions = positions[:size]
             flags = frozenset(ep.network.followers[j]
-                              for j in np.flatnonzero(~healthy[-1]))
-        plan = [rows[1:size + 1] for rows in plan]   # at the ticks' ends
+                              for j in np.flatnonzero(~healthy[size - 1]))
         centers = self._centers(positions)
-        events = self._write_hdm_rows(self.tick + 1, positions, prev, centers,
-                                      det, healthy, plan)
+        # rows log the live health: the supervisor rewrites the row of a tick
+        # with anyone flagged as it commits, which raises no leader_deviation;
+        # the others' are (row, latch, leader id, Event) for _commit to emit
+        self.log._write(self.tick + 1, positions, self.health,
+                        MODE_CODE[Mode.HDM], centers)
+        quiet = 0 if self.flagged else size - bool(flags)
+        diff = positions[:quiet, ep.leader_cols] \
+            - cmd[:, 2:2 * quiet + 1:2].swapaxes(0, 1)
+        lag = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+        events, seen = [], set(ep.deviating)
+        for k, j in np.argwhere(lag > ep.delta).tolist():
+            lid, row = ep.network.leaders[j], self.tick + 1 + k
+            if lid not in seen:
+                seen.add(lid)
+                events.append((row, ep.deviating, lid, Event(
+                    time=row * self.dt, kind="leader_deviation",
+                    payload={"agent": int(lid), "error": float(lag[k, j])})))
         self._ahead = _Ahead(self.tick + size, positions, centers, flags,
                              events)
 
     def _cem_ahead(self):
-        """Step the CEM episode one tick from the current state, log its row
-        and keep it for _commit as a one-tick block."""
+        """Step the CEM episode one tick from the current state, write its
+        state row and keep it for _commit as a one-tick block."""
         episode, row = self.episode, self.tick + 1
         fail_idx, fail_rows = self._failure_rows()
         idx, a0 = self.healthy_idx, self._rk4[0]
@@ -716,7 +711,8 @@ class Simulation:
             raise self._non_finite(np.isfinite(r).all(axis=1))
         centers = self._centers(positions) if self._tracking_center \
             else self.center[None]
-        self._write_cem_row(row, r, centers[0])
+        self.log._write(row, positions, self.health, MODE_CODE[Mode.CEM],
+                        centers, targets)
         self._ahead = _Ahead(row, positions, centers, frozenset(), events)
 
     def _commit(self):
@@ -738,8 +734,10 @@ class Simulation:
             self.flagged |= ahead.flags
             self._refresh_healthy()
             self._update_center()
-        if ahead.events:
-            self._emit(e for e in ahead.events if e[0] == self.tick)
+        for row, latch, key, event in ahead.events:
+            if row == self.tick:   # add each key to its latch
+                latch.add(key)
+                self.events.append(event)
         if self.flagged or self.mode is Mode.CEM:
             self._supervise()
 

@@ -426,9 +426,9 @@ def test_quiet_run_detects_once_per_block(monkeypatch):
     monkeypatch.setattr(anomaly, "evaluate_followers_batch", counted)
     Simulation(team7()).run()
     blocks = -(-TICKS // Simulation.lookahead_ticks)
-    assert len(calls) == 1 + blocks
+    assert len(calls) == blocks
     followers = 4
-    assert calls[1] == Simulation.lookahead_ticks * followers
+    assert calls[0] == Simulation.lookahead_ticks * followers
 
 
 def test_hdm_block_after_cem_starts_its_own_chunk(monkeypatch):
@@ -450,21 +450,22 @@ def test_hdm_block_after_cem_starts_its_own_chunk(monkeypatch):
 @pytest.mark.parametrize("extra", ["", failure_doc(*CEM_DRIFT)],
                          ids=["quiet", "cem-drift"])
 def test_plan_is_evaluated_once_per_block(monkeypatch, extra):
-    """Each HDM block, and each epoch's first row, evaluates the leader
-    plan once."""
+    """Each HDM block evaluates the leaders' commands once, and the run
+    evaluates nothing more of the plan: an epoch's first row needs none,
+    and the log derives sigma and the desired rows when read."""
     calls = []
     for owner, name in ((simulate._Epoch, "plan"),
-                        (Simulation, "_look_ahead"),
-                        (Simulation, "_log_epoch_row")):
+                        (simulate._Epoch, "_commands"),
+                        (Simulation, "_look_ahead")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     Simulation(team7(extra)).run()
-    blocks, epochs = calls.count("_look_ahead"), calls.count("_log_epoch_row")
-    assert calls.count("plan") == blocks + epochs
+    blocks = calls.count("_look_ahead")
+    assert calls.count("_commands") == blocks and "plan" not in calls
     if not extra:
-        assert (blocks, epochs) == (-(-TICKS // Simulation.lookahead_ticks), 1)
+        assert blocks == -(-TICKS // Simulation.lookahead_ticks)
 
 
 def test_block_stops_at_the_first_flagged_tick():

@@ -20,10 +20,10 @@ from contiform.automaton import Mode
 from contiform.errors import NumericError, ScenarioError
 from contiform.scenario import load_scenario
 from contiform.simulate import (HEALTH_EXCLUDED, HEALTH_FLAGGED, HEALTH_OK,
-                                MODE_CODE, Simulation, _Epoch,
+                                MARGIN_NA, MODE_CODE, Simulation, _Epoch,
                                 _rk4_coefficients, _stage_commands,
                                 _team_matrix, inject_failure, run_scenario)
-from test_lookahead import team22_freeze
+from test_lookahead import CEM_DRIFT, failure_doc, team7, team22_freeze
 
 LATTICE27 = REPO_ROOT / "scenarios" / "lattice27.yaml"
 
@@ -589,6 +589,118 @@ class TestLeaderPlan:
                       short.positions, 0)
         assert array_bytes(short.epoch) > 0
         assert array_bytes(full) == array_bytes(short.epoch)
+
+
+def recorded_epochs(monkeypatch):
+    """The list each _Epoch the simulation builds is appended to."""
+    epochs, build = [], simulate._build_epoch
+
+    def recorded(*args, **kwargs):
+        epochs.append(build(*args, **kwargs))
+        return epochs[-1]
+
+    monkeypatch.setattr(simulate, "_build_epoch", recorded)
+    return epochs
+
+
+class TestDerivedSeries:
+    """The log stores the state rows; the weights, bounds, desired
+    positions, sigma and margin_ok are derived from them on read."""
+
+    @pytest.mark.parametrize("config", [
+        lambda: team7(failure_doc(*CEM_DRIFT)),
+        lambda: load_scenario(LATTICE27), team22_two_freezes],
+        ids=["team7-cem-drift", "lattice27", "team22-two-freezes"])
+    def test_row_rules(self, config, monkeypatch):
+        """The rules each derived row keeps, against the epochs the run
+        built: row 0 carries the detector's weights; a rebuilt epoch's
+        first row has none and its local desired positions come from its
+        own positions; a CEM episode's first row keeps the detector's
+        weights of its positions and logs the entry targets, the healthy
+        agents' positions; the other CEM rows have no weights, sigma or
+        margin; on the other HDM rows the followers' local desired
+        positions are W over the previous row."""
+        epochs = recorded_epochs(monkeypatch)
+        log = Simulation(config()).run()
+        assert len(epochs) == len(log.epochs) >= 2
+        det = ("weights", "bounds_lo", "bounds_hi")
+
+        def detector(ep, row):
+            computed, _ = ep.detect(log.actual[row:row + 1])
+            for name, want in zip(det, computed):
+                np.testing.assert_array_equal(
+                    getattr(log, name)[row, ep.follower_idx], want[0])
+
+        detector(epochs[0], 0)
+        starts = [ep.start_tick for ep in epochs]
+        ends = starts[1:] + [len(log.times)]
+        cem = MODE_CODE[Mode.CEM]
+        entries = 0
+        for i, (ep, end) in enumerate(zip(epochs, ends)):
+            row = ep.start_tick
+            own, local = log.actual[row], log.local_desired[row]
+            outside = np.setdiff1d(np.arange(len(own)), ep.order_idx)
+            np.testing.assert_array_equal(local[outside], own[outside])
+            np.testing.assert_array_equal(local[ep.leader_idx],
+                                          log.global_desired[row,
+                                                             ep.leader_idx])
+            np.testing.assert_array_equal(local[ep.follower_idx],
+                                          ep.network.W @ own[ep.order_idx])
+            np.testing.assert_allclose(local[ep.order_idx], own[ep.order_idx],
+                                       rtol=0.0, atol=1e-9)
+            if i:
+                for name in det:
+                    assert np.isnan(getattr(log, name)[row]).all()
+            for row in range(row + 1, end):
+                if log.mode[row] != cem:
+                    np.testing.assert_array_equal(
+                        log.local_desired[row, ep.follower_idx],
+                        ep.network.W @ log.actual[row - 1, ep.order_idx])
+                elif log.mode[row - 1] != cem:   # the episode's first row
+                    entries += 1
+                    detector(ep, row)
+                    healthy = log.health[row] == HEALTH_OK
+                    for desired in (log.local_desired[row],
+                                    log.global_desired[row]):
+                        np.testing.assert_array_equal(
+                            desired[healthy], log.actual[row, healthy])
+                        assert np.isnan(desired[~healthy]).all()
+                else:
+                    for name in (*det, "sigma"):
+                        assert np.isnan(getattr(log, name)[row]).all()
+                    assert log.margin_ok[row] == MARGIN_NA
+        assert entries == len(log.events_of_kind("mode_change")) // 2
+
+    def test_series_read_after_every_step_match_one_read(self):
+        """Read after every step, the derived series cover exactly the
+        rows written so far, the block's uncommitted ones included, and
+        hold their unwritten values past them: a block dropped by an
+        injected failure leaves nothing behind, and the run ends with the
+        log of a run read only at its end."""
+        def digest(read):
+            sim = Simulation(team7(failure_doc(*CEM_DRIFT)))
+            log = sim.log
+            while sim.tick < sim.total_ticks:
+                if sim.tick == 30:
+                    inject_failure(sim, 6, "freeze", 0.5)
+                sim.step()
+                if read:
+                    ahead = sim._ahead
+                    end = (sim.tick if ahead is None else ahead.end) + 1
+                    written = np.isfinite(log.local_desired[:end])
+                    assert written.any(axis=(1, 2)).all()
+                    for name in ("local_desired", "weights", "sigma"):
+                        assert np.isnan(getattr(log, name)[end:]).all()
+                    assert np.all(log.margin_ok[end:] == MARGIN_NA)
+            return log.digest()
+
+        assert digest(True) == digest(False)
+
+    def test_log_arrays_at_construction(self):
+        """Building the shipped team22 run allocates only its state rows:
+        at most 75 MiB of arrays for 125,001 rows of 22 agents."""
+        log = Simulation(load_scenario(TEAM22)).log
+        assert array_bytes(log) <= 75 * 2**20
 
 
 class TestKnownLimitations:
