@@ -48,16 +48,19 @@ def evaluate_followers_batch(vertices, queries, static_weights, delta, n):
     """Vectorized condition Psi over many followers at once.
 
     vertices is (m, n+1, 3) actual in-neighbor positions, queries (m, 3) the
-    followers' own actual positions, static_weights (m, n+1).  Returns
-    (weights (m, n+1), lo, hi, healthy (m,) bool).  Rows with a degenerate
-    actual simplex (geometry._full_rank) or non-finite weights get NaN
-    entries and healthy = False.
+    followers' own actual positions, static_weights (m, n+1): other shapes
+    raise ValueError.  Returns (weights (m, n+1), lo, hi, healthy (m,)
+    bool).  Rows with a degenerate actual simplex (geometry._full_rank) or
+    non-finite weights get NaN entries and healthy = False.
     """
     _check_n(n)
     vertices = np.asarray(vertices, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     static_weights = np.asarray(static_weights, dtype=np.float64)
     _check_simplexes(vertices, queries, n)
+    if static_weights.shape != (len(queries), n + 1):
+        raise ValueError(f"expected static_weights ({len(queries)}, {n + 1}), "
+                         f"got {static_weights.shape}")
     if vertices.shape[0] == 0:
         empty = np.empty((0, n + 1))
         return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)

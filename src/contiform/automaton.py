@@ -4,8 +4,8 @@ The mode transition is a pure function of the previous mode, the flagged
 agents' positions and the containment domain, so replaying a logged run
 reproduces identical transition times.  The containment domain is a
 rigid-size norm ball (1-norm box by default, boundary inclusive); its
-center is maintained by the caller, which either freezes it at CEM entry
-(default policy) or tracks the healthy mean every tick.
+center is the caller's: the healthy agents' mean position, or in CEM
+under the frozen policy (the default) that mean at CEM entry.
 """
 
 from __future__ import annotations

@@ -13,17 +13,18 @@ Per tick, in order: (1) desired positions per mode, (2) the affine team
 step (in CEM, each healthy agent's r+ = a0 r + (1 - a0) c toward its
 target c), (3) failure kinematics override, (4) the anomaly verdict (HDM
 only; the flagged set is frozen while CEM is active), (5) supervisor
-transition, (6) one state row of the log (positions, health, mode and
-center, and a CEM row's targets), from which it derives the rest on read.
+transition on the containment center, the healthy agents' mean position
+(in CEM under the frozen policy, that at entry), (6) one state row of the
+log (positions, health, mode, a CEM row's targets): it derives the rest.
 
 Both modes run one protocol: build a block from the live state, write its
 state rows ahead, commit one tick per step(), and let a supervisor action
 rewrite the committed row.  _commit alone advances the clock, makes a
-tick's positions and center live, logs its events and runs (5), in HDM
-only with anyone flagged: it enters CEM for a flagged agent inside the
-containment domain, or excludes the flagged agents once all are outside
-it (on CEM exit, or at once in HDM), rebuilds the network and rewrites
-the row as the new epoch's first.  Both builders read the failed agents'
+tick's positions live, logs its events and runs (5), in HDM only with
+anyone flagged: it enters CEM for a flagged agent inside the containment
+domain, or excludes the flagged agents once all are outside it (on CEM
+exit, or at once in HDM), rebuilds the network and rewrites the row as
+the new epoch's first.  Both builders read the failed agents'
 rows (3) from one run-level chunk of at most `lookahead_ticks` ticks, cut
 at the run end and before the next activation; every HDM block starts a
 new one, and CEM ticks read on through it.  A block is dropped, and its
@@ -39,19 +40,18 @@ dynamics.  So the block advances through the chunk's ticks by (2)-(3),
 straight into one (K + 1, N, 3) array that opens with the tick-start
 positions, with the leader commands from one evaluation of the epoch's
 plan, and evaluates them in one vectorized pass: the detector's verdicts
-over all K x F follower rows against the epoch's tiled static weights,
-the leader lag and its leader_deviation events, and the containment
-centers.  It keeps the ticks up to and including the first one on which
-anyone is flagged.  Finiteness and the detector verdict are each one test
-over the whole block; only a failed test looks for its tick (the first
-non-finite tick ends the block, and the next block raises on it).
+over all K x F follower rows against the epoch's static weights, and
+the leader lag and its leader_deviation events.  It keeps the ticks up
+to and including the first one on which anyone is flagged.  Finiteness
+and the detector verdict are each one test over the whole block; only a
+failed test looks for its tick (the first non-finite tick ends the
+block, and the next block raises on it).
 
 A CEM block is one tick: one cem.step_streamline_many call (1) on the
 episode's targets, the healthy agents' (H, 3) in healthy_idx order, with
 its stagnation and disk-projection events; its positions are tested for
-finiteness once and its tracking center is the healthy mean, as in an
-HDM block.  The episode holds the flow past the flagged agents, the
-stream constants, the targets and the event latch.
+finiteness once.  The episode holds the flow past the flagged agents,
+the stream constants, the targets, the entry center and the latch.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ MARGIN_OK, MARGIN_VIOLATED, MARGIN_NA = 1, 0, -1
 
 # the log arrays _derive computes from those the engine writes
 _DERIVED = ("local_desired", "global_desired", "weights", "bounds_lo",
-            "bounds_hi", "sigma", "margin_ok")
+            "bounds_hi", "sigma", "margin_ok", "center")
 
 
 @dataclass
@@ -90,10 +90,10 @@ class TrajectoryLog:
     Arrays indexed [tick, agent] follow the scenario's agent order.  The
     simulation writes only state rows; mid-run, those past the current
     tick up to the end of its look-ahead block (which holds its own
-    positions and centers) are uncommitted, and the later ones hold an
-    unwritten row.  The other series (_DERIVED, shaped as _log_arrays says;
-    weights are the transient weights, NaN if n/a, sigma the deformation's
-    singular values) are derived from the written rows on read (_derive).
+    positions) are uncommitted, and the later ones hold an unwritten row.
+    The other series (_DERIVED, shaped as _log_arrays says; weights are
+    the transient weights, NaN if n/a, sigma the deformation's singular
+    values) are derived from the written rows on read (_derive).
     """
 
     agent_ids: tuple
@@ -103,7 +103,6 @@ class TrajectoryLog:
     actual: np.ndarray          # (T+1, N, 3)
     health: np.ndarray          # (T+1, N) int8
     mode: np.ndarray            # (T+1,) int8
-    center: np.ndarray          # (T+1, 3) containment center
     events: list = field(default_factory=list)
     epochs: list = field(default_factory=list)
     # shared by every copy: each epoch's _Epoch, each CEM row's targets, the
@@ -113,17 +112,16 @@ class TrajectoryLog:
                         derived=0)))
 
     local_desired, global_desired, weights, bounds_lo, bounds_hi, sigma, \
-        margin_ok = (property(lambda log, name=name: _derive(log)[name])
-                     for name in _DERIVED)
+        margin_ok, center = (property(lambda log, name=name:
+                                      _derive(log)[name]) for name in _DERIVED)
 
-    def _write(self, row0, actual, health, mode, center, targets=None,
-               epoch=None):
+    def _write(self, row0, actual, health, mode, targets=None, epoch=None):
         """Write the state rows from row0 on, one per actual (K, N, 3) row;
-        health, mode and center broadcast over them.  A CEM row keeps its
-        targets, and a network epoch's first row its _Epoch."""
+        health and mode broadcast over them.  A CEM row keeps its targets,
+        and a network epoch's first row its _Epoch."""
         rows = slice(row0, row0 + len(actual))
-        self.actual[rows], self.health[rows] = actual, health
-        self.mode[rows], self.center[rows] = mode, center
+        self.actual[rows], self.health[rows], self.mode[rows] = \
+            actual, health, mode
         w = self._written
         if targets is not None:
             w.targets[row0] = targets
@@ -178,14 +176,13 @@ class _Epoch:
 
     The network; Delta (refnet._delta on its Xi_max), d_min (the scenario's
     override, else the network's) and the collision-safety threshold on
-    the commanded deformation's smallest sigma; index caches; the team
-    matrix; the leaders' plan, anchored at the build's positions and
-    evaluated on demand by plan(); and the leaders whose deviation has
-    been logged.  Nothing here grows with the run: the caches a block
-    reads are the followers' static weights tiled over lookahead_ticks
-    ticks, the longest block, and the leaders', followers' and network's
-    agent columns, each a slice when its agents are consecutive (see
-    _columns).
+    the commanded deformation's smallest sigma; the center policy; index
+    caches; the team matrix; the leaders' plan, anchored at the build's
+    positions and evaluated on demand by plan(); and the leaders whose
+    deviation has been logged.  Nothing here grows with the run or the
+    block: a block reads the followers' static weights, a row each, and
+    the leaders', followers' and network's agent columns, each a slice
+    when its agents are consecutive (see _columns).
     """
 
     def __init__(self, network, config: ScenarioConfig, positions, tick):
@@ -197,6 +194,7 @@ class _Epoch:
             else config.d_min_override
         self.threshold, _ = hdm.collision_safety_margin(
             np.ones(3), self.delta, config.vehicle_radius, self.d_min)
+        self.frozen_center = config.center_policy == "frozen"
         self.leader_idx = np.array([idx[a] for a in network.leaders], dtype=int)
         self.follower_idx = np.array([idx[a] for a in network.followers],
                                      dtype=int)
@@ -206,8 +204,6 @@ class _Epoch:
                                 dtype=int)
         self.static_w = np.array([[network.weights[(f, a)] for a in row]
                                   for f, row in nbrs])
-        self.static_rows = np.tile(self.static_w,
-                                   (Simulation.lookahead_ticks, 1))
         self.leader_cols, self.follower_cols, self.order_cols = map(
             _columns, (self.leader_idx, self.follower_idx, self.order_idx))
         self._edge_inv = hdm.reference_edge_inverse(
@@ -256,14 +252,14 @@ class _Epoch:
         return cmd, sigma, ok, desired
 
     def detect(self, positions):
-        """Condition Psi for every follower on each of K <= lookahead_ticks
-        ticks of positions (K, N, 3): returns the (weights, lo, hi) rows,
-        (K, F, n+1) each, and healthy (K, F)."""
+        """Condition Psi for every follower on each of K ticks of positions
+        (K, N, 3): returns the (weights, lo, hi) rows, (K, F, n+1) each,
+        and healthy (K, F)."""
         k, count, f = self.network.n + 1, len(positions), len(self.static_w)
         *det, healthy = anomaly.evaluate_followers_batch(
             np.take(positions, self.nbr_idx, axis=1).reshape(-1, k, 3),
             positions[:, self.follower_cols].reshape(-1, 3),
-            self.static_rows[:count * f], self.delta, k - 1)
+            np.tile(self.static_w, (count, 1)), self.delta, k - 1)
         return [a.reshape(count, f, k) for a in det], healthy.reshape(count, f)
 
     def meta(self):
@@ -288,6 +284,7 @@ class _Episode:
     flow: cem.FlowField     # uniform flow past the flagged agents' doublets
     psi0: np.ndarray        # (H,) stream constants in healthy_idx order
     targets: np.ndarray     # (H, 3) streamline targets in healthy_idx order
+    center: np.ndarray      # (3,) containment center at entry
     # agents whose stagnation or disk projection is logged, per event kind
     latch: dict = field(default_factory=lambda: {
         "stagnation": set(), "disk_projection": set()})
@@ -301,7 +298,6 @@ class _Ahead:
 
     end: int                # tick of its last row
     positions: np.ndarray   # (K, N, 3) positions after each tick
-    centers: np.ndarray     # (K, 3) containment centers
     flags: frozenset        # flagged set on the last tick
     events: list            # [(row, latch, key, Event)] in tick order
     live: bytes = b""       # the live positions' bytes as last committed
@@ -378,7 +374,7 @@ def _first_epoch(config, failed="initial network build failed"):
 def _derive(log):
     """The log's derived series, name -> (T+1, ...) array: the rows written
     or unwritten since the last call reset, the written ones derived from
-    the state rows and their epoch in one-mode runs of <= lookahead_ticks:
+    the state rows and their epoch in runs of one mode and health row:
     - weights, bounds_lo, bounds_hi: the epoch's detector on HDM rows but
       a rebuilt epoch's first, and on a CEM episode's first row, which
       keeps the flagging tick's verdict; NaN elsewhere;
@@ -386,9 +382,11 @@ def _derive(log):
       CEM rows the targets (NaN if not healthy), NaN and MARGIN_NA;
     - local_desired: on HDM rows W over the previous row (an epoch's first
       row over itself) for followers, the plan for leaders and the previous
-      positions for the rest; on CEM rows the targets.
+      positions for the rest; on CEM rows the targets;
+    - center: the healthy agents' mean position, but under the frozen
+      policy a CEM episode's rows and the row ending it hold its entry's.
     """
-    w, mode = log._written, log.mode
+    w, mode, cem = log._written, log.mode, MODE_CODE[Mode.CEM]
     specs = [spec for spec in _log_arrays(len(log.agent_ids), log.n + 1)
              if spec[0] in _DERIVED]
     if w.series is None:
@@ -400,10 +398,12 @@ def _derive(log):
     for i, ep in enumerate(w.epochs):
         row, stop = max(w.fresh, starts[i]), min(starts[i + 1], w.end)
         while row < stop:
-            same = mode[row:min(row + Simulation.lookahead_ticks, stop)]
-            rows = slice(row, row + (int(np.argmin(same == same[0]))
-                                     or len(same)))
-            if same[0] == MODE_CODE[Mode.HDM]:
+            end = min(row + Simulation.lookahead_ticks, stop)
+            same = (mode[row:end] == mode[row]) & (
+                log.health[row:end] == log.health[row]).all(axis=1)
+            rows = slice(row, row + (int(np.argmin(same)) or len(same)))
+            idx = np.flatnonzero(log.health[row] == HEALTH_OK)   # healthy
+            if mode[row] != cem:
                 _, sigma, ok, desired = ep.plan(row, rows.stop - row - 1)
                 w.series["sigma"][rows] = sigma
                 w.series["margin_ok"][rows] = ok
@@ -415,9 +415,15 @@ def _derive(log):
                 first, last = row + (row == ep.start_tick and i > 0), rows.stop
             else:
                 local = desired = np.full(log.actual[rows].shape, np.nan)
-                desired[log.health[rows] == HEALTH_OK] = np.concatenate(
-                    [w.targets[r] for r in range(row, rows.stop)])
-                first, last = row, row + (row == 0 or mode[row - 1] != same[0])
+                desired[:, idx] = [w.targets[r] for r in range(row, rows.stop)]
+                first, last = row, row + (row == 0 or mode[row - 1] != cem)
+            picks = np.arange(row, rows.stop)
+            if ep.frozen_center and cem in mode[max(row - 1, 0):row + 1]:
+                # an episode's rows and the one ending it: its entry row's
+                picks[:None if mode[row] == cem else 1] = np.flatnonzero(
+                    np.append(True, mode[:row] != cem))[-1]
+            w.series["center"][rows] = \
+                log.actual[picks][:, idx].sum(axis=1) / len(idx)
             w.series["local_desired"][rows] = local
             w.series["global_desired"][rows] = desired
             det, _ = ep.detect(log.actual[first:last])   # the rows with weights
@@ -431,8 +437,8 @@ def _derive(log):
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
-    # longest failure-row chunk, HDM block, epoch cache and derivation run;
-    # an instance may lower it: 1 evaluates every HDM tick alone
+    # longest failure-row chunk, HDM block and derivation run; an instance
+    # may set any positive value: 1 evaluates every HDM tick alone
     lookahead_ticks = 256
 
     def __init__(self, config: ScenarioConfig):
@@ -449,9 +455,7 @@ class Simulation:
         self.excluded = set()
         self.flagged = frozenset()
         self.mode = Mode.HDM
-        self._tracking_center = config.center_policy == "tracking"
         self._refresh_healthy()
-        self.center = self.positions.mean(axis=0)
         self.events = []
         self._ahead = None
         self._failure_chunk = None   # (start tick, indices, rows)
@@ -474,7 +478,7 @@ class Simulation:
                 if name not in _DERIVED})
         self.epochs = self.log.epochs   # each network epoch's meta, as built
         self.log._write(self.tick, self.positions[None], self.health,
-                        MODE_CODE[Mode.HDM], self.center, epoch=self.epoch)
+                        MODE_CODE[Mode.HDM], epoch=self.epoch)
 
     # -- construction helpers -------------------------------------------
 
@@ -552,13 +556,12 @@ class Simulation:
         self.health[self.flagged_idx] = HEALTH_FLAGGED
         self.healthy_idx = np.flatnonzero(self.health == HEALTH_OK)
 
-    def _centers(self, positions):
-        """Containment centers (K, 3) of positions (K, N, 3)."""
+    def _containment_center(self):
+        """The containment center that (5) reads; see the module docstring."""
+        if self.episode is not None and self.epoch.frozen_center:
+            return self.episode.center
         idx = self.healthy_idx   # the mean, without np.mean's overhead
-        return positions[:, idx].sum(axis=1) / len(idx)
-
-    def _update_center(self):
-        self.center = self._centers(self.positions[None])[0]
+        return self.positions[idx].sum(axis=0) / len(idx)
 
     def _enter_cem(self):
         """Start a CEM episode around the flagged agents; row tick becomes
@@ -570,9 +573,10 @@ class Simulation:
             {self.ids[i]: self.positions[i] for i in self.healthy_idx}, flow)
         self.episode = _Episode(flow,
                                 np.fromiter(psi0.values(), dtype=np.float64),
-                                self.positions[self.healthy_idx])
+                                self.positions[self.healthy_idx],
+                                self._containment_center())
         self.log._write(self.tick, self.positions[None], self.health,
-                        MODE_CODE[Mode.CEM], self.center, self.episode.targets)
+                        MODE_CODE[Mode.CEM], self.episode.targets)
 
     def _exclude_flagged(self):
         """Exclude the flagged agents, end the CEM episode if any, rebuild
@@ -591,14 +595,14 @@ class Simulation:
                 f"reference rebuild failed at tick {self.tick}, "
                 f"t={self.clock:.6f}: {exc}") from exc
         self.log._write(self.tick, self.positions[None], self.health,
-                        MODE_CODE[Mode.HDM], self.center, epoch=self.epoch)
+                        MODE_CODE[Mode.HDM], epoch=self.epoch)
 
     def _supervise(self):
         """Supervisor transition at the end of a tick; it acts by rewriting
         the tick's row (see the module docstring)."""
         mode, events = transition(
             self.mode, self.flagged_ids, self.positions[self.flagged_idx],
-            self.center, self.config.containment_half_size,
+            self._containment_center(), self.config.containment_half_size,
             self.config.containment_norm, self.clock)
         if events:
             self.mode = mode
@@ -663,12 +667,11 @@ class Simulation:
             positions = positions[:size]
             flags = frozenset(ep.network.followers[j]
                               for j in np.flatnonzero(~healthy[size - 1]))
-        centers = self._centers(positions)
         # rows log the live health: the supervisor rewrites the row of a tick
         # with anyone flagged as it commits, which raises no leader_deviation;
         # the others' are (row, latch, leader id, Event) for _commit to emit
         self.log._write(self.tick + 1, positions, self.health,
-                        MODE_CODE[Mode.HDM], centers)
+                        MODE_CODE[Mode.HDM])
         quiet = 0 if self.flagged else size - bool(flags)
         diff = positions[:quiet, ep.leader_cols] \
             - cmd[:, 2:2 * quiet + 1:2].swapaxes(0, 1)
@@ -681,8 +684,7 @@ class Simulation:
                 events.append((row, ep.deviating, lid, Event(
                     time=row * self.dt, kind="leader_deviation",
                     payload={"agent": int(lid), "error": float(lag[k, j])})))
-        self._ahead = _Ahead(self.tick + size, positions, centers, flags,
-                             events)
+        self._ahead = _Ahead(self.tick + size, positions, flags, events)
 
     def _cem_ahead(self):
         """Step the CEM episode one tick from the current state, write its
@@ -709,31 +711,26 @@ class Simulation:
         r[fail_idx] = fail_rows[0]
         if not np.isfinite(r).all():
             raise self._non_finite(np.isfinite(r).all(axis=1))
-        centers = self._centers(positions) if self._tracking_center \
-            else self.center[None]
         self.log._write(row, positions, self.health, MODE_CODE[Mode.CEM],
-                        centers, targets)
-        self._ahead = _Ahead(row, positions, centers, frozenset(), events)
+                        targets)
+        self._ahead = _Ahead(row, positions, frozenset(), events)
 
     def _commit(self):
         """Commit the next buffered tick: the clock advances, its positions
-        and center go live, its events are logged and the supervisor runs."""
+        go live, its events are logged and the supervisor runs."""
         ahead = self._ahead
         self.tick += 1
-        k = self.tick - ahead.end - 1
         # the live row is the block's own: an edit of it between steps
         # differs from the bytes kept here and drops the block, which then
         # is never read again; after the last tick nothing is compared
-        self.positions = ahead.positions[k]
+        self.positions = ahead.positions[self.tick - ahead.end - 1]
         if self.tick < ahead.end:
             ahead.live = self.positions.tobytes()
-        self.center = ahead.centers[k]
         # only a block's last tick can flag anyone, and a flagged set edited
         # between steps is kept; (5) leaves HDM with nobody flagged as it is
         if self.tick == ahead.end and ahead.flags:
             self.flagged |= ahead.flags
             self._refresh_healthy()
-            self._update_center()
         for row, latch, key, event in ahead.events:
             if row == self.tick:   # add each key to its latch
                 latch.add(key)

@@ -225,6 +225,18 @@ class TestBatchEvaluation:
             np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 3)), 0.1, 2)
         assert w.shape == (0, 3) and healthy.shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 2)],
+                             ids=["one-row", "row-to-broadcast", "n-columns"])
+    def test_static_weights_not_one_row_per_query_are_rejected(self, shape):
+        """static_weights is (m, n+1): a row for every query, not one row
+        broadcast to all of them, and n+1 weights in each."""
+        with pytest.raises(ValueError) as err:
+            anomaly.evaluate_followers_batch(
+                np.ones((2, 3, 3)), np.ones((2, 3)), np.full(shape, 1 / 3),
+                0.1, 2)
+        assert str(err.value) == (f"expected static_weights (2, 3), "
+                                  f"got {shape}")
+
 
 PROPERTY = settings(max_examples=60)
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)

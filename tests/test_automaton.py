@@ -1,6 +1,6 @@
 """Supervisory automaton tests. transition is a pure function of plain
 values, so every case is a direct input/output check; the containment
-center it reads is maintained by the simulator."""
+center it reads is the simulator's."""
 import numpy as np
 import pytest
 import yaml
@@ -43,14 +43,13 @@ agents:
 
 
 class TestNominalContainmentPosition:
-    """The containment center the simulator keeps is the healthy mean."""
+    """The containment center the supervisor reads is the healthy mean."""
 
     def test_mean_of_two(self):
         sim = Simulation(load_scenario(FIVE))
         sim.flagged = frozenset({1, 4, 5})
         sim._refresh_healthy()
-        sim._update_center()
-        np.testing.assert_allclose(sim.center, [4.0, 4.0, 0.0])
+        np.testing.assert_allclose(sim._containment_center(), [4.0, 4.0, 0.0])
 
     def test_mean_of_many(self):
         doc = yaml.safe_load(TEAM22.read_text())

@@ -1,7 +1,7 @@
 """Smoke tests for the scripts under demos/ and the README examples.
 
 The sub-second demos run in full; streamline_cem and three_phase_replay
-take several seconds each and do not run here.  For every demo and every
+take several seconds each and run only in the CI workflow's demo step.  For every demo and every
 ```python block of README.md an AST walk checks that each contiform name
 it imports or reads as a module attribute exists, so an API deletion
 fails here rather than in a demo or a doc example nobody ran.

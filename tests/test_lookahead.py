@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 from contiform import anomaly, cem, simulate
 from contiform.automaton import Mode
-from contiform.errors import NumericError
+from contiform.errors import NumericError, ScenarioError
 from contiform.scenario import load_scenario
-from contiform.simulate import (HEALTH_FLAGGED, HEALTH_OK, Simulation,
-                                inject_failure)
+from contiform.simulate import (HEALTH_FLAGGED, HEALTH_OK, MODE_CODE,
+                                Simulation, inject_failure)
 
 # Seven agents translating east at 1 m/s.  Freezes and drifts of its
 # followers are flagged within the run and reach CEM, some of them the
@@ -127,6 +127,74 @@ def test_block_length_does_not_change_the_lattice27_log():
     assert run(sim) == run(sim_with(config, 1))
     assert len(sim.epochs) == 2 and isinstance(sim.epoch.follower_cols,
                                                np.ndarray)
+
+
+LONG_BLOCK_RUNS = {
+    "team7": lambda: team7(failure_doc(*CEM_DRIFT)),
+    "lattice27": lambda: load_scenario(REPO_ROOT / "scenarios"
+                                       / "lattice27.yaml"),
+}
+
+
+@pytest.mark.parametrize("lookahead", [257, 300, 1000])
+@pytest.mark.parametrize("name", LONG_BLOCK_RUNS)
+def test_blocks_past_the_class_length_keep_the_log(name, lookahead):
+    """Any positive lookahead_ticks, above the class value too, gives the
+    default run's log: nothing an epoch caches depends on the block
+    length."""
+    make = LONG_BLOCK_RUNS[name]
+    assert run(sim_with(make(), lookahead)) == run(Simulation(make()))
+
+
+def center_rule(log, frozen):
+    """Each row's containment center by the rules, from the state rows:
+    the mean of the row's healthy agents, but under the frozen policy a
+    CEM episode's rows and the row that ends it take its entry row's."""
+    cem = log.mode == MODE_CODE[Mode.CEM]
+    want = np.empty((len(log.times), 3))
+    for r in range(len(log.times)):
+        ok = log.health[r] == HEALTH_OK
+        want[r] = log.actual[r][ok].sum(axis=0) / np.count_nonzero(ok)
+        if cem[r] and (r == 0 or not cem[r - 1]):
+            entry = r
+        elif frozen and (cem[r] or r and cem[r - 1]):
+            want[r] = want[entry]
+    return want
+
+
+def center_run(policy, picked, lookahead=None):
+    """TEAM7 under the center policy with the picked failures, stepped to
+    the end: (digest, log), or (the error, None) if it raises a
+    ScenarioError or NumericError, the load included."""
+    text = TEAM7.format(extra=failure_doc(*picked)).replace(
+        "center_policy: tracking", f"center_policy: {policy}")
+    try:
+        config = load_scenario(text)
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}", None
+    sim = Simulation(config) if lookahead is None else sim_with(config,
+                                                                lookahead)
+    digest = run(sim)
+    if sim.tick < sim.total_ticks:
+        assert digest.startswith(("ScenarioError:", "NumericError:"))
+        return digest, None
+    return digest, sim.log
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(policy=st.sampled_from(["frozen", "tracking"]),
+       picked=st.lists(failures, min_size=1, max_size=2))
+@example(policy="frozen", picked=[CEM_DRIFT])
+@example(policy="frozen", picked=[CEM_DRIFT, (6, 2.0, "drift", (-10.0, 6.0))])
+@example(policy="frozen", picked=[CEM_DRIFT, (6, 1.0, "freeze", None)])
+def test_logged_center_keeps_the_center_rules(policy, picked):
+    """Every logged center row is center_rule's, bit for bit, and the run
+    is the one-tick-block run's."""
+    digest, log = center_run(policy, picked)
+    assert center_run(policy, picked, lookahead=1)[0] == digest
+    if log is not None:
+        np.testing.assert_array_equal(log.center,
+                                      center_rule(log, policy == "frozen"))
 
 
 @PROPERTY
@@ -313,9 +381,8 @@ def test_cem_row_is_final_when_step_returns():
         cem_rows += 1
         row, idx = sim.tick, sim.healthy_idx
         np.testing.assert_array_equal(log.actual[row], sim.positions)
-        np.testing.assert_array_equal(log.center[row], sim.center)
         np.testing.assert_array_equal(
-            sim.center, sim.positions[idx].sum(axis=0) / len(idx))
+            log.center[row], sim.positions[idx].sum(axis=0) / len(idx))
         assert log.mode[row] == 1
         np.testing.assert_array_equal(log.health[row], sim.health)
         others = np.setdiff1d(np.arange(sim.n_agents), idx)
@@ -331,8 +398,8 @@ def test_cem_row_is_final_when_step_returns():
 def step_checking_hdm_rows(sim):
     """Step sim, whose center policy is tracking, to the end.  After every
     step that leaves the run in HDM, the CEM episode is gone and row tick
-    holds the live positions, center, health and mode; on a step that
-    starts a network epoch the center is the mean of the agents left.
+    holds the live positions, health and mode, and as center the mean of
+    the healthy agents, on a step that starts a network epoch those left.
     Returns (tick, mode before the step) for each such step."""
     log, starts = sim.log, []
     while sim.tick < sim.total_ticks:
@@ -343,13 +410,12 @@ def step_checking_hdm_rows(sim):
         row, idx = sim.tick, sim.healthy_idx
         assert sim.episode is None
         assert np.array_equal(log.actual[row], sim.positions)
-        assert np.array_equal(log.center[row], sim.center)
+        np.testing.assert_array_equal(
+            log.center[row], sim.positions[idx].sum(axis=0) / len(idx))
         assert np.array_equal(log.health[row], sim.health)
         assert log.mode[row] == 0
         if len(sim.epochs) > epochs:
             starts.append((row, mode))
-            np.testing.assert_array_equal(
-                sim.center, sim.positions[idx].sum(axis=0) / len(idx))
     return starts
 
 
