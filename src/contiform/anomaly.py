@@ -35,6 +35,47 @@ negative one over the nearest, l_k - 2 Delta:
 
 The distances are signed, so the test stays sound for boundary followers
 whose static weights are negative, below -1 included.
+
+A linear test decides most rows without the kernel.  Let w be a
+follower's static weights, p_k its in-neighbors' actual positions and
+e = r - sum_k w_k p_k its offset from the point that w picks out among
+them.  lambda_k is affine with gradient g_k and that point has the weights
+w, so lambda_k(r) = w_k + g_k . e: d_k = w_k l_k + c_k with
+c_k = e . g_k / |g_k|, and |c_k| <= |e|.  If |e| <= 2 Delta = D, then in
+either sign case
+
+    lo_k = (d_k - D) / (l_k + D) <= (d_k - D) / l_k   if d_k - D >= 0
+    lo_k = (d_k - D) / (l_k - D) <= (d_k - D) / l_k   otherwise (or -inf)
+
+and (d_k - D) / l_k <= (d_k - c_k) / l_k = w_k; in the same way
+hi_k >= (d_k + D) / l_k >= w_k.  So |e| <= 2 Delta implies
+the verdict "healthy" on every in-neighbor, whatever the static weights
+and the heights are, as long as the simplex is full rank: the bounds are
+the extremes of (d_k + a) / (l_k + b) over |a|, |b| <= 2 Delta, and w_k is
+the point a = -c_k, b = 0.  The bound is tight: a weight w_k = 0 is
+flagged once c_k exceeds 2 Delta.  The test (_quiet) asks for
+|e| <= 2 Delta (1 - QUIET_SLACK), which leaves at least 2 Delta QUIET_SLACK
+/ l_k in the step through w_k.  Its rank certificate asks for a sine
+s >= QUIET_SINE: for n = 2 that of the angle between the edges a = p1 - p0
+and b = p2 - p0, (a . b)^2 < (1 - s^2) |a|^2 |b|^2; for n = 3
+|a . (b x c)| >= s times the cube of the longest edge.  It reads a
+rounding of the same edges that geometry._full_rank reads, there against
+a cutoff RANK_TOLERANCE = 1e-9 (a squared sine of 1e-18 for n = 2), so it
+implies full rank with a margin of seven orders of magnitude or more.
+
+The slack covers rounding.  The kernel's edges and query offsets are
+exact differences rounded once, and each of its later steps adds a few
+units u = 2^-53 of relative error, amplified at most by 1/s^2 (for n = 2
+the cancellation in |p2 - p1|^2 = |a|^2 + |b|^2 - 2 a . b).  Carried to
+the step through w_k, in units of length, that is well below 500 u times
+the row's largest length (a coordinate, edge, height, offset or 2 Delta)
+over s^2; e itself, a product of positions with the static weights, whose
+sum is 1 to within a few u, is off by less than 50 u times the largest
+coordinate.  Where a numerator's sign rounds the other way, it is within
+its rounding of zero, and so is either quotient.  The test applies only
+to rows with s >= QUIET_SINE whose coordinates are at most QUIET_REACH
+times 2 Delta (so every length at most 2 sqrt 3 times that), and there
+all of it stays below 2e-5 times 2 Delta: a fiftieth of the slack.
 """
 
 from __future__ import annotations
@@ -42,6 +83,50 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import _barycentric, _check_n, _check_simplexes, _full_rank
+
+# The linear test (see the module docstring): the share of 2 Delta it
+# leaves for rounding, the least sine of its rank certificate, and the
+# largest coordinate it accepts, in units of 2 Delta.
+QUIET_SLACK = 1e-3
+QUIET_SINE = 1e-2
+QUIET_REACH = 1e4
+
+
+def _quiet(cols, reach, delta, n):
+    """True where a follower row passes the linear test and its rank
+    certificate, so that evaluate_followers_batch finds it healthy (see the
+    module docstring).  cols (3, n+1, ...) holds, per coordinate, the
+    offset e and the edges p_k - p_0 of each row; reach is the largest
+    |coordinate| of the positions they come from (NaN fails every row)."""
+    if not reach <= QUIET_REACH * 2.0 * delta:
+        return np.zeros(cols.shape[2:], dtype=bool)
+    square = np.square(cols)
+    norms = square[0]   # |e|^2 and each edge's squared length
+    norms += square[1]
+    norms += square[2]
+    quiet = norms[0] <= (2.0 * delta * (1.0 - QUIET_SLACK))**2
+    if n == 2:
+        dot = cols[:, 1] * cols[:, 2]
+        cosine = dot[0]   # (a . b)^2 against (1 - s^2) |a|^2 |b|^2
+        cosine += dot[1]
+        cosine += dot[2]
+        cosine *= cosine
+        bound = np.multiply(norms[1], norms[2], out=norms[1])
+        bound *= 1.0 - QUIET_SINE**2
+        quiet &= cosine < bound
+    else:
+        (_, ax, bx, cx), (_, ay, by, cy), (_, az, bz, cz) = cols
+        det = ax * (by * cz - bz * cy)
+        det += ay * (bz * cx - bx * cz)
+        det += az * (bx * cy - by * cx)
+        det *= det   # against s^2 times the longest squared edge cubed
+        longest = np.maximum(np.maximum(norms[1], norms[2], out=norms[1]),
+                             norms[3], out=norms[1])
+        bound = longest * longest
+        bound *= longest
+        bound *= QUIET_SINE**2
+        quiet &= det > bound
+    return quiet
 
 
 def evaluate_followers_batch(vertices, queries, static_weights, delta, n):

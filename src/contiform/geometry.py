@@ -81,7 +81,8 @@ def _barycentric(vertices, queries, n):
     norm_k = |k_k|^2, and scale is the cube of the longest of a, b, c.
     A degenerate simplex yields inf or NaN entries.
 
-    Works on the coordinate columns: no (m, n+1, 3) temporaries.
+    Works on the coordinate columns, no (m, n+1, 3) temporaries, and
+    accumulates each sum and difference in place, in the order written.
     """
     x, y, z = vertices[..., 0], vertices[..., 1], vertices[..., 2]
     x0, y0, z0 = x[:, 0], y[:, 0], z[:, 0]
@@ -90,42 +91,69 @@ def _barycentric(vertices, queries, n):
     bx, by, bz = x[:, 2] - x0, y[:, 2] - y0, z[:, 2] - z0
     lam = np.empty((len(x0), n + 1))
     norm = np.empty((len(x0), n + 1))
+    term = np.empty(len(x0))   # each product after a sum's first
+
+    def dot(ux, uy, uz, vx, vy, vz):
+        """ux vx + uy vy + uz vz, summed left to right."""
+        out = ux * vx
+        out += np.multiply(uy, vy, out=term)
+        out += np.multiply(uz, vz, out=term)
+        return out
+
+    def cross(p, q, r, s):
+        """p q - r s."""
+        out = p * q
+        out -= np.multiply(r, s, out=term)
+        return out
+
     with np.errstate(invalid="ignore", divide="ignore"):
         if n == 2:
-            g11 = ax * ax + ay * ay + az * az
-            g22 = bx * bx + by * by + bz * bz
-            g12 = ax * bx + ay * by + az * bz
-            w1 = ax * wx + ay * wy + az * wz
-            w2 = bx * wx + by * wy + bz * wz
-            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-            det = nx * nx + ny * ny + nz * nz
-            inv = 1.0 / det
-            lam[:, 1] = (g22 * w1 - g12 * w2) * inv
-            lam[:, 2] = (g11 * w2 - g12 * w1) * inv
-            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
-            norm[:, 0] = g11 + g22 - 2.0 * g12
+            g11 = dot(ax, ay, az, ax, ay, az)
+            g22 = dot(bx, by, bz, bx, by, bz)
+            g12 = dot(ax, ay, az, bx, by, bz)
+            w1 = dot(ax, ay, az, wx, wy, wz)
+            w2 = dot(bx, by, bz, wx, wy, wz)
+            nx, ny, nz = (cross(ay, bz, az, by), cross(az, bx, ax, bz),
+                          cross(ax, by, ay, bx))
+            det = dot(nx, ny, nz, nx, ny, nz)
+            inv = np.divide(1.0, det, out=nx)
+            for k, (p, q, r, s) in ((1, (g22, w1, g12, w2)),
+                                    (2, (g11, w2, g12, w1))):
+                np.multiply(p, q, out=lam[:, k])
+                lam[:, k] -= np.multiply(r, s, out=term)
+                lam[:, k] *= inv
+            np.subtract(1.0, lam[:, 1], out=lam[:, 0])
+            lam[:, 0] -= lam[:, 2]
+            np.add(g11, g22, out=norm[:, 0])
+            norm[:, 0] -= np.multiply(2.0, g12, out=term)
             norm[:, 1] = g22
             norm[:, 2] = g11
-            scale = g11 * g22
+            scale = np.multiply(g11, g22, out=g11)
         else:
             cx, cy, cz = x[:, 3] - x0, y[:, 3] - y0, z[:, 3] - z0
-            k1x, k1y, k1z = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
-            k2x, k2y, k2z = cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax
-            k3x, k3y, k3z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-            det = ax * k1x + ay * k1y + az * k1z
-            inv = 1.0 / det
-            lam[:, 1] = (k1x * wx + k1y * wy + k1z * wz) * inv
-            lam[:, 2] = (k2x * wx + k2y * wy + k2z * wz) * inv
-            lam[:, 3] = (k3x * wx + k3y * wy + k3z * wz) * inv
-            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2] - lam[:, 3]
-            k0x, k0y, k0z = k1x + k2x + k3x, k1y + k2y + k3y, k1z + k2z + k3z
-            norm[:, 0] = k0x * k0x + k0y * k0y + k0z * k0z
-            norm[:, 1] = k1x * k1x + k1y * k1y + k1z * k1z
-            norm[:, 2] = k2x * k2x + k2y * k2y + k2z * k2z
-            norm[:, 3] = k3x * k3x + k3y * k3y + k3z * k3z
-            scale = np.maximum(np.maximum(ax * ax + ay * ay + az * az,
-                                          bx * bx + by * by + bz * bz),
-                               cx * cx + cy * cy + cz * cz)
+            k1 = (cross(by, cz, bz, cy), cross(bz, cx, bx, cz),
+                  cross(bx, cy, by, cx))
+            k2 = (cross(cy, az, cz, ay), cross(cz, ax, cx, az),
+                  cross(cx, ay, cy, ax))
+            k3 = (cross(ay, bz, az, by), cross(az, bx, ax, bz),
+                  cross(ax, by, ay, bx))
+            det = dot(ax, ay, az, *k1)
+            inv = np.divide(1.0, det)
+            for k, kk in enumerate((k1, k2, k3), start=1):
+                np.multiply(dot(*kk, wx, wy, wz), inv, out=lam[:, k])
+            np.subtract(1.0, lam[:, 1], out=lam[:, 0])
+            lam[:, 0] -= lam[:, 2]
+            lam[:, 0] -= lam[:, 3]
+            # into the query offsets, which are spent
+            k0 = [np.add(u, v, out=w) for u, v, w in zip(k1, k2, (wx, wy, wz))]
+            for u, v in zip(k0, k3):
+                u += v
+            for k, kk in enumerate((k0, k1, k2, k3)):
+                norm[:, k] = dot(*kk, *kk)
+            scale = np.maximum(np.maximum(dot(ax, ay, az, ax, ay, az),
+                                          dot(bx, by, bz, bx, by, bz),
+                                          out=ax),
+                               dot(cx, cy, cz, cx, cy, cz), out=ax)
             scale *= np.sqrt(scale)
     return lam, det, norm, scale
 

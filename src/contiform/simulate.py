@@ -40,12 +40,19 @@ dynamics.  So the block advances through the chunk's ticks by (2)-(3),
 straight into one (K + 1, N, 3) array that opens with the tick-start
 positions, with the leader commands from one evaluation of the epoch's
 plan, and evaluates them in one vectorized pass: the detector's verdicts
-over all K x F follower rows against the epoch's static weights, and
-the leader lag and its leader_deviation events.  It keeps the ticks up
-to and including the first one on which anyone is flagged.  Finiteness
-and the detector verdict are each one test over the whole block; only a
-failed test looks for its tick (the first non-finite tick ends the
-block, and the next block raises on it).
+over all K x F follower rows, and the leader lag and its
+leader_deviation events.  Under a homogeneous deformation the transient
+weights equal the static ones, so each follower's offset from the point
+its static weights pick out among its in-neighbors is a linear function
+of the positions: one product of the block with the epoch's map gives
+every row's offset and simplex edges, and anomaly's linear test decides
+from them the rows it can, all of a quiet block's.  The detector's kernel
+runs only on the rest, so every verdict is the kernel's (the log derives
+the weights and bounds on read).  It keeps the ticks up to and including
+the first one on which anyone is flagged.  Finiteness and the detector
+verdict are each one test over the whole block; only a failed test looks
+for its tick (the first non-finite tick ends the block, and the next
+block raises on it).
 
 A CEM block is one tick: one cem.step_streamline_many call (1) on the
 episode's targets, the healthy agents' (H, 3) in healthy_idx order, with
@@ -177,12 +184,14 @@ class _Epoch:
     The network; Delta (refnet._delta on its Xi_max), d_min (the scenario's
     override, else the network's) and the collision-safety threshold on
     the commanded deformation's smallest sigma; the center policy; index
-    caches; the team matrix; the leaders' plan, anchored at the build's
-    positions and evaluated on demand by plan(); and the leaders whose
-    deviation has been logged.  Nothing here grows with the run or the
-    block: a block reads the followers' static weights, a row each, and
-    the leaders', followers' and network's agent columns, each a slice
-    when its agents are consecutive (see _columns).
+    caches; the team matrix; the linear test's map, whose (n+1) F rows
+    give each follower's offset e and its simplex's n edges from the N
+    agents' positions (verdict); the leaders' plan, anchored at the
+    build's positions and evaluated on demand by plan(); and the leaders
+    whose deviation has been logged.  Nothing here grows with the run or
+    the block: a block reads the followers' static weights, a row each,
+    and the leaders', followers' and network's agent columns, each a
+    slice when its agents are consecutive (see _columns).
     """
 
     def __init__(self, network, config: ScenarioConfig, positions, tick):
@@ -206,6 +215,15 @@ class _Epoch:
                                   for f, row in nbrs])
         self.leader_cols, self.follower_cols, self.order_cols = map(
             _columns, (self.leader_idx, self.follower_idx, self.order_idx))
+        # the linear test's map: row (q, j) gives follower j's offset e
+        # (q = 0) or its simplex's edge q, a linear function of the positions
+        k, nbr, j = network.n + 1, self.nbr_idx, np.arange(len(self.nbr_idx))
+        quiet = np.zeros((k, len(j), len(idx)))
+        quiet[0, j, self.follower_idx] = 1.0
+        quiet[0, j[:, None], nbr] = -self.static_w
+        quiet[np.arange(1, k)[:, None], j, nbr[:, 1:].T] = 1.0
+        quiet[1:, j, nbr[:, 0]] = -1.0
+        self._quiet_map = quiet.reshape(-1, len(idx))
         self._edge_inv = hdm.reference_edge_inverse(
             [network.ref_positions[a] for a in network.leaders])
         self.team_matrix = _team_matrix(
@@ -261,6 +279,24 @@ class _Epoch:
             positions[:, self.follower_cols].reshape(-1, 3),
             np.tile(self.static_w, (count, 1)), self.delta, k - 1)
         return [a.reshape(count, f, k) for a in det], healthy.reshape(count, f)
+
+    def verdict(self, positions):
+        """detect()'s healthy (K, F) on positions (K, N, 3): the linear test
+        (anomaly._quiet) over one product of the epoch's map with them,
+        and detect()'s kernel on the rows that do not pass it alone."""
+        k, count, f = self.network.n + 1, len(positions), len(self.static_w)
+        # coordinate-major, so each of the test's terms is a (F, K) array
+        coords = np.ascontiguousarray(positions.transpose(2, 1, 0))
+        cols = np.matmul(self._quiet_map, coords).reshape(3, k, f, count)
+        healthy = anomaly._quiet(cols, max(positions.max(), -positions.min()),
+                                 self.delta, k - 1).T
+        if not healthy.all():
+            rows, j = np.nonzero(~healthy)
+            healthy[rows, j] = anomaly.evaluate_followers_batch(
+                positions[rows[:, None], self.nbr_idx[j]],
+                positions[rows, self.follower_idx[j]], self.static_w[j],
+                self.delta, k - 1)[3]
+        return healthy
 
     def meta(self):
         net = self.network
@@ -660,7 +696,7 @@ class Simulation:
             # the first non-finite tick starts the next block, which raises
             size = int(np.flatnonzero(~finite.all(axis=1))[0])
         positions = block[1:size + 1]
-        _, healthy = ep.detect(positions)
+        healthy = ep.verdict(positions)
         flags = frozenset()
         if not healthy.all():
             size = int(np.flatnonzero(~healthy.all(axis=1))[0]) + 1

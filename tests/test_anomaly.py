@@ -496,6 +496,120 @@ class TestBitForBit:
             assert a.dtype == b.dtype and a.shape == b.shape
 
 
+def linear_rows(seed, n, count, flatten, blind, near_one, ratio, shift):
+    """count detector rows for dimension n at the edge of the linear test:
+    vertices (count, n+1, 3), queries (count, 3), static weights
+    (count, n+1), Delta, and the test's columns (3, n+1, count) and reach.
+    Each simplex is squashed along a random direction, in its plane for
+    n = 2, by a factor down to flatten (near degenerate for a small one).
+    Delta is blind times the simplexes' size (blind followers,
+    l_k <= 2 Delta, for a large one).
+    Static weights reach -8 and 10; a share near_one of the rows has one
+    within 1e-8 to 1e-1 of +-1.  Each query is off its static point by an
+    e of ratio (a range) times the test's limit 2 Delta (1 - QUIET_SLACK):
+    on half of the rows in a random direction, on the others along the
+    normal of the side or face opposite a neighbor k of static weight 0,
+    where the bound is tight.  Every coordinate is shifted by up to shift
+    times QUIET_REACH times 2 Delta."""
+    rng = np.random.default_rng(seed)
+    vertices = rng.normal(size=(count, n + 1, 3)) * 10.0
+    u = rng.normal(size=(count, 3)) if n == 3 else np.einsum(
+        "mk,mkc->mc", rng.normal(size=(count, 2)),   # in the plane
+        vertices[:, 1:] - vertices[:, :1])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    along = np.einsum("mkc,mc->mk", vertices, u)
+    squash = flatten ** rng.uniform(0.0, 1.0, count) - 1.0
+    vertices += (squash[:, None] * along)[..., None] * u[:, None]
+    delta = 10.0 * blind
+    rest = rng.uniform(-1.0, 1.0, (count, n)) \
+        * rng.choice([1.0, 3.0], count)[:, None]
+    pick = rng.uniform(size=count) < near_one
+    rest[pick, 0] = rng.choice([-1.0, 1.0], pick.sum()) * (
+        1.0 - 10.0 ** -rng.uniform(1.0, 8.0, pick.sum()))
+    rows = np.arange(count)
+    k = rng.integers(1, n + 1, count)
+    tight = rng.uniform(size=count) < 0.5
+    rest[rows[tight], k[tight] - 1] = 0.0
+    static = np.column_stack((1.0 - rest.sum(axis=1), rest))
+    e = rng.normal(size=(count, 3))
+    # the normal of the side or face opposite k, toward k
+    opposite = np.array([[j for j in range(n + 1) if j != i]
+                         for i in range(n + 1)])
+    o = vertices[rows[:, None], opposite[k]]
+    h = vertices[rows, k] - o[:, 0]
+    sides = o[:, 1:] - o[:, :1]
+    if n == 2:
+        t = sides[:, 0] / np.linalg.norm(sides[:, 0], axis=1)[:, None]
+        normal = h - np.einsum("mc,mc->m", h, t)[:, None] * t
+    else:
+        normal = np.cross(sides[:, 0], sides[:, 1])
+        normal *= np.sign(np.einsum("mc,mc->m", h, normal))[:, None]
+    e[tight] = normal[tight] * rng.choice([-1.0, 1.0], tight.sum())[:, None]
+    size = 2.0 * delta * (1.0 - anomaly.QUIET_SLACK) \
+        * rng.uniform(*ratio, count)
+    e *= (size / np.linalg.norm(e, axis=1))[:, None]
+    offset = np.zeros(3)
+    offset[rng.integers(3)] = shift * anomaly.QUIET_REACH * 2.0 * delta
+    vertices += offset
+    queries = np.einsum("mk,mkc->mc", static, vertices) + e
+    cols = np.concatenate(
+        ((queries - np.einsum("mk,mkc->mc", static, vertices))[:, None],
+         vertices[:, 1:] - vertices[:, :1]), axis=1).T
+    reach = max(np.abs(vertices).max(), np.abs(queries).max())
+    return vertices, queries, static, delta, cols, reach
+
+
+class TestLinearTest:
+    """A row that passes the linear test and its rank certificate
+    (anomaly._quiet) is healthy under evaluate_followers_batch, and the
+    certificate alone implies geometry._full_rank (see the anomaly module
+    docstring)."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           flatten=st.sampled_from([1.0, 1e-2, 1e-4, 1e-9]),
+           blind=st.floats(1e-3, 10.0), near_one=st.sampled_from([0.0, 0.5]),
+           ratio=st.sampled_from([(0.0, 1.0), (0.999, 1.0), (0.999, 1.001)]),
+           shift=st.sampled_from([0.0, 0.25, 0.49]))
+    def test_passing_rows_are_healthy_and_full_rank(
+            self, seed, n, flatten, blind, near_one, ratio, shift):
+        vertices, queries, static, delta, cols, reach = linear_rows(
+            seed, n, 500, flatten, blind, near_one, ratio, shift)
+        quiet = anomaly._quiet(cols, reach, delta, n)
+        healthy = anomaly.evaluate_followers_batch(vertices, queries, static,
+                                                   delta, n)[3]
+        assert healthy[quiet].all()
+        cols[:, 0] = 0.0   # the certificate alone
+        certified = anomaly._quiet(cols, 0.0, delta, n)
+        _, det, _, scale = geometry._barycentric(vertices, queries, n)
+        assert geometry._full_rank(det, scale, n)[certified].all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_it_passes_rows_up_to_its_limit_and_reach(self, n):
+        """Well-shaped rows pass up to the limit, near the reach too, and
+        fail past it, where a neighbor of weight 0 is flagged soon after;
+        no row passes once a coordinate exceeds the reach."""
+        def rows(ratio, shift, reach=None):
+            vertices, queries, static, delta, cols, largest = linear_rows(
+                7, n, 500, 0.5, 0.05, 0.5, ratio, shift)
+            reach = largest if reach is None else reach * 2.0 * delta
+            healthy = anomaly.evaluate_followers_batch(
+                vertices, queries, static, delta, n)[3]
+            tight = (static[:, 1:] == 0.0).any(axis=1)
+            quiet = anomaly._quiet(cols, reach, delta, n)
+            cols[:, 0] = 0.0
+            return quiet, healthy, tight, anomaly._quiet(cols, reach, delta, n)
+
+        quiet, *_, certified = rows((0.99, 1.0), 0.49)
+        assert certified.mean() > 0.9 and np.array_equal(quiet, certified)
+        assert not rows((1.0001, 1.01), 0.0)[0].any()
+        far = 1.0001 * anomaly.QUIET_REACH
+        assert not rows((0.0, 0.5), 0.0, far)[0].any()
+        # (1 - QUIET_SLACK) (1 + 2 QUIET_SLACK) > 1
+        _, healthy, tight, _ = rows((1.002, 1.01), 0.0)
+        assert tight.mean() > 0.4 and not healthy[tight].any()
+
+
 def rotation3(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     return q * np.sign(np.diag(r))

@@ -9,7 +9,9 @@ evaluates every HDM tick on its own and reads the failed agents' rows one
 tick at a time: the block length, an injected failure and an edit of the
 state between steps, in HDM or in CEM, must not change a single logged
 bit against it.  The engine only writes its log: a run whose log arrays
-raise on any read writes the same bytes.
+raise on any read writes the same bytes.  A block's verdict comes from
+the linear test where it passes and the detector's kernel elsewhere:
+sending every row to the kernel must not change a bit either.
 """
 import dataclasses
 import inspect
@@ -481,20 +483,26 @@ def test_each_cem_episode_is_its_own():
     assert sim.excluded == {4, 6}
 
 
-def test_quiet_run_detects_once_per_block(monkeypatch):
-    calls = []
+def test_quiet_run_never_calls_the_exact_detector(monkeypatch):
+    """On a quiet run the linear test decides every follower row of every
+    block: the engine never calls the detector's kernel."""
+    calls, blocks = [], []
     detect = anomaly.evaluate_followers_batch
+    look_ahead = Simulation._look_ahead
 
     def counted(vertices, *args, **kwargs):
         calls.append(len(vertices))
         return detect(vertices, *args, **kwargs)
 
+    def recorded(self):
+        blocks.append(self.tick)
+        look_ahead(self)
+
     monkeypatch.setattr(anomaly, "evaluate_followers_batch", counted)
+    monkeypatch.setattr(Simulation, "_look_ahead", recorded)
     Simulation(team7()).run()
-    blocks = -(-TICKS // Simulation.lookahead_ticks)
-    assert len(calls) == blocks
-    followers = 4
-    assert calls[0] == Simulation.lookahead_ticks * followers
+    assert calls == []
+    assert len(blocks) == -(-TICKS // Simulation.lookahead_ticks)
 
 
 def test_hdm_block_after_cem_starts_its_own_chunk(monkeypatch):
@@ -642,3 +650,69 @@ def test_simulation_never_reads_its_log(name, injected):
     make, second = WRITE_ONLY_RUNS[name]
     second = second if injected else None
     assert digest_of(make(), True, second) == digest_of(make(), False, second)
+
+
+def lattice27():
+    return load_scenario(REPO_ROOT / "scenarios" / "lattice27.yaml")
+
+
+def test_lattice27_drift_rows_take_the_exact_path(monkeypatch):
+    """lattice27's drifting agent 14 passes the linear test until its
+    offset outgrows the limit; from then on each of its rows goes through
+    the detector's kernel, which flags it on the tick it always has.  No
+    other follower's row leaves the linear test."""
+    blocks, look_ahead, quiet = [], Simulation._look_ahead, anomaly._quiet
+
+    def recorded(self):
+        blocks.append([self.tick, self.epoch, None])
+        look_ahead(self)
+
+    def kept(cols, *args):
+        blocks[-1][2] = verdict = quiet(cols, *args)   # (F, K)
+        return verdict
+
+    monkeypatch.setattr(Simulation, "_look_ahead", recorded)
+    monkeypatch.setattr(anomaly, "_quiet", kept)
+    sim = Simulation(lattice27())
+    sim.run()
+    exact = {}
+    for start, epoch, verdict in blocks:
+        for j, k in np.argwhere(~verdict):
+            exact.setdefault(epoch.network.followers[j], []).append(
+                start + 1 + int(k))
+    flagged = round(sim.log.mode_changes()[0].time / sim.dt)
+    onset = round(sim.config.failures[0].time / sim.dt)
+    assert flagged == 386
+    assert sim.log.mode_changes()[0].payload["agents"] == [14]
+    assert list(exact) == [14]
+    ticks = [t for t in exact[14] if t <= flagged]
+    assert onset < ticks[0] and ticks == list(range(ticks[0], flagged + 1))
+
+
+def forced_exact(cols, *args):
+    """A linear test that passes no row."""
+    return np.zeros(cols.shape[2:], dtype=bool)
+
+
+EXACT_RUNS = {
+    "lattice27": lattice27,
+    "team7": lambda: team7(failure_doc(*CEM_DRIFT)),
+    "team22": team22_freeze,
+}
+
+
+@pytest.fixture(scope="module")
+def default_digests():
+    return {name: run(Simulation(make())) for name, make in EXACT_RUNS.items()}
+
+
+@pytest.mark.parametrize("lookahead", [1, 256])
+@pytest.mark.parametrize("name", EXACT_RUNS)
+def test_the_exact_path_alone_writes_the_same_log(monkeypatch, name,
+                                                  lookahead, default_digests):
+    """With a linear test that passes no row, the detector's kernel decides
+    every row, and the log is the default run's bit for bit: the test
+    changes which route a verdict takes, never the verdict."""
+    monkeypatch.setattr(anomaly, "_quiet", forced_exact)
+    assert run(sim_with(EXACT_RUNS[name](), lookahead)) == \
+        default_digests[name]
