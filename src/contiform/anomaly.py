@@ -55,12 +55,12 @@ the extremes of (d_k + a) / (l_k + b) over |a|, |b| <= 2 Delta, and w_k is
 the point a = -c_k, b = 0.  The bound is tight: a weight w_k = 0 is
 flagged once c_k exceeds 2 Delta.  The test (_quiet) asks for
 |e| <= 2 Delta (1 - QUIET_SLACK), which leaves at least 2 Delta QUIET_SLACK
-/ l_k in the step through w_k.  Its rank certificate asks for a sine
-s >= QUIET_SINE: for n = 2 that of the angle between the edges a = p1 - p0
-and b = p2 - p0, (a . b)^2 < (1 - s^2) |a|^2 |b|^2; for n = 3
-|a . (b x c)| >= s times the cube of the longest edge.  It reads a
-rounding of the same edges that geometry._full_rank reads, there against
-a cutoff RANK_TOLERANCE = 1e-9 (a squared sine of 1e-18 for n = 2), so it
+/ l_k in the step through w_k.  Its rank certificate is geometry._full_rank
+with the cutoff s = QUIET_SINE over the edges a = p1 - p0, b = p2 - p0
+(and c = p3 - p0): for n = 2, det = |a|^2 |b|^2 - (a . b)^2 = |a x b|^2 by
+Lagrange's identity and scale = |a|^2 |b|^2; for n = 3, the triple product
+against the cube of the longest edge.  That rounds the measures of
+_barycentric, where the cutoff is RANK_TOLERANCE = 1e-9, so the certificate
 implies full rank with a margin of seven orders of magnitude or more.
 
 The slack covers rounding.  The kernel's edges and query offsets are
@@ -73,7 +73,7 @@ over s^2; e itself, a product of positions with the static weights, whose
 sum is 1 to within a few u, is off by less than 50 u times the largest
 coordinate.  Where a numerator's sign rounds the other way, it is within
 its rounding of zero, and so is either quotient.  The test applies only
-to rows with s >= QUIET_SINE whose coordinates are at most QUIET_REACH
+to rows with s > QUIET_SINE whose coordinates are at most QUIET_REACH
 times 2 Delta (so every length at most 2 sqrt 3 times that), and there
 all of it stays below 2e-5 times 2 Delta: a fiftieth of the slack.
 """
@@ -105,27 +105,19 @@ def _quiet(cols, reach, delta, n):
     norms += square[1]
     norms += square[2]
     quiet = norms[0] <= (2.0 * delta * (1.0 - QUIET_SLACK))**2
-    if n == 2:
-        dot = cols[:, 1] * cols[:, 2]
-        cosine = dot[0]   # (a . b)^2 against (1 - s^2) |a|^2 |b|^2
-        cosine += dot[1]
-        cosine += dot[2]
-        cosine *= cosine
-        bound = np.multiply(norms[1], norms[2], out=norms[1])
-        bound *= 1.0 - QUIET_SINE**2
-        quiet &= cosine < bound
+    if n == 2:   # Lagrange: |a x b|^2 = |a|^2 |b|^2 - (a . b)^2
+        scale = np.multiply(norms[1], norms[2], out=norms[1])
+        det = np.einsum("c...,c...->...", cols[:, 1], cols[:, 2])
+        det = np.subtract(scale, np.square(det, out=det), out=det)
     else:
         (_, ax, bx, cx), (_, ay, by, cy), (_, az, bz, cz) = cols
         det = ax * (by * cz - bz * cy)
         det += ay * (bz * cx - bx * cz)
         det += az * (bx * cy - by * cx)
-        det *= det   # against s^2 times the longest squared edge cubed
-        longest = np.maximum(np.maximum(norms[1], norms[2], out=norms[1]),
-                             norms[3], out=norms[1])
-        bound = longest * longest
-        bound *= longest
-        bound *= QUIET_SINE**2
-        quiet &= det > bound
+        scale = np.maximum(np.maximum(norms[1], norms[2], out=norms[1]),
+                           norms[3], out=norms[1])
+        scale *= np.sqrt(scale)   # the longest edge, cubed
+    quiet &= _full_rank(det, scale, n, QUIET_SINE)
     return quiet
 
 

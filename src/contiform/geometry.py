@@ -14,7 +14,8 @@ _barycentric, which the network build (through lambda_nd_batch) and the
 anomaly detector share. Whether a simplex is degenerate is decided in one
 place, _full_rank, over the (det, scale) that kernel returns: the weight
 operator, the leader override check, the leader fit, the deformation's
-singular values and the detector all read it.
+singular values and the detector all read it, and the detector's linear
+test reads it with the cutoff anomaly.QUIET_SINE as its rank certificate.
 """
 from __future__ import annotations
 
@@ -158,14 +159,14 @@ def _barycentric(vertices, queries, n):
     return lam, det, norm, scale
 
 
-def _full_rank(det, scale, n):
+def _full_rank(det, scale, n, tolerance=RANK_TOLERANCE):
     """True where a simplex with _barycentric's (det, scale) spans n
-    dimensions: |a x b| > RANK_TOLERANCE |a| |b| for n = 2 (det and scale
-    are the squares), |triple product| > RANK_TOLERANCE times the cube of
-    the longest edge for n = 3.  NaN measures are degenerate."""
+    dimensions: |a x b| > tolerance |a| |b| for n = 2 (det and scale are
+    the squares), |triple product| > tolerance times the cube of the
+    longest edge for n = 3.  NaN measures are degenerate."""
     if n == 2:
-        return det > RANK_TOLERANCE**2 * scale
-    return np.abs(det) > RANK_TOLERANCE * scale
+        return det > tolerance**2 * scale
+    return np.abs(det) > tolerance * scale
 
 
 def lambda_nd_batch(vertices: np.ndarray, queries: np.ndarray, n: int,

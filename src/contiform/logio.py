@@ -147,6 +147,8 @@ class _RunData(dict):
 def load_outputs(path):
     """Load a run directory (or its meta.json / series.npz) for analysis;
     each array is read from series.npz when it is first indexed."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no run directory or file {path!r}")
     base = path if os.path.isdir(path) else os.path.dirname(path) or "."
     npz_path = os.path.join(base, "series.npz")
     meta_path = os.path.join(base, "meta.json")

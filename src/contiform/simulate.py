@@ -46,9 +46,9 @@ weights equal the static ones, so each follower's offset from the point
 its static weights pick out among its in-neighbors is a linear function
 of the positions: one product of the block with the epoch's map gives
 every row's offset and simplex edges, and anomaly's linear test decides
-from them the rows it can, all of a quiet block's.  The detector's kernel
-runs only on the rest, so every verdict is the kernel's (the log derives
-the weights and bounds on read).  It keeps the ticks up to and including
+from them the rows it can, all of a quiet block's.  The detector runs
+only on the ticks with a row it fails, so every verdict is the kernel's
+(the log derives the weights and bounds on read).  It keeps the ticks up to and including
 the first one on which anyone is flagged.  Finiteness and the detector
 verdict are each one test over the whole block; only a failed test looks
 for its tick (the first non-finite tick ends the block, and the next
@@ -100,7 +100,8 @@ class TrajectoryLog:
     positions) are uncommitted, and the later ones hold an unwritten row.
     The other series (_DERIVED, shaped as _log_arrays says; weights are
     the transient weights, NaN if n/a, sigma the deformation's singular
-    values) are derived from the written rows on read (_derive).
+    values) are derived from the written rows on read (_derive) and kept
+    until the next write, and epochs lists each network epoch's meta.
     """
 
     agent_ids: tuple
@@ -111,13 +112,12 @@ class TrajectoryLog:
     health: np.ndarray          # (T+1, N) int8
     mode: np.ndarray            # (T+1,) int8
     events: list = field(default_factory=list)
-    epochs: list = field(default_factory=list)
     # shared by every copy: each epoch's _Epoch, each CEM row's targets, the
-    # written rows' count, the derived series (current below row fresh)
+    # written rows' count, the derived series (None since the last write)
     _written: SimpleNamespace = field(repr=False, default_factory=lambda: (
-        SimpleNamespace(epochs=[], targets={}, end=0, series=None, fresh=0,
-                        derived=0)))
+        SimpleNamespace(epochs=[], targets={}, end=0, series=None)))
 
+    epochs = property(lambda log: [ep.meta() for ep in log._written.epochs])
     local_desired, global_desired, weights, bounds_lo, bounds_hi, sigma, \
         margin_ok, center = (property(lambda log, name=name:
                                       _derive(log)[name]) for name in _DERIVED)
@@ -134,8 +134,7 @@ class TrajectoryLog:
             w.targets[row0] = targets
         if epoch is not None:
             w.epochs.append(epoch)
-            self.epochs.append(epoch.meta())
-        w.fresh, w.end = min(w.fresh, row0), max(w.end, rows.stop)
+        w.end, w.series = max(w.end, rows.stop), None
 
     def _unwrite(self, end):
         """Reset the written rows from end on to their unwritten values."""
@@ -143,7 +142,7 @@ class TrajectoryLog:
         for name, _, _, value in _log_arrays(0, 0):
             if name not in _DERIVED:
                 getattr(self, name)[end:w.end] = value
-        w.fresh, w.end = min(w.fresh, end), end
+        w.end, w.series = end, None
 
     def digest(self):
         """SHA-256 over every logged array and the serialized events."""
@@ -283,19 +282,16 @@ class _Epoch:
     def verdict(self, positions):
         """detect()'s healthy (K, F) on positions (K, N, 3): the linear test
         (anomaly._quiet) over one product of the epoch's map with them,
-        and detect()'s kernel on the rows that do not pass it alone."""
+        and detect() on each tick's row in which some follower fails it."""
         k, count, f = self.network.n + 1, len(positions), len(self.static_w)
         # coordinate-major, so each of the test's terms is a (F, K) array
         coords = np.ascontiguousarray(positions.transpose(2, 1, 0))
         cols = np.matmul(self._quiet_map, coords).reshape(3, k, f, count)
         healthy = anomaly._quiet(cols, max(positions.max(), -positions.min()),
                                  self.delta, k - 1).T
-        if not healthy.all():
-            rows, j = np.nonzero(~healthy)
-            healthy[rows, j] = anomaly.evaluate_followers_batch(
-                positions[rows[:, None], self.nbr_idx[j]],
-                positions[rows, self.follower_idx[j]], self.static_w[j],
-                self.delta, k - 1)[3]
+        rows = np.flatnonzero(~healthy.all(axis=1))
+        if rows.size:
+            healthy[rows] = self.detect(positions[rows])[1]
         return healthy
 
     def meta(self):
@@ -408,9 +404,9 @@ def _first_epoch(config, failed="initial network build failed"):
 
 
 def _derive(log):
-    """The log's derived series, name -> (T+1, ...) array: the rows written
-    or unwritten since the last call reset, the written ones derived from
-    the state rows and their epoch in runs of one mode and health row:
+    """The log's derived series, name -> (T+1, ...) array, kept until the
+    next write: the written rows derived from the state rows and their
+    epoch in runs of one mode and health row, the rest unwritten:
     - weights, bounds_lo, bounds_hi: the epoch's detector on HDM rows but
       a rebuilt epoch's first, and on a CEM episode's first row, which
       keeps the flagging tick's verdict; NaN elsewhere;
@@ -423,16 +419,14 @@ def _derive(log):
       policy a CEM episode's rows and the row ending it hold its entry's.
     """
     w, mode, cem = log._written, log.mode, MODE_CODE[Mode.CEM]
-    specs = [spec for spec in _log_arrays(len(log.agent_ids), log.n + 1)
-             if spec[0] in _DERIVED]
-    if w.series is None:
-        w.series = {name: np.full((len(log.times), *shape), value, dtype)
-                    for name, shape, dtype, value in specs}
-    for name, _, _, value in specs:   # filled up to row derived
-        w.series[name][w.fresh:w.derived] = value
+    if w.series is not None:
+        return w.series
+    series = {name: np.full((len(log.times), *shape), value, dtype)
+              for name, shape, dtype, value in _log_arrays(
+                  len(log.agent_ids), log.n + 1) if name in _DERIVED}
     starts = [ep.start_tick for ep in w.epochs] + [w.end]
     for i, ep in enumerate(w.epochs):
-        row, stop = max(w.fresh, starts[i]), min(starts[i + 1], w.end)
+        row, stop = starts[i], min(starts[i + 1], w.end)
         while row < stop:
             end = min(row + Simulation.lookahead_ticks, stop)
             same = (mode[row:end] == mode[row]) & (
@@ -441,8 +435,8 @@ def _derive(log):
             idx = np.flatnonzero(log.health[row] == HEALTH_OK)   # healthy
             if mode[row] != cem:
                 _, sigma, ok, desired = ep.plan(row, rows.stop - row - 1)
-                w.series["sigma"][rows] = sigma
-                w.series["margin_ok"][rows] = ok
+                series["sigma"][rows] = sigma
+                series["margin_ok"][rows] = ok
                 local = log.actual[np.maximum(np.arange(row - 1, rows.stop
                                                         - 1), ep.start_tick)]
                 local[:, ep.follower_cols] = \
@@ -458,21 +452,22 @@ def _derive(log):
                 # an episode's rows and the one ending it: its entry row's
                 picks[:None if mode[row] == cem else 1] = np.flatnonzero(
                     np.append(True, mode[:row] != cem))[-1]
-            w.series["center"][rows] = \
+            series["center"][rows] = \
                 log.actual[picks][:, idx].sum(axis=1) / len(idx)
-            w.series["local_desired"][rows] = local
-            w.series["global_desired"][rows] = desired
+            series["local_desired"][rows] = local
+            series["global_desired"][rows] = desired
             det, _ = ep.detect(log.actual[first:last])   # the rows with weights
             for name, values in zip(_DERIVED[2:5], det):
-                w.series[name][first:last, ep.follower_cols] = values
+                series[name][first:last, ep.follower_cols] = values
             row = rows.stop
-    w.fresh = w.derived = w.end
-    return w.series
+    w.series = series
+    return series
 
 
 class Simulation:
     """Mutable state of one run; use step() or run_scenario to advance."""
 
+    epochs = property(lambda sim: sim.log.epochs)   # each network epoch's meta
     # longest failure-row chunk, HDM block and derivation run; an instance
     # may set any positive value: 1 evaluates every HDM tick alone
     lookahead_ticks = 256
@@ -512,7 +507,6 @@ class Simulation:
                 for name, shape, dtype, value in _log_arrays(self.n_agents,
                                                              self.n + 1)
                 if name not in _DERIVED})
-        self.epochs = self.log.epochs   # each network epoch's meta, as built
         self.log._write(self.tick, self.positions[None], self.health,
                         MODE_CODE[Mode.HDM], epoch=self.epoch)
 

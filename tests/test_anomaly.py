@@ -609,6 +609,36 @@ class TestLinearTest:
         _, healthy, tight, _ = rows((1.002, 1.01), 0.0)
         assert tight.mean() > 0.4 and not healthy[tight].any()
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_its_certificate_is_the_rank_test_at_quiet_sine(self, n):
+        """With e = 0, _quiet is geometry._full_rank with the cutoff
+        QUIET_SINE on _barycentric's measures, on simplexes whose sine (n =
+        2: of the edges' angle; n = 3: the triple product over the longest
+        edge cubed) is QUIET_SINE (1 -+ 1e-6): those below it fail, those
+        above pass."""
+        rng = np.random.default_rng(29)
+        count = 400
+        sine = anomaly.QUIET_SINE * (1.0 + np.resize([-1e-6, 1e-6], count))
+        edges = np.zeros((count, n, 3))   # a = e_x, b, and c for n = 3
+        edges[:, 0, 0] = 1.0
+        if n == 2:
+            edges[:, 1, 0], edges[:, 1, 1] = np.sqrt(1.0 - sine**2), sine
+        else:
+            edges[:, 1, 1], edges[:, 2, 2] = 1.0, sine
+        turn = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+        edges = np.einsum("mij,mkj->mki", turn, edges) \
+            * rng.uniform(0.1, 30.0, (count, 1, 1))
+        vertices = rng.uniform(-100.0, 100.0, (count, 1, 3)) \
+            + np.concatenate((np.zeros((count, 1, 3)), edges), axis=1)
+        queries = vertices.mean(axis=1)
+        cols = np.zeros((3, n + 1, count))   # e = 0
+        cols[:, 1:] = (vertices[:, 1:] - vertices[:, :1]).transpose(2, 1, 0)
+        quiet = anomaly._quiet(cols, 0.0, 1.0, n)
+        _, det, _, scale = geometry._barycentric(vertices, queries, n)
+        full = geometry._full_rank(det, scale, n, anomaly.QUIET_SINE)
+        np.testing.assert_array_equal(quiet, full)
+        np.testing.assert_array_equal(full, sine > anomaly.QUIET_SINE)
+
 
 def rotation3(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -674,6 +674,19 @@ class TestCliExitCodes:
         assert err.startswith("input error: no series.npz under ")
         assert str(tmp_path) in err and err.count("\n") == 1
 
+    def test_analyze_of_a_mistyped_run_is_two(self, tiny_file, tmp_path,
+                                              capsys, monkeypatch):
+        """A run path that does not exist is an input error that names it,
+        also in a directory that holds a run."""
+        assert cli.main(["simulate", tiny_file, "--out", str(tmp_path)]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["analyze", "typo_run", "--series", "sigma"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: ")
+        assert "typo_run" in captured.err
+
     @pytest.mark.parametrize("stride", ["0", "-3", "two"])
     def test_bad_stride_is_two_before_any_work(self, stride, tiny_file,
                                                tmp_path, capsys, monkeypatch):

@@ -660,24 +660,37 @@ def test_lattice27_drift_rows_take_the_exact_path(monkeypatch):
     """lattice27's drifting agent 14 passes the linear test until its
     offset outgrows the limit; from then on each of its rows goes through
     the detector's kernel, which flags it on the tick it always has.  No
-    other follower's row leaves the linear test."""
-    blocks, look_ahead, quiet = [], Simulation._look_ahead, anomaly._quiet
+    other follower's row leaves the linear test.  On every block with a
+    row that fails it, there and in TEAM7's CEM_DRIFT, the verdict is
+    detect()'s healthy bit for bit: the rows with a failing follower go
+    to detect() whole."""
+    blocks = []   # [tick, epoch, positions, the linear test's (F, K)]
+    look_ahead, verdict, quiet = (Simulation._look_ahead,
+                                  simulate._Epoch.verdict, anomaly._quiet)
 
     def recorded(self):
-        blocks.append([self.tick, self.epoch, None])
+        blocks.append([self.tick, self.epoch, None, None])
         look_ahead(self)
 
+    def judged(self, positions):
+        blocks[-1][2] = positions.copy()
+        return verdict(self, positions)
+
     def kept(cols, *args):
-        blocks[-1][2] = verdict = quiet(cols, *args)   # (F, K)
-        return verdict
+        blocks[-1][3] = passed = quiet(cols, *args)
+        return passed
 
     monkeypatch.setattr(Simulation, "_look_ahead", recorded)
+    monkeypatch.setattr(simulate._Epoch, "verdict", judged)
     monkeypatch.setattr(anomaly, "_quiet", kept)
     sim = Simulation(lattice27())
     sim.run()
+    lattice = len(blocks)
+    Simulation(team7(failure_doc(*CEM_DRIFT))).run()
+    monkeypatch.undo()
     exact = {}
-    for start, epoch, verdict in blocks:
-        for j, k in np.argwhere(~verdict):
+    for start, epoch, _, passed in blocks[:lattice]:
+        for j, k in np.argwhere(~passed):
             exact.setdefault(epoch.network.followers[j], []).append(
                 start + 1 + int(k))
     flagged = round(sim.log.mode_changes()[0].time / sim.dt)
@@ -687,6 +700,12 @@ def test_lattice27_drift_rows_take_the_exact_path(monkeypatch):
     assert list(exact) == [14]
     ticks = [t for t in exact[14] if t <= flagged]
     assert onset < ticks[0] and ticks == list(range(ticks[0], flagged + 1))
+    failing = [not passed.all() for *_, passed in blocks]
+    assert any(failing[:lattice]) and any(failing[lattice:])
+    for (_, epoch, positions, _), fails in zip(blocks, failing):
+        if fails:
+            assert np.array_equal(epoch.verdict(positions),
+                                  epoch.detect(positions)[1])
 
 
 def forced_exact(cols, *args):
